@@ -9,9 +9,8 @@ reduction lemmas that transfer colorings between them.
 
 from .cliques import CliqueResult, clique_number, verify_clique
 from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
-                       find_coloring_violation, greedy_chromatic_upper,
-                       heuristic_chromatic_upper, improve_coloring,
-                       lift_coloring, verify_coloring)
+                       find_coloring_violation, heuristic_chromatic_upper,
+                       improve_coloring, lift_coloring)
 from .cycles import (CensusEntry, HamiltonResult, cycle_census,
                      hamiltonian_cycle, verify_cycle)
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
@@ -26,7 +25,7 @@ from .generation import (GenerationConfig, GenerationStats, PortionGraph,
                          verify_no_identity_reduction)
 from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
                     build_delta334, edge_predicate, graph_isomorphic,
-                    identity_element_of, induced_morphism,
+                    induced_morphism,
                     kronecker_matches_direct_sum, kronecker_product)
 from .graphio import (GraphFormatError, dumps_graph, graph_from_json_dict,
                       graph_to_dot, graph_to_graphml, graph_to_json_dict,

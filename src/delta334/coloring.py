@@ -51,33 +51,6 @@ def find_coloring_violation(graph: TriangleGraph, colors) -> tuple[int, int] | N
     return None
 
 
-def verify_coloring(graph: TriangleGraph, coloring: Coloring) -> tuple[int, int] | None:
-    """None when proper; otherwise a violating edge."""
-    return find_coloring_violation(graph, coloring.colors)
-
-
-def greedy_chromatic_upper(graph: TriangleGraph) -> Coloring:
-    """DSATUR greedy coloring; deterministic (ties broken by lowest index)."""
-    _reject_loops(graph)
-    n = graph.n
-    if n == 0:
-        return Coloring((), 0, True)
-    colors = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    degrees = [graph.degree(v) for v in range(n)]
-    for _ in range(n):
-        v = min((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (-len(neighbor_colors[u]), -degrees[u], u))
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        colors[v] = c
-        for w in graph.neighbors(v):
-            if colors[w] < 0:
-                neighbor_colors[w].add(c)
-    return Coloring.checked(graph, colors)
-
-
 @dataclass
 class ChromaticResult:
     """Exact chi when lower == upper with an exhaustion certificate."""
@@ -417,8 +390,8 @@ def _core_search(sub: _SubGraph, k: int, core: list[int], clique: list[int],
 
 
 def heuristic_chromatic_upper(graph: TriangleGraph, rounds: int = 2000) -> Coloring:
-    """DSATUR refined by iterated greedy; a tighter (still heuristic) upper
-    bound than greedy_chromatic_upper at modest extra cost."""
+    """DSATUR (ties broken by lowest index) refined by `rounds` of iterated
+    greedy; rounds=0 returns the plain DSATUR coloring."""
     _reject_loops(graph)
     if graph.n == 0:
         return Coloring((), 0, True)

@@ -447,6 +447,10 @@ def element_order(x: GroupElement, cap: int) -> int | None:
 
 
 def has_order_dividing_3(x: GroupElement) -> bool:
+    if isinstance(x, IntMatrix3):
+        # exact on raw tuples: x^2 may leave the stored-entry bound
+        m = x.entries
+        return mat3_mul(mat3_mul(m, m), m) == MAT3_IDENTITY
     return compose(compose(x, x), x).is_identity()
 
 

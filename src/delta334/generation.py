@@ -7,17 +7,22 @@ under inverses, discarding anything whose entries leave the configured bound.
 Conjugation preserves order exactly, so every vertex has order three; the
 identity never appears.
 
-Edges are built with a trace prefilter: if (AB)^4 = I then AB has order
+Edges come from one exact kernel.  If (AB)^4 = I then AB has order
 dividing 4, its eigenvalues are a subset of {1, -1, i, -i} closed under
-conjugation with product 1, so trace(AB) is 3, -1, or 1.  The same holds
-for s = trace(adj(AB)), the second characteristic coefficient, and s must
-equal t = trace(AB).  Conversely det(AB) = 1 with (t, s) = (1, 1) forces
-the characteristic polynomial (x-1)(x^2+1), squarefree, so (AB)^4 = I
+conjugation with product 1, so t = trace(AB) is 3, -1, or 1.  The same
+holds for s = trace(adj(AB)), the second characteristic coefficient, and s
+must equal t.  Conversely det(AB) = 1 with (t, s) = (1, 1) forces the
+characteristic polynomial (x-1)(x^2+1), squarefree, so (AB)^4 = I
 outright; (t, s) = (-1, -1) needs (AB)^2 = I and (t, s) = (3, 3) needs
-AB = I, i.e. B = A^(-1).  Both traces are Gram-matrix products (one over
-the matrices, one over their adjugates), computed blockwise in numpy,
-exactly in int64 when the entry bound permits; only the (-1, -1) survivors
-need an arbitrary-precision check.
+AB = I, i.e. B = A^(-1).
+
+Both traces are Gram-matrix products, one over the matrices and one over
+their adjugates.  They are computed blockwise as float64 BLAS products of
+centred residues modulo one prime p < 2^25, which are exact integers for
+any entry size.  Pairs with (t, s) = (1, 1) or (-1, -1) mod p survive and
+are decided exactly from P = AB: in int64 while 54 M^4 < 2^63 for the
+largest entry M, on numpy arrays of Python ints beyond.  Inverse pairs are
+edges outright, and no other pair can have (t, s) = (3, 3) mod p.
 
 The mod-p verification program from the source material runs against these
 portions: no vertex reduces to the identity mod p, every edge maps to an
@@ -39,8 +44,8 @@ from .cliques import CliqueResult, clique_number, verify_clique
 from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
                        improve_coloring, lift_coloring)
 from .elements import (DEFAULT_ENTRY_LIMIT, IntMatrix3, MAT3_IDENTITY,
-                       element_key, has_order_dividing_3, mat3_mul,
-                       parametric_order3, reduce_mod, serialize_element)
+                       element_key, has_order_dividing_3, mat3_adjugate,
+                       mat3_mul, parametric_order3, reduce_mod, serialize_element)
 from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
                     build_delta334, induced_morphism)
 from .groups import order3_vertices, parse_group_spec
@@ -168,8 +173,10 @@ class GenerationStats:
     duplicate_hits: int = 0
     max_abs_entry: int = 0
     pairs_total: int = 0
-    prefilter_candidates: int = 0  # pairs whose trace lands in {3, -1, 1}
-    exact_checks: int = 0  # survivors that still needed a matrix power test
+    # pairs whose trace is 3, -1 or 1 mod p; exactly the pairs with that
+    # trace over Z while 9 M^2 < p / 2 (M the largest entry, about 1365)
+    prefilter_candidates: int = 0
+    exact_checks: int = 0  # pairs with t = s = -1 over Z, tested for P^2 = I
     edges_found: int = 0
 
     def to_json_dict(self) -> dict:
@@ -210,7 +217,11 @@ def generate_portion(cfg: GenerationConfig) -> tuple[list[IntMatrix3], Generatio
     admitted: dict[bytes, tuple] = {}
 
     def admit(entries: tuple) -> bool:
-        key = _entries_key(entries)
+        try:
+            key = _entries_key(entries)
+        except struct.error:  # past int64, so past any entry bound
+            stats.entry_bound_rejects += 1
+            return False
         if key in admitted:
             stats.duplicate_hits += 1
             return False
@@ -264,9 +275,9 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
                         stats: GenerationStats | None = None,
                         threads: int = 1,
                         validate: bool = True) -> PortionGraph:
-    """All-pairs adjacency with the trace prefilter; exact (AB)^4 = I checks
-    on the survivors.  Edge blocks may run on worker threads; the merged
-    edge list is independent of the thread count."""
+    """All-pairs adjacency: a residue filter on the traces, then exact
+    (AB)^4 = I decisions on the survivors.  Edge blocks may run on worker
+    threads; the merged edge list is independent of the thread count."""
     verts = sorted(vertices, key=element_key)
     if validate:
         for v in verts:
@@ -294,7 +305,10 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
     return PortionGraph(graph, cfg, stats)
 
 
-_GOOD_TRACES = (3, -1, 1)
+# A prime just under 2^25: centred residues are below 2^24 in magnitude, so
+# every partial sum of a 9-term residue dot product stays below
+# 9 * (p/2)^2 < 2^53 and float64 Gram products are exact integers.
+_RESIDUE_PRIME = 33_554_393
 
 
 def _transposed_flat(arr: np.ndarray, n: int) -> np.ndarray:
@@ -303,55 +317,82 @@ def _transposed_flat(arr: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(arr.reshape(n, 3, 3).transpose(0, 2, 1).reshape(n, 9))
 
 
-def _adjugate_entries(m: tuple) -> tuple:
-    a, b, c, d, e, f, g, h, i = m
-    return (e * i - f * h, c * h - b * i, b * f - c * e,
-            f * g - d * i, a * i - c * g, c * d - a * f,
-            d * h - e * g, b * g - a * h, a * e - b * d)
+def _centred(x: np.ndarray) -> np.ndarray:
+    h = _RESIDUE_PRIME // 2
+    return (x + h) % _RESIDUE_PRIME - h
+
+
+def _reduce_float(x: np.ndarray) -> np.ndarray:
+    """x minus the nearest multiple of p, in place: an exact representative
+    of x mod p, and exactly 1, -1 or 3 whenever x is congruent to one of
+    them (rounding of x / p can only err near half-multiples of p)."""
+    q = x * (1.0 / _RESIDUE_PRIME)
+    np.rint(q, out=q)
+    q *= _RESIDUE_PRIME
+    x -= q
+    return x
 
 
 def _edges_with_prefilter(entries: list[tuple], threads: int):
-    """(trace candidates, exact power checks, sorted edges)."""
+    """(trace candidates, exact power checks, sorted edges).
+
+    One path for every entry size: residue Gram products mod p filter the
+    pairs, and the survivors are decided exactly in integer arithmetic."""
     n = len(entries)
     if n < 2:
         return 0, 0, []
+    # P = A_i A_j has entries up to 3 M^2 and principal-minor sum up to
+    # 54 M^4; past int64 the same expressions run on Python ints
     maxabs = max(max(abs(e) for e in row) for row in entries)
-    trace_exact = 9 * maxabs * maxabs < 2 ** 63
-    adj_exact = 9 * (2 * maxabs * maxabs) ** 2 < 2 ** 63
-
+    flat = np.array(entries, dtype=np.int64 if 54 * maxabs ** 4 < 2 ** 63 else object)
+    mats = flat.reshape(n, 3, 3)
+    res = _centred((flat % _RESIDUE_PRIME).astype(np.int64))
+    adj = _centred(np.stack(mat3_adjugate(res.T), axis=1))
+    res_f = res.astype(np.float64)
+    adj_f = adj.astype(np.float64)
+    res_t = _transposed_flat(res_f, n)
+    adj_t = _transposed_flat(adj_f, n)
     inv_idx = _inverse_indices(entries)
-    block_size = max(1, min(1024, (1 << 22) // max(n, 1)))
+    block_size = max(1, min(1024, (1 << 21) // n))
     blocks = [slice(s, min(s + block_size, n)) for s in range(0, n, block_size)]
 
-    if trace_exact:
-        arr = np.array(entries, dtype=np.int64)
-        arr_t = _transposed_flat(arr, n)
-        if adj_exact:
-            adj = np.array([_adjugate_entries(row) for row in entries], dtype=np.int64)
-            adj_t = _transposed_flat(adj, n)
-        work = lambda blk: _work_int(blk, entries, arr, arr_t,
-                                     adj_t if adj_exact else None,
-                                     adj if adj_exact else None, inv_idx,
-                                     arr.reshape(n, 3, 3) if adj_exact else None)
-    else:
-        arr = np.array(entries, dtype=np.float64)
-        arr_t = _transposed_flat(arr, n)
-        slack = max(100.0, 9.0 * maxabs * maxabs * 1e-9)
-        work = lambda blk: _work_float(blk, entries, arr, arr_t, slack)
+    def work(blk: slice):
+        lo, hi = blk.start, blk.stop
+        # trace residues of rows i in the block against columns j >= lo
+        t = _reduce_float(res_f[blk] @ res_t[lo:].T)
+        good = (t == 1) | (t == -1) | (t == 3)
+        good[:, :hi - lo] = np.triu(good[:, :hi - lo], 1)  # j > i
+        idx = np.flatnonzero(good)
+        # t = s = 3 over Z means AB = I: exactly the inverse pairs, added
+        # below.  The (1, 1) and (-1, -1) classes must also have s = t mod p
+        tr = t.ravel()[idx]
+        s = _reduce_float((adj_f[blk] @ adj_t[lo:].T).ravel()[idx])
+        gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], n - lo)
+        gi += lo
+        gj += lo
+        P = mats[gi] @ mats[gj]
+        tp = P[:, 0, 0] + P[:, 1, 1] + P[:, 2, 2]
+        sp = (P[:, 1, 1] * P[:, 2, 2] - P[:, 1, 2] * P[:, 2, 1]
+              + P[:, 0, 0] * P[:, 2, 2] - P[:, 0, 2] * P[:, 2, 0]
+              + P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0])
+        # (1, 1): characteristic polynomial (x-1)(x^2+1), an edge outright;
+        # (-1, -1): an edge exactly when P^2 = I
+        edge = (tp == sp) & (tp == 1)
+        minus = np.flatnonzero((tp == sp) & (tp == -1))
+        Pm = P[minus]
+        edge[minus] = (Pm @ Pm == np.eye(3, dtype=np.int64)).all(axis=(1, 2))
+        found = [(i, int(inv_idx[i])) for i in range(lo, hi) if inv_idx[i] > i]
+        found.extend(zip(gi[edge].tolist(), gj[edge].tolist()))
+        return int(idx.size), int(minus.size), found
 
-    total_cand = 0
-    total_checks = 0
-    all_edges: list[tuple[int, int]] = []
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, blocks))
     else:
         results = [work(blk) for blk in blocks]
-    for cand, checks, found in results:
-        total_cand += cand
-        total_checks += checks
-        all_edges.extend(found)
-    all_edges.sort()
+    total_cand = sum(r[0] for r in results)
+    total_checks = sum(r[1] for r in results)
+    all_edges = sorted(e for r in results for e in r[2])
     return total_cand, total_checks, all_edges
 
 
@@ -363,81 +404,6 @@ def _inverse_indices(entries: list[tuple]) -> np.ndarray:
         if j is not None:
             inv[i] = j
     return inv
-
-
-def _work_int(block: slice, entries, arr, arr_t, adj_t, adj, inv_idx, arr3):
-    t1 = arr[block] @ arr_t.T
-    upper = np.arange(t1.shape[1])[None, :] > np.arange(block.start, block.stop)[:, None]
-    good = ((t1 == 3) | (t1 == -1) | (t1 == 1)) & upper
-    cand = int(good.sum())
-    found: list[tuple[int, int]] = []
-    checks = 0
-    if adj_t is not None:
-        t2 = adj[block] @ adj_t.T
-        # (1, 1): characteristic polynomial is (x-1)(x^2+1); edge outright
-        rows, cols = np.nonzero((t1 == 1) & (t2 == 1) & upper)
-        found.extend((block.start + r, j) for r, j in zip(rows.tolist(), cols.tolist()))
-        # (3, 3): AB = I exactly when B is A's inverse
-        rows, cols = np.nonzero((t1 == 3) & (t2 == 3) & upper
-                                & (np.arange(t1.shape[1])[None, :]
-                                   == inv_idx[block][:, None]))
-        found.extend((block.start + r, j) for r, j in zip(rows.tolist(), cols.tolist()))
-        # (-1, -1): edge exactly when (AB)^2 = I; safe in int64 since the
-        # adj_exact tier bounds entries well below the fourth-power limit
-        rows, cols = np.nonzero((t1 == -1) & (t2 == -1) & upper)
-        checks = int(rows.size)
-        if rows.size:
-            gi = rows + block.start
-            prod = arr3[gi] @ arr3[cols]
-            sq = prod @ prod
-            ok = (sq == np.eye(3, dtype=np.int64)).all(axis=(1, 2))
-            found.extend(zip(gi[ok].tolist(), cols[ok].tolist()))
-    else:
-        rows, cols = np.nonzero(good)
-        for r, j in zip(rows.tolist(), cols.tolist()):
-            i = block.start + r
-            checks += 1
-            if _adjacent_exact(entries[i], entries[j]):
-                found.append((i, j))
-    return cand, checks, found
-
-
-def _work_float(block: slice, entries, arr, arr_t, slack):
-    tr = arr[block] @ arr_t.T
-    upper = np.arange(tr.shape[1])[None, :] > np.arange(block.start, block.stop)[:, None]
-    mask = np.zeros(tr.shape, dtype=bool)
-    for t in _GOOD_TRACES:
-        mask |= np.abs(tr - t) <= slack
-    mask &= upper
-    cand = 0
-    checks = 0
-    found = []
-    rows, cols = np.nonzero(mask)
-    for r, j in zip(rows.tolist(), cols.tolist()):
-        i = block.start + r
-        cand += 1
-        checks += 1
-        if _adjacent_exact(entries[i], entries[j]):
-            found.append((i, j))
-    return cand, checks, found
-
-
-def _adjacent_exact(a: tuple, b: tuple) -> bool:
-    """Exact (AB)^4 = I decision through the characteristic polynomial."""
-    p = mat3_mul(a, b)
-    t = p[0] + p[4] + p[8]
-    if t not in _GOOD_TRACES:
-        return False
-    s = (p[4] * p[8] - p[5] * p[7]
-         + p[0] * p[8] - p[2] * p[6]
-         + p[0] * p[4] - p[1] * p[3])
-    if s != t:
-        return False
-    if t == 1:
-        return True
-    if t == 3:
-        return p == MAT3_IDENTITY
-    return mat3_mul(p, p) == MAT3_IDENTITY
 
 
 def generate_and_build(cfg: GenerationConfig, threads: int = 1) -> PortionGraph:

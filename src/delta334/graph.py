@@ -18,7 +18,6 @@ from .elements import (
     ModMatrix,
     element_key,
     has_order_dividing_3,
-    identity_like,
     mat3_mul,
     reduce_mod,
 )
@@ -407,7 +406,3 @@ def _refined_labels(g: TriangleGraph, rounds: int = 3) -> list[int]:
         labels = nxt
     canon: dict = {}
     return [canon.setdefault(l, len(canon)) for l in labels]
-
-
-def identity_element_of(elements: ElementSet) -> GroupElement:
-    return identity_like(elements[0])

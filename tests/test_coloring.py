@@ -6,7 +6,6 @@ from delta334.coloring import (
     Coloring,
     chromatic_number_exact,
     find_coloring_violation,
-    greedy_chromatic_upper,
     heuristic_chromatic_upper,
     improve_coloring,
     lift_coloring,
@@ -77,14 +76,14 @@ class TestHeuristics:
     @settings(max_examples=40, deadline=None)
     def test_upper_bounds_bracket_exact(self, graph):
         exact = chromatic_number_exact(graph).chi
-        greedy = greedy_chromatic_upper(graph)
+        greedy = heuristic_chromatic_upper(graph, rounds=0)
         better = heuristic_chromatic_upper(graph, rounds=50)
         assert greedy.proper and better.proper
         assert exact <= better.num_colors <= greedy.num_colors
 
     def test_improve_never_increases(self):
         g = toys.petersen_graph()
-        start = greedy_chromatic_upper(g)
+        start = heuristic_chromatic_upper(g, rounds=0)
         improved = improve_coloring(g, start, rounds=100)
         assert improved.proper
         assert improved.num_colors <= start.num_colors

@@ -127,6 +127,16 @@ class TestParametricFamily:
                     seen.add(m.entries)
         assert len(seen) == 11 ** 3
 
+    def test_order_check_past_the_entry_bound(self):
+        # entries fit the 62-bit bound but the square does not: the
+        # predicate still decides exactly
+        m = parametric_order3(1, 1, 10 ** 9)
+        with pytest.raises(OverflowBoundError):
+            compose(m, m)
+        assert has_order_dividing_3(m)
+        big = 1 << 61
+        assert not has_order_dividing_3(IntMatrix3((1, big, 0, 0, 1, big, 0, 0, 1)))
+
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
     def test_members_cube_to_identity(self, a, b, c):
         m = parametric_order3(a, b, c)

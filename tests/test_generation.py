@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from delta334.elements import (IntMatrix3, compose, element_key,
-                               has_order_dividing_3, inverse,
+from delta334.elements import (DEFAULT_ENTRY_LIMIT, IntMatrix3, compose,
+                               element_key, has_order_dividing_3, inverse,
                                parametric_order3, reduce_mod)
 from delta334.generation import (
     INTRO_ORDER3_SEEDS,
@@ -160,17 +160,40 @@ class TestBuildEdges:
         again = build_portion_edges(verts, threads=3)
         assert again.graph.edges() == small_portion.graph.edges()
 
-    def test_edges_match_literal_oracle_on_500_vertices(self, small_portion):
-        # exact cross-check of the trace prefilter and the fast edge pass:
-        # plain-integer (AB)^4 on every pair of a 500-vertex subportion
+    @pytest.mark.parametrize("kind, size", [
+        ("default", None), ("parametric", 10 ** 2), ("parametric", 10 ** 5),
+        ("parametric", 10 ** 9), ("conjugated", 10 ** 4)],
+        ids=["default", "c1e2", "c1e5", "c1e9", "conj1e4"])
+    def test_edges_match_literal_oracle_on_500_vertices(self, kind, size, small_portion):
+        # exact cross-check of the residue filter and the exact decision:
+        # plain-integer (AB)^4 on every pair.  "default" is a 500-vertex
+        # subportion of the depth-2 closure.  "parametric" portions hold 300
+        # vertices seeded with members at |c| = size beside the |a|, |b|,
+        # |c| <= 1 family: entries reach ~3 size^2, so products run on
+        # Python ints, but large-entry vertices meet only their inverses.
+        # "conjugated" takes 300 default vertices conjugated by E_12(size):
+        # the same edges of every kind, with entries near 10^10, so their
+        # trace residues wrap mod p
         verts = list(small_portion.graph.labels)[:500]
+        if kind == "parametric":
+            seeds = tuple(parametric_order3(a, b, s * size)
+                          for a in (0, 1) for b in (0, 1) for s in (1, -1))
+            verts, _ = generate_portion(GenerationConfig(
+                seeds=seeds, family_bound=1, conj_depth=2, target_vertices=300,
+                entry_bound=DEFAULT_ENTRY_LIMIT))
+        elif kind == "conjugated":
+            g = IntMatrix3((1, size, 0, 0, 1, 0, 0, 0, 1))
+            verts = [compose(compose(g, v), inverse(g)) for v in verts[:300]]
+        if size is not None:
+            assert max(v.max_abs_entry() for v in verts) >= size * size
         built = build_portion_edges(verts).graph
+        labels = built.labels  # key-sorted
         want = set()
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if oracles.oracle_product_order_divides_4(verts[i], verts[j]):
+        for i in range(len(labels)):
+            for j in range(i + 1, len(labels)):
+                if oracles.oracle_product_order_divides_4(labels[i], labels[j]):
                     want.add((i, j))
-        assert set(built.edges()) == want
+        assert want and set(built.edges()) == want
 
     def test_prefilter_statistics_recorded(self, small_portion):
         stats = small_portion.stats

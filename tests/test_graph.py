@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delta334.elements import Permutation, inverse, parametric_order3
+from delta334.elements import Permutation, identity_like, inverse, parametric_order3
 from delta334.generation import mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
     build_delta334,
     edge_predicate,
     graph_isomorphic,
-    identity_element_of,
     induced_morphism,
     kronecker_matches_direct_sum,
     kronecker_product,
@@ -66,7 +65,7 @@ class TestEdgePredicate:
 
     def test_identity_gets_a_loop(self):
         g = delta("Z3", include_identity=True)
-        e = identity_element_of(ElementSet(g.labels))
+        e = identity_like(g.labels[0])
         assert g.vertex_of(e) in g.loops
 
 
