@@ -24,8 +24,7 @@ from .generation import (GenerationConfig, GenerationStats, PortionGraph,
                          portion_chromatic_bounds, verify_edge_preservation,
                          verify_no_identity_reduction)
 from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
-                    build_delta334, edge_predicate, graph_isomorphic,
-                    induced_morphism,
+                    build_delta334, graph_isomorphic, induced_morphism,
                     kronecker_matches_direct_sum, kronecker_product)
 from .graphio import (GraphFormatError, dumps_graph, graph_from_json_dict,
                       graph_to_dot, graph_to_graphml, graph_to_json_dict,

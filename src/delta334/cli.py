@@ -201,19 +201,24 @@ def _report_summary(rep: InvariantReport) -> list[str]:
         else:
             lines.append(f"chromatic bounds: [{c.lower}, {c.upper}]")
     if rep.census is not None:
-        found = sorted(L for L, e in rep.census.items() if e.status == FOUND)
-        absent = sorted(L for L, e in rep.census.items() if e.status == ABSENT)
-        open_ = sorted(L for L, e in rep.census.items()
-                       if e.status not in (FOUND, ABSENT))
-        lines.append(f"cycle lengths found: {_ranges(found)}")
-        if absent:
-            lines.append(f"cycle lengths absent: {_ranges(absent)}")
-        if open_:
-            lines.append(f"cycle lengths unresolved: {_ranges(open_)}")
+        lines.extend(_census_lines(rep.census))
     if rep.hamilton is not None:
         lines.append(f"hamiltonian: {rep.hamilton.status}")
     if rep.planarity is not None:
         lines.append(f"planarity: {rep.planarity.status} ({rep.planarity.reason})")
+    return lines
+
+
+def _census_lines(census: dict) -> list[str]:
+    """Summary lines of a cycle census: lengths found, absent, unresolved."""
+    found = sorted(L for L, e in census.items() if e.status == FOUND)
+    absent = sorted(L for L, e in census.items() if e.status == ABSENT)
+    open_ = sorted(L for L, e in census.items() if e.status not in (FOUND, ABSENT))
+    lines = [f"cycle lengths found: {_ranges(found)}"]
+    if absent:
+        lines.append(f"cycle lengths absent: {_ranges(absent)}")
+    if open_:
+        lines.append(f"cycle lengths unresolved: {_ranges(open_)}")
     return lines
 
 
@@ -330,15 +335,7 @@ def cmd_cycles(args) -> int:
     }
     doc = {"manifest": _manifest(args, [args.input], [args.out] if args.out else []),
            **payload}
-    found = sorted(L for L, e in census.items() if e.status == FOUND)
-    absent = sorted(L for L, e in census.items() if e.status == ABSENT)
-    open_ = sorted(L for L, e in census.items() if e.status not in (FOUND, ABSENT))
-    summary = [f"cycle lengths found: {_ranges(found)}"]
-    if absent:
-        summary.append(f"cycle lengths absent: {_ranges(absent)}")
-    if open_:
-        summary.append(f"cycle lengths unresolved: {_ranges(open_)}")
-    _emit(doc, args.out, summary)
+    _emit(doc, args.out, _census_lines(census))
     return 0
 
 

@@ -1,16 +1,23 @@
-"""Maximum clique via Bron-Kerbosch with pivoting.
+"""Maximum clique: a degeneracy order, then one bitmask branch and bound in
+each vertex's later neighborhood.
 
-Bitmask sets below the dense-graph size limit, Python sets with a degeneracy
-outer loop above it.  The search is exact unless the node budget runs out,
-in which case the best clique found so far is returned flagged as a lower
-bound only.
+Following Eppstein, Löffler and Strash ("Listing all maximal cliques in
+sparse graphs in near-optimal time", ISAAC 2010), every clique is found
+under its earliest vertex v in a degeneracy order, among v's later
+neighbors P.  P is re-indexed as local bits, so the search runs on
+|P|-bit masks whatever the size of the graph, and |P| is at most the
+degeneracy.  Branching is Bron-Kerbosch with a pivot of most neighbors in
+P; a maximum clique needs no maximality test, so there is no excluded set.
+The search is exact unless the node budget runs out, in which case the
+best clique found so far is returned flagged as a lower bound only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import BITSET_LIMIT, TriangleGraph
+from .cycles import _bits, _mask
+from .graph import TriangleGraph
 
 DEFAULT_CLIQUE_BUDGET = 20_000_000
 
@@ -23,13 +30,6 @@ class CliqueResult:
     nodes: int
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-
 def clique_number(graph: TriangleGraph,
                   node_budget: int = DEFAULT_CLIQUE_BUDGET) -> CliqueResult:
     """Exact maximum clique (loops ignored); budget exhaustion degrades the
@@ -37,94 +37,52 @@ def clique_number(graph: TriangleGraph,
     n = graph.n
     if n == 0:
         return CliqueResult(0, (), True, 0)
-    budget = _Budget(node_budget)
-    if n <= BITSET_LIMIT:
-        best = _bk_bitmask(graph, budget)
-    else:
-        best = _bk_sets(graph, budget)
-    return CliqueResult(len(best), tuple(sorted(best)), budget.left > 0,
-                        node_budget - max(budget.left, 0))
-
-
-def _bk_bitmask(graph: TriangleGraph, budget: _Budget) -> list[int]:
-    masks = graph.adjacency_masks()
-    n = graph.n
-    best: list[int] = []
-
-    def expand(r: list[int], p: int, x: int):
-        nonlocal best
-        budget.left -= 1
-        if budget.left <= 0:
-            return
-        if p == 0 and x == 0:
-            if len(r) > len(best):
-                best = r[:]
-            return
-        if len(r) + bin(p).count("1") <= len(best):
-            return
-        both = p | x
-        pivot = -1
-        pivot_hits = -1
-        m = both
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            hits = bin(p & masks[u]).count("1")
-            if hits > pivot_hits:
-                pivot_hits = hits
-                pivot = u
-        cand = p & ~masks[pivot]
-        while cand:
-            vbit = cand & -cand
-            v = vbit.bit_length() - 1
-            cand &= cand - 1
-            r.append(v)
-            expand(r, p & masks[v], x & masks[v])
-            r.pop()
-            p &= ~vbit
-            x |= vbit
-            if budget.left <= 0:
-                return
-
-    expand([], (1 << n) - 1, 0)
-    return best
-
-
-def _bk_sets(graph: TriangleGraph, budget: _Budget) -> list[int]:
-    n = graph.n
     nbrs = [frozenset(graph.neighbors(v)) for v in range(n)]
     order = _degeneracy_order(graph)
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
     best: list[int] = []
+    nodes = 0
+    later: list[int] = []   # local bit -> vertex, for the current outer vertex
+    rows: list[int] = []    # local adjacency masks within P
 
-    def expand(r: list[int], p: set[int], x: set[int]):
-        nonlocal best
-        budget.left -= 1
-        if budget.left <= 0:
+    def expand(r: list[int], p: int):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes >= node_budget:
             return
-        if not p and not x:
+        if not p:
             if len(r) > len(best):
                 best = r[:]
             return
-        if len(r) + len(p) <= len(best):
+        if len(r) + p.bit_count() <= len(best):
             return
-        pivot = max(p | x, key=lambda u: len(p & nbrs[u]))
-        for v in sorted(p - nbrs[pivot]):
-            r.append(v)
-            expand(r, p & nbrs[v], x & nbrs[v])
+        pivot_hits = -1
+        for u in _bits(p):
+            hits = (p & rows[u]).bit_count()
+            if hits > pivot_hits:
+                pivot_hits, pivot = hits, u
+        for u in _bits(p & ~rows[pivot]):
+            r.append(later[u])
+            expand(r, p & rows[u])
             r.pop()
-            p.discard(v)
-            x.add(v)
-            if budget.left <= 0:
+            p &= ~(1 << u)
+            if nodes >= node_budget:
                 return
 
     for v in order:
-        later = {w for w in nbrs[v] if pos[w] > pos[v]}
-        earlier = {w for w in nbrs[v] if pos[w] < pos[v]}
-        expand([v], later, earlier)
-        if budget.left <= 0:
+        later = sorted(w for w in nbrs[v] if pos[w] > pos[v])
+        if len(later) + 1 <= len(best):
+            continue
+        local = {w: i for i, w in enumerate(later)}
+        pset = frozenset(later)
+        rows = [_mask(local[x] for x in nbrs[w] & pset) for w in later]
+        expand([v], (1 << len(later)) - 1)
+        if nodes >= node_budget:
             break
-    return best
+    return CliqueResult(len(best), tuple(sorted(best)), nodes < node_budget,
+                        min(nodes, node_budget))
 
 
 def _degeneracy_order(graph: TriangleGraph) -> list[int]:

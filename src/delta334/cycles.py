@@ -104,7 +104,7 @@ def cycle_census(graph: TriangleGraph, min_len: int = 3, max_len: int | None = N
     if max_len < min_len:
         return entries
     adj = [_mask(graph.neighbors(v)) for v in range(n)]
-    bipartite = _is_two_colorable(adj, n)
+    bipartite = _two_coloring(graph)[3] is None
 
     witnesses: dict[int, list[int]] = {}
     seeds: list[list[int]] = []
@@ -174,22 +174,35 @@ def _connected(adj: list[int], n: int) -> bool:
     return seen.bit_count() == n
 
 
-def _is_two_colorable(adj: list[int], n: int) -> bool:
+def _two_coloring(graph: TriangleGraph):
+    """BFS 2-coloring with loops ignored: (color, parent, depth, conflict).
+
+    The lists describe the BFS forest; conflict is the first edge (v, w)
+    found with both ends one color, where the search stops, or None when the
+    graph without its loops is bipartite.
+    """
+    n = graph.n
     color = [-1] * n
+    parent = [-1] * n
+    depth = [0] * n
     for s in range(n):
         if color[s] >= 0:
             continue
         color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in _bits(adj[v]):
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for w in graph.neighbors(v):
                 if color[w] < 0:
                     color[w] = color[v] ^ 1
-                    stack.append(w)
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    queue.append(w)
                 elif color[w] == color[v]:
-                    return False
-    return True
+                    return color, parent, depth, (v, w)
+    return color, parent, depth, None
 
 
 def _posa(adj: list[int], n: int, steps: int | None = None):

@@ -23,18 +23,15 @@ from .elements import (
 )
 from .groups import ElementSet
 
-BITSET_LIMIT = 4096  # dense bitmask adjacency only below this vertex count
-
 
 class TriangleGraph:
     """An undirected graph with optional loops and per-vertex labels.
 
-    Adjacency is frozen at construction: sorted neighbor tuples always, plus
-    dense bitmask rows (one int per vertex) for graphs small enough that the
-    exact solvers want them.
+    Adjacency is frozen at construction as sorted neighbor tuples and a
+    lexicographically sorted edge tuple.
     """
 
-    __slots__ = ("labels", "loops", "meta", "_neighbors", "_edges", "_masks", "_key_index")
+    __slots__ = ("labels", "loops", "meta", "_neighbors", "_edges", "_key_index")
 
     def __init__(self, labels: Sequence, edges: Iterable[tuple[int, int]],
                  loops: Iterable[int] = (), meta: dict | None = None):
@@ -55,7 +52,6 @@ class TriangleGraph:
             if not 0 <= v < n:
                 raise ValueError(f"loop vertex {v} out of range")
         self.meta = dict(meta or {})
-        self._masks = None
         self._key_index = None
 
     @property
@@ -84,20 +80,6 @@ class TriangleGraph:
         k = bisect_left(row, j)
         return k < len(row) and row[k] == j
 
-    def adjacency_masks(self) -> list[int]:
-        """Bitmask adjacency rows; only for graphs with <= 4096 vertices."""
-        if self.n > BITSET_LIMIT:
-            raise ValueError(f"bitmask adjacency limited to {BITSET_LIMIT} vertices")
-        if self._masks is None:
-            masks = [0] * self.n
-            for i, row in enumerate(self._neighbors):
-                m = 0
-                for j in row:
-                    m |= 1 << j
-                masks[i] = m
-            self._masks = masks
-        return self._masks
-
     def vertex_of(self, element: GroupElement) -> int:
         """Index of the vertex labeled by this element (labels must be elements)."""
         if self._key_index is None:
@@ -116,19 +98,9 @@ class TriangleGraph:
                 f"{len(self.loops)} loops)")
 
 
-def edge_predicate(x: GroupElement, y: GroupElement) -> bool:
-    """True exactly when (xy)^4 = e.  Both arguments must satisfy a^3 = e.
-
-    Matrix powers are computed exactly (no entry bound applies to the
-    intermediate values of a predicate).
-    """
-    for name, v in (("x", x), ("y", y)):
-        if not has_order_dividing_3(v):
-            raise ValueError(f"edge predicate requires {name}^3 = e")
-    return _product_order_divides_4(x, y)
-
-
 def _product_order_divides_4(x: GroupElement, y: GroupElement) -> bool:
+    """True exactly when (xy)^4 = e.  Matrix powers are computed exactly (no
+    entry bound applies to the intermediate values of a predicate)."""
     if isinstance(x, IntMatrix3):
         z = mat3_mul(x.entries, y.entries)
         z2 = mat3_mul(z, z)

@@ -16,9 +16,9 @@ from .cliques import CliqueResult, clique_number, verify_clique
 from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
                        find_coloring_violation, heuristic_chromatic_upper,
                        _components)
-from .cycles import (CensusEntry, HamiltonResult, cycle_census,
+from .cycles import (CensusEntry, HamiltonResult, _two_coloring, cycle_census,
                      hamiltonian_cycle, verify_cycle)
-from .graph import BITSET_LIMIT, TriangleGraph
+from .graph import TriangleGraph
 
 GIRTH_BFS_LIMIT = 2048  # full girth sweep above this is quadratic-ish; skip
 
@@ -50,53 +50,18 @@ def is_bipartite(graph: TriangleGraph) -> BipartiteResult:
     n = graph.n
     for v in graph.loops:
         return BipartiteResult(False, odd_cycle=(v,))
-    color = [-1] * n
-    parent = [-1] * n
-    depth = [0] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in graph.neighbors(v):
-                if color[w] < 0:
-                    color[w] = color[v] ^ 1
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                elif color[w] == color[v] and w != v:
-                    cyc = _odd_cycle_from(parent, depth, v, w)
-                    assert len(cyc) % 2 == 1 and verify_cycle(graph, cyc)
-                    return BipartiteResult(False, odd_cycle=tuple(cyc))
+    color, parent, depth, conflict = _two_coloring(graph)
+    if conflict is not None:
+        # same color under BFS means same depth: the cycle through the
+        # conflict edge and the two tree paths has odd length >= 3
+        cyc = _cycle_through(parent, depth, *conflict)
+        assert len(cyc) % 2 == 1 and verify_cycle(graph, cyc)
+        return BipartiteResult(False, odd_cycle=tuple(cyc))
     part0 = tuple(v for v in range(n) if color[v] == 0)
     part1 = tuple(v for v in range(n) if color[v] == 1)
     for i, j in graph.edges():
         assert color[i] != color[j]
     return BipartiteResult(True, parts=(part0, part1))
-
-
-def _odd_cycle_from(parent: list[int], depth: list[int], u: int, w: int) -> list[int]:
-    """Cycle through the conflict edge (u, w): both BFS paths walked up to
-    their lowest common ancestor."""
-    pu, pw = [u], [w]
-    a, b = u, w
-    while depth[a] > depth[b]:
-        a = parent[a]
-        pu.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        pw.append(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        pu.append(a)
-        pw.append(b)
-    # pu ends at the common ancestor; pw's copy of it is dropped
-    return pu + pw[-2::-1]
 
 
 def girth(graph: TriangleGraph) -> tuple[int | None, tuple[int, ...] | None]:
@@ -120,15 +85,9 @@ def girth(graph: TriangleGraph) -> tuple[int | None, tuple[int, ...] | None]:
 
 
 def _find_triangle(graph: TriangleGraph) -> tuple[int, int, int] | None:
-    if graph.n <= BITSET_LIMIT:
-        masks = graph.adjacency_masks()
-        for i, j in graph.edges():
-            common = masks[i] & masks[j]
-            if common:
-                k = (common & -common).bit_length() - 1
-                return (i, j, k)
-        return None
-    nbr_sets = [set(graph.neighbors(v)) for v in range(graph.n)]
+    """The first edge in lex order that lies on a triangle, with the lowest
+    common neighbor of its ends."""
+    nbr_sets = [frozenset(graph.neighbors(v)) for v in range(graph.n)]
     for i, j in graph.edges():
         common = nbr_sets[i] & nbr_sets[j]
         if common:

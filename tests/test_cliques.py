@@ -12,7 +12,7 @@ import toys
 
 @st.composite
 def small_graphs(draw):
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 12))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return TriangleGraph(range(n), edges)
@@ -26,6 +26,8 @@ class TestCliqueNumber:
         (toys.petersen_graph(), 2),
         (toys.path_graph(1), 1),
         (TriangleGraph([], []), 0),
+        # the K4 lies under a later outer vertex than the Petersen part
+        (toys.disjoint_union(toys.petersen_graph(), toys.complete_graph(4)), 4),
     ])
     def test_known_values(self, graph, want):
         res = clique_number(graph)
@@ -41,6 +43,7 @@ class TestCliqueNumber:
     def test_budget_exhaustion_flags_inexact(self):
         res = clique_number(toys.complete_graph(30), node_budget=3)
         assert not res.exact
+        assert res.nodes == 3
         assert verify_clique(toys.complete_graph(30), res.witness)
 
     @given(small_graphs())

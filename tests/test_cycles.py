@@ -70,8 +70,10 @@ class TestHamilton:
 
 
 class TestCensus:
-    def test_c6_has_only_the_full_cycle(self):
-        census = cycle_census(toys.cycle_graph(6))
+    @pytest.mark.parametrize("loops", [(), [0]], ids=["no-loop", "loop-at-0"])
+    def test_c6_has_only_the_full_cycle(self, loops):
+        # the census ignores loops, so a looped C6 still counts as bipartite
+        census = cycle_census(TriangleGraph(range(6), toys.cycle_graph(6).edges(), loops))
         by_status = {L: e.status for L, e in census.items()}
         assert by_status == {3: ABSENT, 4: ABSENT, 5: ABSENT, 6: FOUND}
         # odd absences come from bipartite parity, even ones from search

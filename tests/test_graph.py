@@ -7,7 +7,6 @@ from delta334.generation import mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
     build_delta334,
-    edge_predicate,
     graph_isomorphic,
     induced_morphism,
     kronecker_matches_direct_sum,
@@ -39,12 +38,6 @@ class TestTriangleGraph:
         assert g.neighbors(0) == (1, 2)
         assert g.edge_count == 2
 
-    def test_adjacency_masks_match_neighbors(self):
-        g = toys.petersen_graph()
-        masks = g.adjacency_masks()
-        for v in range(g.n):
-            assert masks[v] == sum(1 << w for w in g.neighbors(v))
-
     def test_degree_histogram(self):
         assert toys.complete_bipartite(4, 4).degree_histogram() == {4: 8}
 
@@ -57,11 +50,14 @@ class TestTriangleGraph:
 class TestEdgePredicate:
     @pytest.mark.parametrize("text", ["S4", "SL2(3)", "A5"])
     def test_matches_literal_fourth_power(self, text):
-        verts = list(order3_vertices(parse_group_spec(text)))
+        # these groups are small enough for the pairwise predicate
+        g = delta(text)
+        verts = g.labels
         for i, x in enumerate(verts):
-            for y in verts[i + 1:]:
-                want = oracles.oracle_product_order_divides_4(x, y)
-                assert edge_predicate(x, y) == want
+            assert (i in g.loops) == oracles.oracle_product_order_divides_4(x, x)
+            for j in range(i + 1, g.n):
+                want = oracles.oracle_product_order_divides_4(x, verts[j])
+                assert g.has_edge(i, j) == want
 
     def test_identity_gets_a_loop(self):
         g = delta("Z3", include_identity=True)
@@ -82,14 +78,14 @@ class TestBuild:
 
     def test_mod3_fast_path_matches_generic(self):
         # SL3(3) takes the vectorized route; spot-check rows against the
-        # pairwise predicate.
+        # literal (ab)^4 = e oracle.
         g = mod_p_codomain(3)
         verts = g.labels
         import random
         rng = random.Random(7)
         for v in rng.sample(range(g.n), 12):
-            nbrs = {w for w in range(g.n)
-                    if w != v and edge_predicate(verts[v], verts[w])}
+            nbrs = {w for w in range(g.n) if w != v
+                    and oracles.oracle_product_order_divides_4(verts[v], verts[w])}
             assert nbrs == set(g.neighbors(v))
 
 
