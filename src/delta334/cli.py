@@ -273,8 +273,7 @@ def cmd_color(args) -> int:
     else:
         clique = clique_number(graph, **({"node_budget": args.node_budget}
                                          if args.node_budget else {}))
-        coloring = heuristic_chromatic_upper(
-            graph, rounds=2000 if graph.n <= 200 else 300)
+        coloring = heuristic_chromatic_upper(graph)
         lower, upper = (clique.size if clique.exact else 1), coloring.num_colors
         exact = lower == upper
         certificate = {"lower_bound_clique": list(clique.witness)}

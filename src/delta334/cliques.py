@@ -86,28 +86,29 @@ def clique_number(graph: TriangleGraph,
 
 
 def _degeneracy_order(graph: TriangleGraph) -> list[int]:
+    """Peel a vertex of least remaining degree, lowest index on ties."""
     n = graph.n
     deg = [graph.degree(v) for v in range(n)]
     removed = [False] * n
-    buckets: list[set[int]] = [set() for _ in range(max(deg, default=0) + 1)]
+    buckets = [0] * (max(deg, default=0) + 1)  # masks of vertices by degree
     for v in range(n):
-        buckets[deg[v]].add(v)
+        buckets[deg[v]] |= 1 << v
     order = []
     cursor = 0
     for _ in range(n):
-        while cursor < len(buckets) and not buckets[cursor]:
+        while not buckets[cursor]:
             cursor += 1
-        if cursor >= len(buckets):
-            break
-        v = min(buckets[cursor])
-        buckets[cursor].remove(v)
+        low = buckets[cursor] & -buckets[cursor]
+        buckets[cursor] ^= low
+        v = low.bit_length() - 1
         removed[v] = True
         order.append(v)
         for w in graph.neighbors(v):
             if not removed[w]:
-                buckets[deg[w]].discard(w)
+                bit = 1 << w
+                buckets[deg[w]] ^= bit
                 deg[w] -= 1
-                buckets[deg[w]].add(w)
+                buckets[deg[w]] |= bit
                 if deg[w] < cursor:
                     cursor = deg[w]
     return order

@@ -1,11 +1,16 @@
 """Vertex coloring: DSATUR greedy upper bound and exact chromatic number.
 
-The exact solver tests k-colorability downward from the greedy bound with a
-branch-and-bound backtracking search: DSATUR-style branching (most saturated
-vertex first, lowest index on ties), a maximum-clique pre-coloring for
-symmetry breaking, forward checking on per-vertex color domains, and an
-ascending-color symmetry cap (a vertex may only open one new color).  The
-chromatic number is certified when the (chi-1)-coloring search exhausts.
+One saturation-ordered search, `_core_search`, serves both.  It colors the
+uncolored vertex with the fewest colors left next (then highest degree, then
+lowest index), keeping the vertices in int masks per count of colors left
+instead of scanning them (a bucket queue after Brélaz, CACM 1979, updated
+incrementally after San Segundo, Comput. Oper. Res. 2012).  DSATUR is its
+first descent with k = max degree + 1, which never backtracks.  The exact
+solver tests k-colorability downward from the iterated-greedy bound:
+vertices of degree < k are peeled, and the core search adds a maximum-clique
+pre-coloring for symmetry breaking, forward checking on the color domains,
+and an ascending-color symmetry cap (a vertex may only open one new color).
+The chromatic number is certified when the (chi-1)-coloring search exhausts.
 
 Graphs with loops cannot be properly colored; coloring operations reject
 them.  Identity-free triangle graphs never carry loops.
@@ -131,36 +136,23 @@ def _components(graph: TriangleGraph) -> list[list[int]]:
     return comps
 
 
-@dataclass
-class _SubGraph:
-    """Induced subgraph view with local indices."""
-
-    vertices: list[int]
-    nbrs: list[list[int]]
-
-
-def _induced(graph: TriangleGraph, vertices: list[int]) -> _SubGraph:
+def _induced(graph: TriangleGraph, vertices: list[int]) -> TriangleGraph:
+    """The subgraph on ascending `vertices`, relabelled 0..len(vertices)-1."""
     local = {v: i for i, v in enumerate(vertices)}
-    nbrs = [[local[w] for w in graph.neighbors(v) if w in local] for v in vertices]
-    return _SubGraph(vertices, nbrs)
+    return TriangleGraph(vertices, [(i, local[w]) for i, v in enumerate(vertices)
+                                    for w in graph.neighbors(v) if w > v and w in local])
 
 
 def _component_chromatic(graph: TriangleGraph, comp: list[int],
                          deadline: float | None, node_budget: int) -> ChromaticResult:
     sub = _induced(graph, comp)
-    n = len(comp)
-    if all(not row for row in sub.nbrs):
-        return ChromaticResult(1, 1, Coloring(tuple([0] * n), 1, True), True)
+    if not sub.edge_count:
+        return ChromaticResult(1, 1, Coloring((0,) * sub.n, 1, True), True)
 
-    # clique lower bound on the component's induced subgraph
-    comp_graph = TriangleGraph(range(n),
-                               [(i, j) for i in range(n) for j in sub.nbrs[i] if i < j])
-    clq = clique_number(comp_graph)
+    clq = clique_number(sub)
     lower = clq.size
-    clique_vs = list(clq.witness)
 
-    greedy = _iterated_greedy(sub, _dsatur_local(sub), stop_at=lower,
-                              rounds=2000 if n <= 200 else 300)
+    greedy = _iterated_greedy(sub, _dsatur(sub), stop_at=lower, deadline=deadline)
     upper = max(greedy) + 1
     upper_colors = list(greedy)
 
@@ -169,7 +161,7 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int],
     exact = clq.exact
     while lower < upper:
         k = upper - 1
-        status, kcolors, used = _k_colorable(sub, k, clique_vs, deadline,
+        status, kcolors, used = _k_colorable(sub, k, clq.witness, deadline,
                                              node_budget - nodes_used)
         nodes_used += used
         if status == "sat":
@@ -183,43 +175,42 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int],
         else:
             exact = False
             break
-    witness = Coloring.checked(graph=comp_graph, colors=upper_colors)
+    witness = Coloring.checked(sub, upper_colors)
     return ChromaticResult(lower, upper, witness, exact and lower == upper,
                            certificate, nodes_used)
 
 
-def _dsatur_local(sub: _SubGraph) -> list[int]:
-    n = len(sub.vertices)
+def _dsatur(graph: TriangleGraph) -> list[int]:
+    """DSATUR: the first descent of the search with k = max degree + 1."""
+    n = graph.n
     colors = [-1] * n
-    sat: list[set[int]] = [set() for _ in range(n)]
-    deg = [len(row) for row in sub.nbrs]
-    for _ in range(n):
-        v = min((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (-len(sat[u]), -deg[u], u))
-        c = 0
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        for w in sub.nbrs[v]:
-            if colors[w] < 0:
-                sat[w].add(c)
+    k = max(graph.degree(v) for v in range(n)) + 1
+    _core_search(graph, k, list(range(n)), [], colors, None, n)
     return colors
 
 
-def _iterated_greedy(sub: _SubGraph, colors: list[int], stop_at: int,
-                     rounds: int = 2000) -> list[int]:
+def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
+                     rounds: int | None = None,
+                     deadline: float | None = None) -> list[int]:
     """Culberson iterated greedy: regreedy whole color classes in varied
     orders (largest first / reversal / shuffled, with within-class shuffles).
     Class-at-a-time regreedy never increases the color count and often
     sharpens DSATUR by a color or two, which saves the exact solver whole
-    k-colorability searches.  Deterministic: fixed RNG seed."""
-    n = len(sub.vertices)
+    k-colorability searches.  `rounds` defaults to 2000 on graphs of at most
+    200 vertices and 300 beyond; no round starts after `deadline`.
+    Deterministic: fixed RNG seed."""
+    n = graph.n
+    if rounds is None:
+        rounds = 2000 if n <= 200 else 300
+    nbrs = [graph.neighbors(v) for v in range(n)]
     best = list(colors)
     best_k = max(best) + 1
     cur = best
     rng = random.Random(0x334)
     for it in range(rounds):
         if best_k <= stop_at:
+            break
+        if deadline is not None and time.monotonic() > deadline:
             break
         k = max(cur) + 1
         classes: list[list[int]] = [[] for _ in range(k)]
@@ -237,7 +228,7 @@ def _iterated_greedy(sub: _SubGraph, colors: list[int], stop_at: int,
         nxt = [-1] * n
         for cls in classes:
             for v in cls:
-                used = {nxt[w] for w in sub.nbrs[v] if nxt[w] >= 0}
+                used = {nxt[w] for w in nbrs[v] if nxt[w] >= 0}
                 c = 0
                 while c in used:
                     c += 1
@@ -249,19 +240,17 @@ def _iterated_greedy(sub: _SubGraph, colors: list[int], stop_at: int,
     return best
 
 
-def _k_colorable(sub: _SubGraph, k: int, clique: list[int],
+def _k_colorable(graph: TriangleGraph, k: int, clique: tuple[int, ...],
                  deadline: float | None, node_budget: int):
     """('sat', colors, nodes) | ('unsat', None, nodes) | ('budget', None, nodes).
 
     Vertices of degree < k are peeled first (they can always be colored at
     the end); the search runs on the remaining core.
     """
-    n = len(sub.vertices)
-    if k <= 0:
-        return ("unsat", None, 0) if n else ("sat", [], 0)
-
+    n = graph.n
+    nbrs = [graph.neighbors(v) for v in range(n)]
     alive = [True] * n
-    deg = [len(row) for row in sub.nbrs]
+    deg = [len(row) for row in nbrs]
     peel_stack = []
     changed = True
     while changed:
@@ -270,7 +259,7 @@ def _k_colorable(sub: _SubGraph, k: int, clique: list[int],
             if alive[v] and deg[v] < k:
                 alive[v] = False
                 peel_stack.append(v)
-                for w in sub.nbrs[v]:
+                for w in nbrs[v]:
                     if alive[w]:
                         deg[w] -= 1
                 changed = True
@@ -281,12 +270,12 @@ def _k_colorable(sub: _SubGraph, k: int, clique: list[int],
     if core:
         core_set = set(core)
         clique_core = [v for v in clique if v in core_set]
-        status, nodes = _core_search(sub, k, core, clique_core, colors,
+        status, nodes = _core_search(graph, k, core, clique_core, colors,
                                      deadline, node_budget)
         if status != "sat":
             return (status, None, nodes)
     for v in reversed(peel_stack):
-        used = {colors[w] for w in sub.nbrs[v] if colors[w] >= 0}
+        used = {colors[w] for w in nbrs[v] if colors[w] >= 0}
         c = 0
         while c in used:
             c += 1
@@ -296,92 +285,102 @@ def _k_colorable(sub: _SubGraph, k: int, clique: list[int],
     return ("sat", colors, nodes)
 
 
-def _core_search(sub: _SubGraph, k: int, core: list[int], clique: list[int],
+def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int],
                  colors: list[int], deadline: float | None, node_budget: int):
-    full_mask = (1 << k) - 1
-    avail = {v: full_mask for v in core}
-    uncolored = set(core)
-    nodes = 0
-    max_used = -1
+    """k-color the `core` vertices into `colors`: ('sat' | 'unsat' | 'budget', nodes).
 
-    def assign(v: int, c: int, undo: list[tuple[int, int]]) -> bool:
+    avail[v] masks the colors left to v (0 off the core).  Core vertices own
+    the bits 1 << rank[v] (highest degree, then lowest index, first), and
+    level[a] masks the uncolored ones with a colors left.  The next vertex is
+    the lowest bit of the lowest non-empty level; its colors are tried in
+    ascending order, opening at most one new color.  Unless 'sat', the
+    core's colors are reset to -1.
+    """
+    nbrs = [graph.neighbors(v) for v in range(graph.n)]
+    by_rank = sorted(core, key=lambda u: (-len(nbrs[u]), u))
+    rank = [0] * graph.n
+    avail = [0] * graph.n
+    for r, v in enumerate(by_rank):
+        rank[v] = r
+        avail[v] = (1 << k) - 1
+    level = [0] * (k + 1)
+    level[k] = (1 << len(core)) - 1
+    left = len(core)
+
+    def assign(v: int, c: int, undo: list[int]) -> bool:
+        nonlocal left
         colors[v] = c
-        uncolored.discard(v)
+        left -= 1
+        level[avail[v].bit_count()] ^= 1 << rank[v]
         bit = 1 << c
-        for w in sub.nbrs[v]:
-            if w in avail and colors[w] < 0 and avail[w] & bit:
-                undo.append((w, avail[w]))
-                avail[w] &= ~bit
-                if avail[w] == 0:
+        for w in nbrs[v]:
+            a = avail[w]
+            if a & bit and colors[w] < 0:
+                undo.append(w)
+                avail[w] = a ^ bit
+                size = a.bit_count()
+                b = 1 << rank[w]
+                level[size] ^= b
+                level[size - 1] |= b
+                if size == 1:
                     return False
         return True
 
-    def unassign(v: int, undo: list[tuple[int, int]]):
+    def unassign(v: int, undo: list[int]):
+        nonlocal left
+        bit = 1 << colors[v]
         colors[v] = -1
-        uncolored.add(v)
-        for w, m in reversed(undo):
-            avail[w] = m
+        left += 1
+        level[avail[v].bit_count()] |= 1 << rank[v]
+        for w in undo:
+            a = avail[w]
+            avail[w] = a | bit
+            size = a.bit_count()
+            b = 1 << rank[w]
+            level[size] ^= b
+            level[size + 1] |= b
 
     # clique pre-coloring: any k-coloring can be permuted so a fixed clique
     # uses colors 0..len-1, so pinning them is sound symmetry breaking
-    pre_undo: list[tuple[int, int]] = []
     for c, v in enumerate(sorted(clique)):
-        if c >= k:
+        if c >= k or not assign(v, c, []):
             return ("unsat", 0)
-        if not (avail[v] & (1 << c)):
-            return ("unsat", 0)
-        if not assign(v, c, pre_undo):
-            return ("unsat", 0)
-        max_used = c
-
-    def pick() -> int:
-        return min(uncolored,
-                   key=lambda u: (avail[u].bit_count(), -len(sub.nbrs[u]), u))
-
-    # explicit stack: [vertex, untried color mask, undo log, max_used before]
-    status = None
-    if not uncolored:
-        status = "sat"
-    else:
-        v0 = pick()
-        stack = [[v0, avail[v0] & ((1 << min(k, max_used + 2)) - 1), None, max_used]]
-        nodes += 1
-    while status is None:
-        if not stack:
-            status = "unsat"
-            break
-        frame = stack[-1]
-        v, allowed, undo, prev_max = frame
-        if undo is not None:
-            # back from a failed subtree: retract this frame's assignment
-            unassign(v, undo)
-            frame[2] = None
-        if not allowed:
-            stack.pop()
-            continue
-        bit = allowed & -allowed
-        frame[1] = allowed & (allowed - 1)
-        c = bit.bit_length() - 1
-        undo = []
-        frame[2] = undo
-        if assign(v, c, undo):
-            cur_max = max(prev_max, c)
-            if not uncolored:
+    # explicit stack: [vertex, untried color mask, undo log, max color before]
+    stack = []
+    nodes = 0
+    ok, cur_max = True, len(clique) - 1
+    while True:
+        if ok:
+            if not left:
                 status = "sat"
                 break
             nodes += 1
-            if nodes % 4096 == 0:
-                if deadline is not None and time.monotonic() > deadline:
-                    status = "budget"
+            if nodes % 4096 == 0 and (nodes > node_budget or (
+                    deadline is not None and time.monotonic() > deadline)):
+                status = "budget"
+                break
+            for m in level:  # level[0] is empty: an emptied avail is undone at once
+                if m:
                     break
-                if nodes > node_budget:
-                    status = "budget"
-                    break
-            w = pick()
-            stack.append([w, avail[w] & ((1 << min(k, cur_max + 2)) - 1), None, cur_max])
-        else:
-            unassign(v, undo)
-            frame[2] = None
+            v = by_rank[(m & -m).bit_length() - 1]
+            stack.append([v, avail[v] & ((1 << min(k, cur_max + 2)) - 1), None, cur_max])
+        frame = stack[-1]
+        v, allowed, undo, prev_max = frame
+        if undo is not None:
+            unassign(v, undo)  # the last color tried here failed
+        if not allowed:
+            stack.pop()
+            if not stack:
+                status = "unsat"
+                break
+            ok = False
+            continue
+        bit = allowed & -allowed
+        frame[1] = allowed ^ bit
+        c = bit.bit_length() - 1
+        frame[2] = undo = []
+        ok = assign(v, c, undo)
+        cur_max = max(prev_max, c)
 
     if status != "sat":
         for v in core:
@@ -389,14 +388,15 @@ def _core_search(sub: _SubGraph, k: int, core: list[int], clique: list[int],
     return (status, nodes)
 
 
-def heuristic_chromatic_upper(graph: TriangleGraph, rounds: int = 2000) -> Coloring:
-    """DSATUR (ties broken by lowest index) refined by `rounds` of iterated
-    greedy; rounds=0 returns the plain DSATUR coloring."""
+def heuristic_chromatic_upper(graph: TriangleGraph, rounds: int | None = None) -> Coloring:
+    """DSATUR (most saturated vertex first, then highest degree, then lowest
+    index; smallest free color) refined by `rounds` of iterated greedy, by
+    default 2000 on graphs of at most 200 vertices and 300 beyond;
+    rounds=0 returns the plain DSATUR coloring."""
     _reject_loops(graph)
     if graph.n == 0:
         return Coloring((), 0, True)
-    sub = _induced(graph, list(range(graph.n)))
-    colors = _iterated_greedy(sub, _dsatur_local(sub), stop_at=1, rounds=rounds)
+    colors = _iterated_greedy(graph, _dsatur(graph), stop_at=1, rounds=rounds)
     return Coloring.checked(graph, colors)
 
 
@@ -412,8 +412,7 @@ def improve_coloring(graph: TriangleGraph, coloring: Coloring,
         raise ValueError("refusing to refine an improper coloring")
     if graph.n == 0:
         return coloring
-    sub = _induced(graph, list(range(graph.n)))
-    colors = _iterated_greedy(sub, list(coloring.colors), stop_at=1, rounds=rounds)
+    colors = _iterated_greedy(graph, list(coloring.colors), stop_at=1, rounds=rounds)
     return Coloring.checked(graph, colors)
 
 

@@ -45,7 +45,8 @@ class TriangleGraph:
                 raise ValueError(f"edge ({i},{j}) out of range for {n} vertices")
             nbrs[i].add(j)
             nbrs[j].add(i)
-        self._neighbors = tuple(tuple(sorted(s)) for s in nbrs)
+        ids = list(range(n))  # one int object per vertex keeps the rows compact
+        self._neighbors = tuple(tuple(ids[w] for w in sorted(s)) for s in nbrs)
         self._edges = tuple((i, j) for i in range(n) for j in self._neighbors[i] if i < j)
         self.loops = frozenset(loops)
         for v in self.loops:

@@ -328,7 +328,7 @@ def full_report(graph: TriangleGraph, *,
     elif exact_chromatic:
         chromatic = chromatic_number_exact(graph, time_budget=color_time_budget)
     else:
-        greedy = heuristic_chromatic_upper(graph, rounds=2000 if graph.n <= 200 else 300)
+        greedy = heuristic_chromatic_upper(graph)
         chromatic = ChromaticResult(clique.size if clique.exact else 1,
                                     greedy.num_colors, greedy,
                                     exact=clique.exact and clique.size == greedy.num_colors)

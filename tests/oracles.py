@@ -53,6 +53,40 @@ def oracle_clique(graph):
     return 0, ()
 
 
+def oracle_dsatur(graph):
+    """DSATUR by a linear scan per step: the uncolored vertex with the most
+    distinct neighbor colors, then the highest degree, then the lowest index,
+    takes its smallest free color."""
+    n = graph.n
+    colors = [-1] * n
+    sat = [set() for _ in range(n)]
+    for _ in range(n):
+        v = min((u for u in range(n) if colors[u] < 0),
+                key=lambda u: (-len(sat[u]), -graph.degree(u), u))
+        c = 0
+        while c in sat[v]:
+            c += 1
+        colors[v] = c
+        for w in graph.neighbors(v):
+            sat[w].add(c)
+    return colors
+
+
+def oracle_degeneracy_order(graph):
+    """Repeatedly remove the remaining vertex of least remaining degree,
+    lowest index on ties, found by a linear scan."""
+    deg = [graph.degree(v) for v in range(graph.n)]
+    left = set(range(graph.n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (deg[u], u))
+        left.remove(v)
+        order.append(v)
+        for w in graph.neighbors(v):
+            deg[w] -= 1
+    return order
+
+
 def oracle_cycle_lengths(graph):
     """Set of simple cycle lengths, by enumerating all closed paths whose
     smallest vertex is the start."""

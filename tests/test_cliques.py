@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334.cliques import clique_number, verify_clique
+from delta334.cliques import _degeneracy_order, clique_number, verify_clique
 from delta334.graph import TriangleGraph, build_delta334
 from delta334.groups import order3_vertices, parse_group_spec
 
@@ -54,6 +54,17 @@ class TestCliqueNumber:
         assert res.exact and res.size == want
         if want:
             assert verify_clique(graph, res.witness)
+
+
+class TestDegeneracyOrder:
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_peel(self, graph):
+        assert _degeneracy_order(graph) == oracles.oracle_degeneracy_order(graph)
+
+    def test_matches_naive_peel_on_sl33(self):
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        assert _degeneracy_order(g) == oracles.oracle_degeneracy_order(g)
 
 
 class TestVerifyClique:

@@ -21,7 +21,7 @@ import toys
 
 @st.composite
 def small_graphs(draw):
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 12))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return TriangleGraph(range(n), edges)
@@ -41,6 +41,19 @@ class TestExact:
         assert res.exact and res.chi == chi
         assert find_coloring_violation(graph, res.coloring.colors) is None
         assert res.coloring.num_colors == chi
+
+    @pytest.mark.parametrize("steps, chi, nodes", [(2, 4, 21), (3, 5, 663)])
+    def test_mycielski_proofs_backtrack(self, steps, chi, nodes):
+        # triangle-free, so the clique pins only two colors and the search
+        # must undo assignments many levels deep to prove chi - 1 infeasible
+        g = toys.complete_graph(2)
+        for _ in range(steps):
+            g = toys.mycielski(g)
+        res = chromatic_number_exact(g)
+        assert res.exact and res.chi == chi
+        assert res.certificate["infeasible_k"] == chi - 1
+        assert res.nodes == nodes
+        assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_certificate_records_infeasible_k(self):
         res = chromatic_number_exact(toys.cycle_graph(5))
@@ -72,6 +85,17 @@ class TestExact:
 
 
 class TestHeuristics:
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_dsatur_matches_oracle(self, graph):
+        colors = heuristic_chromatic_upper(graph, rounds=0).colors
+        assert list(colors) == oracles.oracle_dsatur(graph)
+
+    def test_dsatur_matches_oracle_on_sl33(self):
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        colors = heuristic_chromatic_upper(g, rounds=0).colors
+        assert list(colors) == oracles.oracle_dsatur(g)
+
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
     def test_upper_bounds_bracket_exact(self, graph):

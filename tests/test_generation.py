@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -20,7 +21,8 @@ from delta334.generation import (
     verify_edge_preservation,
     verify_no_identity_reduction,
 )
-from delta334.coloring import find_coloring_violation, heuristic_chromatic_upper
+from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
+                               heuristic_chromatic_upper)
 from delta334.cliques import verify_clique
 
 import oracles
@@ -261,6 +263,14 @@ class TestChromaticBounds:
             assert bounds.chi == bounds.lower == bounds.upper
         else:
             assert bounds.chi is None
+
+    def test_time_budget_covers_the_whole_exact_search(self):
+        g = generate_and_build(GenerationConfig(target_vertices=5000)).graph
+        start = time.monotonic()
+        res = chromatic_number_exact(g, time_budget=1.0)
+        assert time.monotonic() - start < 2.0
+        assert res.lower <= res.upper
+        assert find_coloring_violation(g, res.coloring.colors) is None
 
 
 class TestCodomain:

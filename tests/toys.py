@@ -43,3 +43,13 @@ def disjoint_union(g1, g2):
     edges = list(g1.edges()) + [(i + off, j + off) for i, j in g2.edges()]
     loops = list(g1.loops) + [v + off for v in g2.loops]
     return TriangleGraph(list(g1.labels) + list(g2.labels), edges, loops)
+
+
+def mycielski(g):
+    """The Mycielskian: g, a twin n + v of each vertex v joined to v's
+    neighbors, and an apex 2n joined to every twin.  It has no triangle when
+    g has none and one more color than g; from K2 it gives C5 (M3), the
+    Groetzsch graph (M4, 11 vertices), then M5 (23) and M6 (47)."""
+    n = g.n
+    edges = list(g.edges()) + [(n + v, w) for v in range(n) for w in g.neighbors(v)]
+    return TriangleGraph(range(2 * n + 1), edges + [(n + v, 2 * n) for v in range(n)])
