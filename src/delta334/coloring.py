@@ -5,8 +5,11 @@ uncolored vertex with the fewest colors left next (then highest degree, then
 lowest index), keeping the vertices in int masks per count of colors left
 instead of scanning them (a bucket queue after Brélaz, CACM 1979, updated
 incrementally after San Segundo, Comput. Oper. Res. 2012).  DSATUR is its
-first descent with k = max degree + 1, which never backtracks.  The exact
-solver tests k-colorability downward from the iterated-greedy bound:
+first descent with k = max degree + 1, which never backtracks.  Culberson's
+iterated greedy then recolors whole color classes first-fit, one numpy step
+per class, since each class of a proper coloring is an independent set and
+its vertices' colors depend only on the classes recolored before it.  The
+exact solver tests k-colorability downward from the iterated-greedy bound:
 vertices of degree < k are peeled, and the core search adds a maximum-clique
 pre-coloring for symmetry breaking, forward checking on the color domains,
 and an ascending-color symmetry cap (a vertex may only open one new color).
@@ -21,6 +24,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .cliques import clique_number
 from .graph import TriangleGraph
@@ -192,51 +198,78 @@ def _dsatur(graph: TriangleGraph) -> list[int]:
 def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
                      rounds: int | None = None,
                      deadline: float | None = None) -> list[int]:
-    """Culberson iterated greedy: regreedy whole color classes in varied
-    orders (largest first / reversal / shuffled, with within-class shuffles).
-    Class-at-a-time regreedy never increases the color count and often
-    sharpens DSATUR by a color or two, which saves the exact solver whole
+    """Culberson iterated greedy (Culberson and Luo, DIMACS 1996): first-fit
+    recoloring of whole color classes in varied orders (largest first,
+    reversed, shuffled).  Never increases the color count and often sharpens
+    DSATUR by a color or two, which saves the exact solver whole
     k-colorability searches.  `rounds` defaults to 2000 on graphs of at most
     200 vertices and 300 beyond; no round starts after `deadline`.
-    Deterministic: fixed RNG seed."""
+    Deterministic: fixed RNG seed.
+
+    Each old class is recolored in one numpy step.  The input coloring is
+    proper, so every class is an independent set: a vertex's first-fit color
+    depends only on the classes recolored before its own, never on its
+    classmates, so a whole class takes its colors at once, exactly as the
+    one-vertex-at-a-time loop would give them.  The j-th class recolored
+    gets a color <= j (at most j colors occur before it), so colors stay
+    below k, the number of class ids.  Shuffling within a class therefore no
+    longer changes the result, but those shuffles are still drawn, with the
+    same lengths: they advance the RNG stream that orders the classes of the
+    later shuffled rounds.
+    """
     n = graph.n
     if rounds is None:
         rounds = 2000 if n <= 200 else 300
-    nbrs = [graph.neighbors(v) for v in range(n)]
     best = list(colors)
     best_k = max(best) + 1
-    cur = best
     rng = random.Random(0x334)
     for it in range(rounds):
         if best_k <= stop_at:
             break
         if deadline is not None and time.monotonic() > deadline:
             break
-        k = max(cur) + 1
-        classes: list[list[int]] = [[] for _ in range(k)]
-        for v in range(n):
-            classes[cur[v]].append(v)
+        if it == 0:  # adjacency rows (CSR), built only once a round runs
+            deg = np.fromiter(map(graph.degree, range(n)), np.intp, n)
+            indptr = np.concatenate(([0], np.cumsum(deg)))
+            indices = np.fromiter(chain.from_iterable(map(graph.neighbors, range(n))),
+                                  np.intp, indptr[-1])
+            slots, edge_ids = np.arange(n), np.arange(indptr[-1])
+            slot_of, estart = np.empty(n, np.intp), np.zeros(n + 1, np.intp)
+            cur = np.array(best, np.intp)
+            k = best_k
+        sizes = np.bincount(cur, minlength=k)
         mode = it % 3
         if mode == 0:
-            classes.sort(key=len, reverse=True)
+            order = np.argsort(-sizes, kind="stable")
         elif mode == 1:
-            classes.reverse()
+            order = np.arange(k - 1, -1, -1)
         else:
-            rng.shuffle(classes)
-            for cls in classes:
-                rng.shuffle(cls)
-        nxt = [-1] * n
-        for cls in classes:
-            for v in cls:
-                used = {nxt[w] for w in nbrs[v] if nxt[w] >= 0}
-                c = 0
-                while c in used:
-                    c += 1
-                nxt[v] = c
-        cur = nxt
-        ck = max(cur) + 1
-        if ck < best_k:
-            best, best_k = list(cur), ck
+            shuffled = list(range(k))
+            rng.shuffle(shuffled)
+            for size in sizes[shuffled].tolist():
+                rng.shuffle([0] * size)
+            order = np.array(shuffled)
+        # lay the vertices out in slots class by class in `order`, and gather
+        # the slots of each one's neighbors (edges estart[s]:estart[s+1])
+        at = np.argsort(np.argsort(order)[cur], kind="stable")
+        slot_of[at] = slots
+        d = deg[at]
+        np.cumsum(d, out=estart[1:])
+        nb = slot_of[indices[edge_ids + np.repeat(indptr[at] - estart[:-1], d)]]
+        owner = np.repeat(slots, d)
+        cstart = np.concatenate(([0], np.cumsum(sizes[order])))
+        vb, eb = cstart.tolist(), estart[cstart].tolist()
+        new = np.full(n, k, np.intp)  # by slot; color k: not yet recolored
+        seen = np.zeros((n, k + 1), bool)  # by slot: colors of its neighbors
+        for j in range(k):
+            if vb[j] < vb[j + 1]:
+                e = slice(eb[j], eb[j + 1])
+                seen[owner[e], new[nb[e]]] = True
+                seen[vb[j]:vb[j + 1], :k].argmin(1, out=new[vb[j]:vb[j + 1]])
+        cur = new[slot_of]
+        k = int(cur.max()) + 1
+        if k < best_k:
+            best, best_k = cur.tolist(), k
     return best
 
 

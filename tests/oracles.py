@@ -7,6 +7,7 @@ inputs, which is the point: the fast package code is checked against
 these on every graph small enough to afford it.
 """
 
+import random
 from itertools import combinations
 
 
@@ -70,6 +71,46 @@ def oracle_dsatur(graph):
         for w in graph.neighbors(v):
             sat[w].add(c)
     return colors
+
+
+def oracle_iterated_greedy(graph, colors, stop_at, rounds):
+    """Culberson's iterated greedy one vertex at a time: each round lists the
+    classes of the current coloring (ascending vertices), orders them
+    largest first (stable), reversed, or shuffled with each class shuffled
+    too (by turns, one seeded RNG), and gives every vertex in that order its
+    smallest color unused by the neighbors recolored so far.  Returns the
+    first coloring with the fewest colors; stops once that is <= stop_at."""
+    n = graph.n
+    best = list(colors)
+    best_k = max(best) + 1
+    cur = best
+    rng = random.Random(0x334)
+    for it in range(rounds):
+        if best_k <= stop_at:
+            break
+        classes = [[] for _ in range(max(cur) + 1)]
+        for v in range(n):
+            classes[cur[v]].append(v)
+        if it % 3 == 0:
+            classes.sort(key=len, reverse=True)
+        elif it % 3 == 1:
+            classes.reverse()
+        else:
+            rng.shuffle(classes)
+            for cls in classes:
+                rng.shuffle(cls)
+        nxt = [-1] * n
+        for cls in classes:
+            for v in cls:
+                used = {nxt[w] for w in graph.neighbors(v) if nxt[w] >= 0}
+                c = 0
+                while c in used:
+                    c += 1
+                nxt[v] = c
+        cur = nxt
+        if max(cur) + 1 < best_k:
+            best, best_k = cur, max(cur) + 1
+    return best
 
 
 def oracle_degeneracy_order(graph):

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta334.coloring import (
     Coloring,
+    _iterated_greedy,
     chromatic_number_exact,
     find_coloring_violation,
     heuristic_chromatic_upper,
@@ -104,6 +107,51 @@ class TestHeuristics:
         better = heuristic_chromatic_upper(graph, rounds=50)
         assert greedy.proper and better.proper
         assert exact <= better.num_colors <= greedy.num_colors
+
+    @staticmethod
+    def start_coloring(graph, start):
+        """DSATUR; DSATUR with colors c -> 2c + 1 (empty classes, and ids past
+        those of a compact coloring); or every vertex its own color, which
+        leaves the greedy improving over many rounds."""
+        if start == "singletons":
+            return list(range(graph.n))
+        colors = list(heuristic_chromatic_upper(graph, rounds=0).colors)
+        return [2 * c + 1 for c in colors] if start == "spread" else colors
+
+    @given(small_graphs(), st.integers(0, 7), st.integers(1, 3),
+           st.sampled_from(["dsatur", "spread", "singletons"]))
+    @settings(max_examples=80, deadline=None)
+    def test_iterated_greedy_matches_oracle(self, graph, rounds, stop_at, start):
+        colors = self.start_coloring(graph, start)
+        got = _iterated_greedy(graph, list(colors), stop_at, rounds)
+        assert got == oracles.oracle_iterated_greedy(graph, colors, stop_at, rounds)
+        assert all(type(c) is int for c in got)
+
+    @pytest.mark.parametrize("start", ["dsatur", "singletons"])
+    def test_iterated_greedy_matches_oracle_on_sl33(self, start):
+        # from singletons the best coloring still improves in rounds 8-11,
+        # after two shuffled rounds, so the RNG stream must match too
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        colors = self.start_coloring(g, start)
+        assert (_iterated_greedy(g, list(colors), 1, 30)
+                == oracles.oracle_iterated_greedy(g, colors, 1, 30))
+
+    @pytest.mark.parametrize("stop_at, rounds, deadline", [
+        (1, 0, None),
+        (6, 10, None),
+        (1, 10, -1.0),
+    ], ids=["no-rounds", "stop-at-met", "past-deadline"])
+    def test_iterated_greedy_early_exit_keeps_input(self, stop_at, rounds, deadline):
+        g = toys.petersen_graph()
+        colors = [2 * c + 1 for c in heuristic_chromatic_upper(g, rounds=0).colors]
+        assert max(colors) + 1 == 6
+        if deadline is not None:
+            deadline += time.monotonic()
+        assert _iterated_greedy(g, list(colors), stop_at, rounds, deadline) == colors
+
+    def test_iterated_greedy_isolated_vertices_take_color_0(self):
+        g = TriangleGraph(range(5), [(0, 1), (1, 2)])
+        assert _iterated_greedy(g, [0, 1, 0, 2, 3], 1, 1) == [0, 1, 0, 0, 0]
 
     def test_improve_never_increases(self):
         g = toys.petersen_graph()
