@@ -14,13 +14,12 @@ from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
 from .cycles import (CensusEntry, HamiltonResult, cycle_census,
                      hamiltonian_cycle, verify_cycle)
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
-                       compose, element_key, element_label, element_order,
+                       compose, element_key, element_label,
                        has_order_dividing_3, identity_like, inverse,
                        parametric_order3, reduce_mod, serialize_element)
 from .generation import (GenerationConfig, GenerationStats, PortionGraph,
-                         build_portion_edges, default_seeds,
-                         generate_and_build, generate_portion,
-                         load_seeds_file, mod_p_codomain,
+                         build_portion_edges, generate_and_build,
+                         generate_portion, load_seeds_file, mod_p_codomain,
                          portion_chromatic_bounds, verify_edge_preservation,
                          verify_no_identity_reduction)
 from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
@@ -28,13 +27,13 @@ from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
                     kronecker_matches_direct_sum, kronecker_product)
 from .graphio import (GraphFormatError, dumps_graph, graph_from_json_dict,
                       graph_to_dot, graph_to_graphml, graph_to_json_dict,
-                      load_graph, save_graph)
+                      load_graph)
 from .groups import (ElementSet, GroupSpec, conjugacy_classes,
-                     enumerate_group, generated_subgroup, group_generators,
-                     order3_vertices, parse_group_spec)
+                     enumerate_group, group_generators, order3_vertices,
+                     parse_group_spec)
 from .invariants import (BipartiteResult, InvariantReport, PlanarityEvidence,
-                         components, degree_sequence, full_report, girth,
-                         is_bipartite, nonplanarity_check)
+                         components, full_report, girth, is_bipartite,
+                         nonplanarity_check)
 
 __version__ = "1.0.0"
 

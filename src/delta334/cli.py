@@ -86,14 +86,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str], outputs: list[str]) -> dict:
+def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     flags = {k: v for k, v in vars(args).items()
              if k not in ("func", "subcommand")}
     return {
         "subcommand": args.subcommand,
         "flags": flags,
         "inputs": list(inputs),
-        "outputs": list(outputs),
+        "outputs": [args.out] if args.out else [],
         "seeds": dict(HEURISTIC_SEEDS),
         "tool_version": TOOL_VERSION,
     }
@@ -154,7 +154,7 @@ def cmd_enumerate(args) -> int:
         "elements": [{"label": element_label(v), "value": serialize_element(v)}
                      for v in verts],
     }
-    doc = {"manifest": _manifest(args, [], [args.out] if args.out else []), **payload}
+    doc = {"manifest": _manifest(args, []), **payload}
     _emit(doc, args.out, [
         f"group {spec}: order {spec.order()}, "
         f"{len(verts)} vertices with a^3 = e"
@@ -168,7 +168,7 @@ def cmd_graph(args) -> int:
     verts = order3_vertices(spec, include_identity=args.include_identity)
     graph = build_delta334(verts, meta={"source": str(spec)})
     doc = graph_to_json_dict(graph)
-    doc["manifest"] = _manifest(args, [], [args.out] if args.out else [])
+    doc["manifest"] = _manifest(args, [])
     _emit(doc, args.out, [
         f"built graph for {spec}: {graph.n} vertices, {graph.edge_count} edges, "
         f"{len(graph.loops)} loops",
@@ -251,7 +251,7 @@ def cmd_stats(args) -> int:
         cycle_budget=args.node_budget,
     )
     doc = {
-        "manifest": _manifest(args, [args.input], [args.out] if args.out else []),
+        "manifest": _manifest(args, [args.input]),
         "report": rep.to_json_dict(),
     }
     _emit(doc, args.out, _report_summary(rep))
@@ -292,8 +292,7 @@ def cmd_color(args) -> int:
         "certificate": certificate,
         "nodes": nodes,
     }
-    doc = {"manifest": _manifest(args, [args.input], [args.out] if args.out else []),
-           **payload}
+    doc = {"manifest": _manifest(args, [args.input]), **payload}
     line = (f"chromatic number {upper} (certified)" if exact
             else f"chromatic bounds [{lower}, {upper}]")
     _emit(doc, args.out, [line])
@@ -313,8 +312,7 @@ def cmd_clique(args) -> int:
         "witness_labels": [element_label(graph.labels[v]) for v in result.witness],
         "nodes": result.nodes,
     }
-    doc = {"manifest": _manifest(args, [args.input], [args.out] if args.out else []),
-           **payload}
+    doc = {"manifest": _manifest(args, [args.input]), **payload}
     tag = "exact" if result.exact else "lower bound (budget hit)"
     _emit(doc, args.out, [f"clique number {result.size} ({tag})"])
     return 0
@@ -332,8 +330,7 @@ def cmd_cycles(args) -> int:
                             "reason": e.reason}
                    for L, e in sorted(census.items())},
     }
-    doc = {"manifest": _manifest(args, [args.input], [args.out] if args.out else []),
-           **payload}
+    doc = {"manifest": _manifest(args, [args.input]), **payload}
     _emit(doc, args.out, _census_lines(census))
     return 0
 
@@ -349,8 +346,7 @@ def cmd_hamilton(args) -> int:
         "cycle": list(result.cycle) if result.cycle else None,
         "nodes": result.nodes,
     }
-    doc = {"manifest": _manifest(args, [args.input], [args.out] if args.out else []),
-           **payload}
+    doc = {"manifest": _manifest(args, [args.input]), **payload}
     _emit(doc, args.out, [f"hamiltonian cycle: {result.status}"])
     return 0
 
@@ -368,7 +364,7 @@ def cmd_kronecker(args) -> int:
                             meta={"source": str(sum_spec)})
     ok, reason = kronecker_matches_direct_sum(product, direct)
     doc = graph_to_json_dict(product)
-    doc["manifest"] = _manifest(args, [], [args.out] if args.out else [])
+    doc["manifest"] = _manifest(args, [])
     doc["product_lemma"] = {"holds": ok, "reason": reason,
                             "direct_sum_group": str(sum_spec)}
     summary = [
@@ -393,9 +389,7 @@ def cmd_iso(args) -> int:
         "isomorphic": mapping is not None,
         "mapping": list(mapping) if mapping is not None else None,
     }
-    doc = {"manifest": _manifest(args, [args.left, args.right],
-                                 [args.out] if args.out else []),
-           **payload}
+    doc = {"manifest": _manifest(args, [args.left, args.right]), **payload}
     _emit(doc, args.out, ["isomorphic: " + ("yes" if mapping is not None else "no")])
     return 0
 
@@ -409,11 +403,10 @@ def cmd_gen_sl3z(args) -> int:
         target_vertices=args.target,
         family_bound=args.family_bound,
     )
-    portion = generate_and_build(cfg, threads=args.threads)
+    portion = generate_and_build(cfg)
     graph = portion.graph
     doc = graph_to_json_dict(graph)
-    doc["manifest"] = _manifest(args, [args.seeds] if args.seeds else [],
-                                [args.out] if args.out else [])
+    doc["manifest"] = _manifest(args, [args.seeds] if args.seeds else [])
     stats = portion.stats
     _emit(doc, args.out, [
         f"portion: {graph.n} vertices, {graph.edge_count} edges",
@@ -509,14 +502,7 @@ def cmd_verify(args) -> int:
     planarity_doc = None
     if not args.skip_probes:
         evidence = nonplanarity_check(graph)
-        planarity_doc = {
-            "status": evidence.status,
-            "reason": evidence.reason,
-            "detail": evidence.detail,
-            "witness_kind": evidence.witness_kind,
-            "witness_edges": ([list(e) for e in evidence.witness_edges]
-                              if evidence.witness_edges else None),
-        }
+        planarity_doc = evidence.to_json_dict()
         summary.append(f"planarity: {evidence.status} ({evidence.reason})")
 
     payload = {
@@ -529,9 +515,7 @@ def cmd_verify(args) -> int:
         "planarity": planarity_doc,
         "all_lemmas_ok": not failed,
     }
-    doc = {"manifest": _manifest(args, [args.portion],
-                                 [args.out] if args.out else []),
-           **payload}
+    doc = {"manifest": _manifest(args, [args.portion]), **payload}
     summary.append("all lemma checks passed" if not failed
                    else "LEMMA VERIFICATION FAILED")
     _emit(doc, args.out, summary)
@@ -540,7 +524,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     graph = _load(args.input)
-    manifest = _manifest(args, [args.input], [args.out] if args.out else [])
+    manifest = _manifest(args, [args.input])
     # XML comments cannot contain "--"; the \u escape decodes back to the
     # same JSON value while keeping the raw comment text clean.
     line = json.dumps(manifest, sort_keys=True).replace("--", "\\u002d\\u002d")
@@ -664,8 +648,6 @@ def build_parser() -> _Parser:
                         f"(default {DEFAULT_FAMILY_BOUND})")
     p.add_argument("--seeds", metavar="SEEDS.json",
                    help="JSON list of nine-entry integer matrices to use as seeds")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="edge-pass workers; output is identical for any N")
     _add_out(p)
     p.set_defaults(func=cmd_gen_sl3z)
 

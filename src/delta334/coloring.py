@@ -212,10 +212,7 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
     classmates, so a whole class takes its colors at once, exactly as the
     one-vertex-at-a-time loop would give them.  The j-th class recolored
     gets a color <= j (at most j colors occur before it), so colors stay
-    below k, the number of class ids.  Shuffling within a class therefore no
-    longer changes the result, but those shuffles are still drawn, with the
-    same lengths: they advance the RNG stream that orders the classes of the
-    later shuffled rounds.
+    below k, the number of class ids.
     """
     n = graph.n
     if rounds is None:
@@ -246,8 +243,6 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
         else:
             shuffled = list(range(k))
             rng.shuffle(shuffled)
-            for size in sizes[shuffled].tolist():
-                rng.shuffle([0] * size)
             order = np.array(shuffled)
         # lay the vertices out in slots class by class in `order`, and gather
         # the slots of each one's neighbors (edges estart[s]:estart[s+1])

@@ -38,7 +38,7 @@ class CarrierMismatchError(TypeError):
 
 
 class OverflowBoundError(OverflowError):
-    """A stored matrix entry would exceed the configured entry bound."""
+    """A stored matrix entry would reach ``DEFAULT_ENTRY_LIMIT``."""
 
 
 def is_prime(n: int) -> bool:
@@ -124,39 +124,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 
-    @classmethod
-    def from_cycles(cls, cycles: str, n: int | None = None) -> "Permutation":
-        """Parse 1-based cycle notation, e.g. ``"(123)"`` or ``"(1 10 2)(3 4)"``.
-
-        Within a cycle, points are either contiguous single digits or
-        whitespace/comma separated numbers.
-        """
-        parts = []
-        text = cycles.strip()
-        while text:
-            if not text.startswith("("):
-                raise ValueError(f"bad cycle notation: {cycles!r}")
-            end = text.index(")")
-            body = text[1:end]
-            if "," in body or " " in body:
-                points = [int(tok) for tok in body.replace(",", " ").split()]
-            else:
-                points = [int(ch) for ch in body]
-            parts.append(points)
-            text = text[end + 1:].strip()
-        top = max((p for cyc in parts for p in cyc), default=0)
-        if n is None:
-            n = top
-        if top > n:
-            raise ValueError(f"cycle point {top} exceeds n={n}")
-        images = list(range(n))
-        for cyc in parts:
-            if len(set(cyc)) != len(cyc):
-                raise ValueError(f"repeated point in cycle {cyc}")
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                images[a - 1] = b - 1
-        return cls(images)
-
     def cycles(self) -> str:
         """1-based cycle notation; identity renders as ``"e"``."""
         seen = [False] * self.n
@@ -211,12 +178,12 @@ class IntMatrix3:
     """A 3x3 integer matrix with determinant one (an element of SL3(Z)).
 
     Entries are stored row-major.  Construction and every stored arithmetic
-    result are checked against ``entry_limit``.
+    result are checked against ``DEFAULT_ENTRY_LIMIT``.
     """
 
-    __slots__ = ("entries", "det", "_key")
+    __slots__ = ("entries", "_key")
 
-    def __init__(self, entries: Iterable[int], entry_limit: int = DEFAULT_ENTRY_LIMIT):
+    def __init__(self, entries: Iterable[int]):
         entries = tuple(entries)
         if len(entries) == 3 and all(isinstance(r, (tuple, list)) for r in entries):
             entries = tuple(e for row in entries for e in row)
@@ -224,20 +191,15 @@ class IntMatrix3:
         if len(entries) != 9:
             raise ValueError("IntMatrix3 needs 9 row-major entries or 3 rows")
         for e in entries:
-            if abs(e) >= entry_limit:
-                raise OverflowBoundError(f"entry {e} exceeds bound {entry_limit}")
+            if abs(e) >= DEFAULT_ENTRY_LIMIT:
+                raise OverflowBoundError(f"entry {e} exceeds bound {DEFAULT_ENTRY_LIMIT}")
         det = mat3_det(entries)
         if det != 1:
             raise ValueError(f"determinant must be 1, got {det}")
         self.entries = entries
-        self.det = det
         self._key = bytes([_TAG_INT_MATRIX]) + b"".join(
             e.to_bytes(8, "little", signed=True) for e in entries
         )
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix3":
-        return cls(tuple(e for row in rows for e in row))
 
     @classmethod
     def identity(cls) -> "IntMatrix3":
@@ -249,9 +211,6 @@ class IntMatrix3:
 
     def is_identity(self) -> bool:
         return self.entries == MAT3_IDENTITY
-
-    def max_abs_entry(self) -> int:
-        return max(abs(e) for e in self.entries)
 
     def __repr__(self) -> str:
         return f"IntMatrix3{list(map(list, self.rows()))!r}"
@@ -367,8 +326,7 @@ def element_key(x: GroupElement) -> bytes:
     return x._key
 
 
-def compose(x: GroupElement, y: GroupElement,
-            entry_limit: int = DEFAULT_ENTRY_LIMIT) -> GroupElement:
+def compose(x: GroupElement, y: GroupElement) -> GroupElement:
     """Group product x*y.  For permutations the right factor applies first."""
     if type(x) is not type(y):
         raise CarrierMismatchError(f"cannot compose {type(x).__name__} with {type(y).__name__}")
@@ -378,7 +336,7 @@ def compose(x: GroupElement, y: GroupElement,
         xi = x.images
         return Permutation(tuple(xi[j] for j in y.images))
     if isinstance(x, IntMatrix3):
-        return IntMatrix3(mat3_mul(x.entries, y.entries), entry_limit=entry_limit)
+        return IntMatrix3(mat3_mul(x.entries, y.entries))
     if isinstance(x, ModMatrix):
         if x.p != y.p or x.dim != y.dim:
             raise CarrierMismatchError(
@@ -392,12 +350,11 @@ def compose(x: GroupElement, y: GroupElement,
             ((a0 * b0 + a1 * b2) % p, (a0 * b1 + a1 * b3) % p,
              (a2 * b0 + a3 * b2) % p, (a2 * b1 + a3 * b3) % p), p, 2)
     if isinstance(x, DirectSumElement):
-        return DirectSumElement(compose(x.left, y.left, entry_limit),
-                                compose(x.right, y.right, entry_limit))
+        return DirectSumElement(compose(x.left, y.left), compose(x.right, y.right))
     raise CarrierMismatchError(f"unsupported carrier {type(x).__name__}")
 
 
-def inverse(x: GroupElement, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> GroupElement:
+def inverse(x: GroupElement) -> GroupElement:
     if isinstance(x, Permutation):
         inv = [0] * x.n
         for i, img in enumerate(x.images):
@@ -405,7 +362,7 @@ def inverse(x: GroupElement, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> GroupEle
         return Permutation(inv)
     if isinstance(x, IntMatrix3):
         # det = 1, so the adjugate is the exact integer inverse
-        return IntMatrix3(mat3_adjugate(x.entries), entry_limit=entry_limit)
+        return IntMatrix3(mat3_adjugate(x.entries))
     if isinstance(x, ModMatrix):
         p = x.p
         if x.dim == 3:
@@ -413,7 +370,7 @@ def inverse(x: GroupElement, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> GroupEle
         a, b, c, d = x.entries
         return ModMatrix((d % p, -b % p, -c % p, a % p), p, 2)
     if isinstance(x, DirectSumElement):
-        return DirectSumElement(inverse(x.left, entry_limit), inverse(x.right, entry_limit))
+        return DirectSumElement(inverse(x.left), inverse(x.right))
     raise CarrierMismatchError(f"unsupported carrier {type(x).__name__}")
 
 
@@ -427,23 +384,6 @@ def identity_like(x: GroupElement) -> GroupElement:
     if isinstance(x, DirectSumElement):
         return DirectSumElement(identity_like(x.left), identity_like(x.right))
     raise CarrierMismatchError(f"unsupported carrier {type(x).__name__}")
-
-
-def element_order(x: GroupElement, cap: int) -> int | None:
-    """Smallest k <= cap with x^k = e, or None if every k <= cap fails.
-
-    Repeated composition goes through `compose`, so integer-matrix powers
-    that leave the entry bound raise OverflowBoundError.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    acc = x
-    for k in range(1, cap + 1):
-        if acc.is_identity():
-            return k
-        if k < cap:
-            acc = compose(acc, x)
-    return None
 
 
 def has_order_dividing_3(x: GroupElement) -> bool:
@@ -463,8 +403,7 @@ def reduce_mod(a: IntMatrix3, p: int) -> ModMatrix:
     return ModMatrix(tuple(e % p for e in a.entries), p, 3)
 
 
-def parametric_order3(a: int, b: int, c: int,
-                      entry_limit: int = DEFAULT_ENTRY_LIMIT) -> IntMatrix3:
+def parametric_order3(a: int, b: int, c: int) -> IntMatrix3:
     """A three-parameter family of order-3 matrices in SL3(Z).
 
     Every member has integer entries, determinant one, and order exactly
@@ -473,9 +412,7 @@ def parametric_order3(a: int, b: int, c: int,
     return IntMatrix3(
         (1, 3 * a, 3 * b,
          0, -2 - 3 * c, -1 - 3 * c - 3 * c * c,
-         0, 3, 1 + 3 * c),
-        entry_limit=entry_limit,
-    )
+         0, 3, 1 + 3 * c))
 
 
 def serialize_element(x: GroupElement):

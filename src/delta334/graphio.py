@@ -100,11 +100,6 @@ def dumps_graph(graph: TriangleGraph) -> str:
     return json.dumps(graph_to_json_dict(graph), sort_keys=True, indent=2) + "\n"
 
 
-def save_graph(path, graph: TriangleGraph):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_graph(graph))
-
-
 def graph_from_json_dict(doc: dict) -> TriangleGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("graph file must be a JSON object")

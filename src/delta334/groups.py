@@ -160,9 +160,6 @@ class ElementSet:
     def __contains__(self, e: GroupElement) -> bool:
         return element_key(e) in self._index
 
-    def index_of(self, e: GroupElement) -> int:
-        return self._index[element_key(e)]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ElementSet) and self.keys == other.keys
 
@@ -334,31 +331,3 @@ def conjugacy_classes(spec: GroupSpec, subset: ElementSet) -> list[ElementSet]:
     out = [ElementSet(part) for part in parts]
     out.sort(key=lambda es: es.keys[0])
     return out
-
-
-def generated_subgroup(generators: Iterable[GroupElement], cap: int) -> ElementSet:
-    """Closure of the generators under composition (a subgroup for finite
-    carriers since generator inverses are included); errors past ``cap``."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    gens = list(generators)
-    if not gens:
-        raise ValueError("generated_subgroup needs at least one generator")
-    gens = gens + [inverse(g) for g in gens]
-    ident = identity_like(gens[0])
-    known = {element_key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = compose(v, g)
-                kw = element_key(w)
-                if kw not in known:
-                    known[kw] = w
-                    nxt.append(w)
-                    if len(known) > cap:
-                        raise GuardExceededError(
-                            f"generated subgroup exceeds cap {cap}")
-        frontier = nxt
-    return ElementSet(known.values())

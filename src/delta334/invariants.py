@@ -23,11 +23,6 @@ from .graph import TriangleGraph
 GIRTH_BFS_LIMIT = 2048  # full girth sweep above this is quadratic-ish; skip
 
 
-def degree_sequence(graph: TriangleGraph) -> dict[int, int]:
-    """Degree histogram {degree: count}; loops do not contribute."""
-    return graph.degree_histogram()
-
-
 def components(graph: TriangleGraph) -> list[list[int]]:
     """Connected components as sorted vertex lists, in order of smallest
     member."""
@@ -154,6 +149,12 @@ class PlanarityEvidence:
     detail: str = ""
     witness_kind: str | None = None
     witness_edges: tuple[tuple[int, int], ...] | None = None
+
+    def to_json_dict(self) -> dict:
+        return {"status": self.status, "reason": self.reason, "detail": self.detail,
+                "witness_kind": self.witness_kind,
+                "witness_edges": [list(e) for e in self.witness_edges]
+                if self.witness_edges else None}
 
 
 def nonplanarity_check(graph: TriangleGraph,
@@ -293,11 +294,7 @@ class InvariantReport:
                                 "cycle": list(self.hamilton.cycle) if self.hamilton.cycle else None,
                                 "nodes": self.hamilton.nodes}
         if self.planarity is not None:
-            p = self.planarity
-            d["planarity"] = {"status": p.status, "reason": p.reason, "detail": p.detail,
-                              "witness_kind": p.witness_kind,
-                              "witness_edges": [list(e) for e in p.witness_edges]
-                              if p.witness_edges else None}
+            d["planarity"] = self.planarity.to_json_dict()
         return d
 
 
@@ -341,7 +338,7 @@ def full_report(graph: TriangleGraph, *,
         vertex_count=graph.n,
         edge_count=graph.edge_count,
         loop_count=len(graph.loops),
-        degree_histogram=degree_sequence(graph),
+        degree_histogram=graph.degree_histogram(),
         component_sizes=comp_sizes,
         bipartite=bip,
         girth=g,

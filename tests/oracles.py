@@ -76,10 +76,10 @@ def oracle_dsatur(graph):
 def oracle_iterated_greedy(graph, colors, stop_at, rounds):
     """Culberson's iterated greedy one vertex at a time: each round lists the
     classes of the current coloring (ascending vertices), orders them
-    largest first (stable), reversed, or shuffled with each class shuffled
-    too (by turns, one seeded RNG), and gives every vertex in that order its
-    smallest color unused by the neighbors recolored so far.  Returns the
-    first coloring with the fewest colors; stops once that is <= stop_at."""
+    largest first (stable), reversed, or shuffled (by turns, one seeded
+    RNG), and gives every vertex in that order its smallest color unused by
+    the neighbors recolored so far.  Returns the first coloring with the
+    fewest colors; stops once that is <= stop_at."""
     n = graph.n
     best = list(colors)
     best_k = max(best) + 1
@@ -97,8 +97,6 @@ def oracle_iterated_greedy(graph, colors, stop_at, rounds):
             classes.reverse()
         else:
             rng.shuffle(classes)
-            for cls in classes:
-                rng.shuffle(cls)
         nxt = [-1] * n
         for cls in classes:
             for v in cls:

@@ -23,8 +23,7 @@ from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
 from delta334.cliques import clique_number, verify_clique
 from delta334.cycles import (ABSENT, FOUND, cycle_census, hamiltonian_cycle,
                              verify_cycle)
-from delta334.invariants import (components, degree_sequence, is_bipartite,
-                                 nonplanarity_check)
+from delta334.invariants import components, is_bipartite, nonplanarity_check
 from delta334.generation import (GenerationConfig, generate_and_build,
                                  portion_chromatic_bounds,
                                  verify_edge_preservation,
@@ -139,7 +138,7 @@ def test_criterion_2_s5(criterion):
     with criterion(2, "S5 seven-regular with odd cycle", 1.0) as info:
         g = build_delta334(order3_vertices(parse_group_spec("S5")))
         assert g.n == 20
-        assert degree_sequence(g) == {7: 20}
+        assert g.degree_histogram() == {7: 20}
 
         bip = is_bipartite(g)
         assert not bip.bipartite
@@ -172,7 +171,7 @@ def test_criterion_4_sl32(criterion, sl32_graph, sl32_chi):
                    "sl32_graph", "sl32_chi") as info:
         g = sl32_graph
         assert (g.n, g.edge_count) == (56, 532)
-        assert degree_sequence(g) == {19: 56}
+        assert g.degree_histogram() == {19: 56}
         assert len(components(g)) == 1
 
         cl = clique_number(g)
@@ -209,7 +208,7 @@ def test_criterion_5_sl33(criterion):
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         assert g.n == 728
         assert len(components(g)) == 1
-        assert set(degree_sequence(g)) == {118, 136}
+        assert set(g.degree_histogram()) == {118, 136}
 
         # chromatic value deliberately unasserted: bounds are recorded
         # for comparison only

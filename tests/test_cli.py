@@ -6,7 +6,7 @@ import pytest
 from delta334.cli import ENV_NODE_BUDGET, ENV_TIME_BUDGET, TOOL_VERSION, main
 from delta334.elements import IntMatrix3
 from delta334.graph import TriangleGraph
-from delta334.graphio import save_graph
+from delta334.graphio import dumps_graph
 
 
 def run(capsys, *argv):
@@ -197,14 +197,6 @@ class TestGeneration:
         assert code == 0
         assert len(json.loads(out_path.read_text())["vertices"]) == 100
 
-    def test_gen_threads_match(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["gen-sl3z", "--depth", "1", "--out", str(a)])
-        main(["gen-sl3z", "--depth", "1", "--threads", "3", "--out", str(b)])
-        capsys.readouterr()
-        da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        assert da["vertices"] == db["vertices"] and da["edges"] == db["edges"]
-
 
 @pytest.fixture()
 def tiny_portion(tmp_path, capsys):
@@ -250,7 +242,7 @@ class TestVerify:
         u = IntMatrix3((0, 0, 1, 1, 0, 0, 0, 1, 0))
         v = IntMatrix3((1, 1, 2, 0, 1, 1, 0, -3, -2))
         path = tmp_path / "bad.json"
-        save_graph(str(path), TriangleGraph((u, v), ((0, 1),)))
+        path.write_text(dumps_graph(TriangleGraph((u, v), ((0, 1),))))
         code, out, err = run(capsys, "verify", "--portion", str(path),
                              "--skip-probes")
         assert code == 2
@@ -261,7 +253,7 @@ class TestVerify:
 
     def test_identity_vertex_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        save_graph(str(path), TriangleGraph((IntMatrix3.identity(),), ()))
+        path.write_text(dumps_graph(TriangleGraph((IntMatrix3.identity(),), ())))
         code, out, _ = run(capsys, "verify", "--portion", str(path),
                            "--mod", "2", "--skip-probes")
         assert code == 2

@@ -6,8 +6,6 @@ from delta334.groups import (
     GroupSpec,
     conjugacy_classes,
     enumerate_group,
-    generated_subgroup,
-    group_generators,
     order3_vertices,
     parse_group_spec,
 )
@@ -96,23 +94,12 @@ class TestConjugacyClasses:
         assert sorted(len(c) for c in classes) == [8]
 
 
-class TestGeneratedSubgroup:
-    def test_regenerates_s4(self):
-        gens = group_generators(parse_group_spec("S4"))
-        assert len(generated_subgroup(gens, cap=100)) == 24
-
-    def test_cap_enforced(self):
-        gens = group_generators(parse_group_spec("S5"))
-        with pytest.raises(RuntimeError):
-            generated_subgroup(gens, cap=50)
-
-
 class TestElementSet:
     def test_membership_and_index(self):
         els = enumerate_group(parse_group_spec("Z3"))
         for i, x in enumerate(els):
             assert x in els
-            assert els.index_of(x) == i
+            assert els.keys[i] == element_key(x)
 
     def test_equality_is_set_like(self):
         a = enumerate_group(parse_group_spec("Z3"))

@@ -5,7 +5,6 @@ from delta334.graph import TriangleGraph, build_delta334
 from delta334.groups import order3_vertices, parse_group_spec
 from delta334.invariants import (
     components,
-    degree_sequence,
     full_report,
     girth,
     is_bipartite,
@@ -126,4 +125,4 @@ class TestFullReport:
 
     def test_degree_sequence_matches_histogram(self):
         g = toys.star_graph(5)
-        assert degree_sequence(g) == {1: 5, 5: 1}
+        assert full_report(g).degree_histogram == g.degree_histogram() == {1: 5, 5: 1}
