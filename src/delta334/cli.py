@@ -18,7 +18,7 @@ import os
 import sys
 
 from .cliques import clique_number, verify_clique
-from .coloring import (Coloring, chromatic_number_exact, find_coloring_violation,
+from .coloring import (chromatic_number_exact, find_coloring_violation,
                        heuristic_chromatic_upper)
 from .cycles import ABSENT, FOUND, cycle_census, hamiltonian_cycle, verify_cycle
 from .elements import IntMatrix3, element_label, is_prime, serialize_element
@@ -412,8 +412,9 @@ def cmd_gen_sl3z(args) -> int:
         f"portion: {graph.n} vertices, {graph.edge_count} edges",
         f"frontier sizes: {stats.frontier_sizes}",
         f"max |entry| {stats.max_abs_entry}; "
-        f"{stats.prefilter_candidates} of {stats.pairs_total} pairs passed the "
-        f"trace prefilter, {stats.exact_checks} needed a power test",
+        f"{stats.pairs_evaluated} of {stats.pairs_total} pairs lie in adjacent "
+        f"mod-2 classes, {stats.prefilter_candidates} of them passed the trace "
+        f"prefilter, {stats.exact_checks} needed a power test",
     ])
     return 0
 

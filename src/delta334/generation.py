@@ -16,6 +16,12 @@ characteristic polynomial (x-1)(x^2+1), squarefree, so (AB)^4 = I
 outright; (t, s) = (-1, -1) needs (AB)^2 = I and (t, s) = (3, 3) needs
 AB = I, i.e. B = A^(-1).
 
+Reduction mod 2 is a homomorphism, so both ends of an edge reduce to
+adjacent vertices of the 56-vertex SL3(2) graph.  The vertices are grouped
+by their image mod 2, and traces are computed only for pairs in adjacent
+classes: about 35 % of all pairs on the default portion.  Two vertices with
+the same image are never adjacent (see _edges_with_prefilter).
+
 Both traces are Gram-matrix products, one over the matrices and one over
 their adjugates.  They are computed blockwise as float64 BLAS products of
 centred residues modulo one prime p < 2^25, which are exact integers for
@@ -35,18 +41,19 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .cliques import CliqueResult, clique_number, verify_clique
 from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
                        improve_coloring, lift_coloring)
-from .elements import (DEFAULT_ENTRY_LIMIT, IntMatrix3, MAT3_IDENTITY,
-                       element_key, has_order_dividing_3, mat3_adjugate,
-                       mat3_mul, parametric_order3, reduce_mod, serialize_element)
+from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
+                       MAT3_IDENTITY, ModMatrix, element_key,
+                       has_order_dividing_3, is_prime, mat3_adjugate, mat3_mul,
+                       parametric_order3, serialize_element)
 from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
-                    build_delta334, induced_morphism)
+                    _mod3_pairwise_edges, build_delta334, induced_morphism)
 from .groups import order3_vertices, parse_group_spec
 
 # Order-3 members of the generator pairs quoted in the source material's
@@ -160,9 +167,12 @@ class GenerationStats:
     entry_bound_rejects: int = 0
     duplicate_hits: int = 0
     max_abs_entry: int = 0
-    pairs_total: int = 0
-    # pairs whose trace is 3, -1 or 1 mod p; exactly the pairs with that
-    # trace over Z while 9 M^2 < p / 2 (M the largest entry, about 1365)
+    pairs_total: int = 0  # n (n - 1) / 2
+    # pairs whose traces were computed: those with adjacent images mod 2
+    pairs_evaluated: int = 0
+    # evaluated pairs whose trace is 3, -1 or 1 mod p; exactly the evaluated
+    # pairs with that trace over Z while 9 M^2 < p / 2 (M the largest entry,
+    # about 1365)
     prefilter_candidates: int = 0
     exact_checks: int = 0  # pairs with t = s = -1 over Z, tested for P^2 = I
     edges_found: int = 0
@@ -174,6 +184,7 @@ class GenerationStats:
             "duplicate_hits": self.duplicate_hits,
             "max_abs_entry": self.max_abs_entry,
             "pairs_total": self.pairs_total,
+            "pairs_evaluated": self.pairs_evaluated,
             "prefilter_candidates": self.prefilter_candidates,
             "exact_checks": self.exact_checks,
             "edges_found": self.edges_found,
@@ -262,8 +273,8 @@ def _entries_key(entries: tuple) -> bytes:
 def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
                         stats: GenerationStats | None = None,
                         validate: bool = True) -> PortionGraph:
-    """All-pairs adjacency: a residue filter on the traces, then exact
-    (AB)^4 = I decisions on the survivors."""
+    """Adjacency over the pairs whose images mod 2 are adjacent: a residue
+    filter on the traces, then exact (AB)^4 = I decisions on the survivors."""
     verts = sorted(vertices, key=element_key)
     if validate:
         for v in verts:
@@ -275,13 +286,14 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
     stats.pairs_total = n * (n - 1) // 2
 
     entries = [v.entries for v in verts]
-    candidates_count, exact_checks, edges = _edges_with_prefilter(entries)
+    evaluated, candidates_count, exact_checks, edges = _edges_with_prefilter(entries)
+    stats.pairs_evaluated = evaluated
     stats.prefilter_candidates = candidates_count
     stats.exact_checks = exact_checks
     stats.edges_found = len(edges)
     if entries:
         stats.max_abs_entry = max(stats.max_abs_entry,
-                                  max(max(abs(e) for e in row) for row in entries))
+                                  max(map(abs, chain.from_iterable(entries))))
 
     meta = {
         "source": "sl3z-portion",
@@ -319,18 +331,46 @@ def _reduce_float(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _edges_with_prefilter(entries: list[tuple]):
-    """(trace candidates, exact power checks, sorted edges).
+def _mod2_class_adjacency(images) -> np.ndarray:
+    """The literal (ab)^4 = e (mod 2) predicate on every pair of the given
+    row-major 0/1 images, as a boolean table (diagonal included)."""
+    edges, loops = _mod3_pairwise_edges([ModMatrix(m, 2) for m in images])
+    table = np.zeros((len(images), len(images)), dtype=bool)
+    for i, j in edges:
+        table[i, j] = table[j, i] = True
+    table[loops, loops] = True
+    return table
 
-    One path for every entry size: residue Gram products mod p filter the
-    pairs, and the survivors are decided exactly in integer arithmetic."""
+
+def _edges_with_prefilter(entries: list[tuple]):
+    """(pairs evaluated, trace candidates, exact power checks, sorted edges).
+
+    One path for every entry size.  Reduction mod 2 is a homomorphism, so an
+    edge joins two vertices whose images mod 2 are adjacent in the SL3(2)
+    graph: the vertices are grouped by image, and only rows of one class
+    against the columns of the adjacent classes after it are evaluated.
+    Same-class pairs are never edges.  The torsion of the level-2 congruence
+    subgroup has order at most 2 (Minkowski), so an order-3 matrix over Z
+    reduces to an element a of order 3, and (aa)^4 = a^2 is not e; the
+    table's diagonal is asserted empty.  On the evaluated pairs, residue
+    Gram products mod p filter the traces and the survivors are decided
+    exactly in integer arithmetic."""
     n = len(entries)
     if n < 2:
-        return 0, 0, []
+        return 0, 0, 0, []
     # P = A_i A_j has entries up to 3 M^2 and principal-minor sum up to
     # 54 M^4; past int64 the same expressions run on Python ints
-    maxabs = max(max(abs(e) for e in row) for row in entries)
+    maxabs = max(map(abs, chain.from_iterable(entries)))
     flat = np.array(entries, dtype=np.int64 if 54 * maxabs ** 4 < 2 ** 63 else object)
+    codes, cls = np.unique((flat % 2).astype(np.int64) @ (1 << np.arange(9)),
+                           return_inverse=True)
+    adjacent = _mod2_class_adjacency(((codes[:, None] >> np.arange(9)) & 1).tolist())
+    assert not adjacent.diagonal().any(), "an order-3 vertex is adjacent to its class"
+    # rows sorted by class; order maps a sorted position to its vertex
+    order = np.argsort(cls, kind="stable")
+    sorted_cls = cls[order]
+    starts = np.searchsorted(sorted_cls, np.arange(len(codes) + 1))
+    flat = flat[order]
     mats = flat.reshape(n, 3, 3)
     res = _centred((flat % _RESIDUE_PRIME).astype(np.int64))
     adj = _centred(np.stack(mat3_adjugate(res.T), axis=1))
@@ -338,44 +378,58 @@ def _edges_with_prefilter(entries: list[tuple]):
     adj_f = adj.astype(np.float64)
     res_t = _transposed_flat(res_f, n)
     adj_t = _transposed_flat(adj_f, n)
+    # edges as keys i n + j with i < j, inverse pairs first.  The keys are
+    # Python ints: small arrays kept alive across blocks pin the heap above
+    # the freed block products (25k pass: peak RSS 166 MiB against 136 MiB)
     inv_idx = _inverse_indices(entries)
-    block_size = max(1, min(1024, (1 << 21) // n))
-    candidates = exact_checks = 0
-    edges = [(i, int(j)) for i, j in enumerate(inv_idx) if j > i]
-    for lo in range(0, n, block_size):
-        hi = min(lo + block_size, n)
-        # trace residues of rows i in the block against columns j >= lo
-        t = _reduce_float(res_f[lo:hi] @ res_t[lo:].T)
-        good = (t == 1) | (t == -1) | (t == 3)
-        good[:, :hi - lo] = np.triu(good[:, :hi - lo], 1)  # j > i
-        idx = np.flatnonzero(good)
-        # t = s = 3 over Z means AB = I: exactly the inverse pairs, added
-        # above.  The (1, 1) and (-1, -1) classes must also have s = t mod p
-        tr = t.ravel()[idx]
-        s = _reduce_float((adj_f[lo:hi] @ adj_t[lo:].T).ravel()[idx])
-        gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], n - lo)
-        gi += lo
-        gj += lo
-        P = mats[gi] @ mats[gj]
-        tp = P[:, 0, 0] + P[:, 1, 1] + P[:, 2, 2]
-        sp = (P[:, 1, 1] * P[:, 2, 2] - P[:, 1, 2] * P[:, 2, 1]
-              + P[:, 0, 0] * P[:, 2, 2] - P[:, 0, 2] * P[:, 2, 0]
-              + P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0])
-        # (1, 1): characteristic polynomial (x-1)(x^2+1), an edge outright;
-        # (-1, -1): an edge exactly when P^2 = I
-        edge = (tp == sp) & (tp == 1)
-        minus = np.flatnonzero((tp == sp) & (tp == -1))
-        Pm = P[minus]
-        edge[minus] = (Pm @ Pm == np.eye(3, dtype=np.int64)).all(axis=(1, 2))
-        candidates += int(idx.size)
-        exact_checks += int(minus.size)
-        edges.extend(zip(gi[edge].tolist(), gj[edge].tolist()))
-        # drop every block array before the next block allocates its
-        # n-wide products: arrays left alive under them fragment the heap
-        # (peak RSS of a 5k-portion job loop ~98 MiB against ~86 MiB)
-        del t, good, idx, tr, s, gi, gj, P, tp, sp, edge, minus, Pm
-    edges.sort()
-    return candidates, exact_checks, edges
+    first = np.arange(n)
+    keys = (first * n + inv_idx)[inv_idx > first].tolist()
+    evaluated = candidates = exact_checks = 0
+    classes = np.arange(len(codes))
+    for a in classes:
+        # columns: every vertex of an adjacent class after a
+        cols = np.flatnonzero((adjacent[a] & (classes > a))[sorted_cls])
+        m = cols.size
+        if not m:
+            continue
+        col_res = res_t[cols]
+        col_adj = adj_t[cols]
+        block_size = max(1, min(1024, (1 << 21) // m))
+        for lo in range(starts[a], starts[a + 1], block_size):
+            hi = min(lo + block_size, starts[a + 1])
+            t = _reduce_float(res_f[lo:hi] @ col_res.T)
+            idx = np.flatnonzero((t == 1) | (t == -1) | (t == 3))
+            # t = s = 3 over Z means AB = I: exactly the inverse pairs, added
+            # above.  The (1, 1) and (-1, -1) classes must also have s = t mod p
+            tr = t.ravel()[idx]
+            s = _reduce_float((adj_f[lo:hi] @ col_adj.T).ravel()[idx])
+            gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], m)
+            gi += lo
+            gj = cols[gj]
+            P = mats[gi] @ mats[gj]
+            tp = P[:, 0, 0] + P[:, 1, 1] + P[:, 2, 2]
+            sp = (P[:, 1, 1] * P[:, 2, 2] - P[:, 1, 2] * P[:, 2, 1]
+                  + P[:, 0, 0] * P[:, 2, 2] - P[:, 0, 2] * P[:, 2, 0]
+                  + P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0])
+            # (1, 1): characteristic polynomial (x-1)(x^2+1), an edge outright;
+            # (-1, -1): an edge exactly when P^2 = I
+            edge = (tp == sp) & (tp == 1)
+            minus = np.flatnonzero((tp == sp) & (tp == -1))
+            Pm = P[minus]
+            edge[minus] = (Pm @ Pm == np.eye(3, dtype=np.int64)).all(axis=(1, 2))
+            evaluated += int(hi - lo) * m
+            candidates += int(idx.size)
+            exact_checks += int(minus.size)
+            vi = order[gi[edge]]
+            vj = order[gj[edge]]
+            keys.extend((np.minimum(vi, vj) * n + np.maximum(vi, vj)).tolist())
+            # drop every block array before the next block allocates its
+            # products: arrays left alive under them fragment the heap
+            # (peak RSS of a 5k-portion job loop ~98 MiB against ~86 MiB)
+            del t, idx, tr, s, gi, gj, P, tp, sp, edge, minus, Pm, vi, vj
+        del col_res, col_adj
+    i, j = np.divmod(np.sort(np.array(keys, dtype=np.int64)), n)
+    return evaluated, candidates, exact_checks, list(zip(i.tolist(), j.tolist()))
 
 
 def _inverse_indices(entries: list[tuple]) -> np.ndarray:
@@ -407,10 +461,17 @@ class IdentityReductionReport:
 
 
 def verify_no_identity_reduction(vertices, p: int) -> IdentityReductionReport:
+    """Entrywise reduction of every IntMatrix3 vertex, compared with the
+    identity.  No ModMatrix is built: its det = 1 (mod p) check is implied
+    by the IntMatrix3 carrier's det = 1."""
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
     violations = []
     verts = list(vertices)
     for i, v in enumerate(verts):
-        if reduce_mod(v, p).is_identity():
+        if not isinstance(v, IntMatrix3):
+            raise CarrierMismatchError("identity reduction expects IntMatrix3 vertices")
+        if tuple(e % p for e in v.entries) == MAT3_IDENTITY:
             violations.append(i)
     return IdentityReductionReport(p, len(verts), violations)
 

@@ -10,12 +10,11 @@ rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cliques import CliqueResult, clique_number, verify_clique
-from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
-                       find_coloring_violation, heuristic_chromatic_upper,
-                       _components)
+from .coloring import (ChromaticResult, chromatic_number_exact,
+                       heuristic_chromatic_upper, _components)
 from .cycles import (CensusEntry, HamiltonResult, _two_coloring, cycle_census,
                      hamiltonian_cycle, verify_cycle)
 from .graph import TriangleGraph

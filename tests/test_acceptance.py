@@ -7,6 +7,7 @@ number, the default generated portion) are built once per module and their
 build time is charged to every criterion that consumes them.
 """
 
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -284,13 +285,35 @@ def test_criterion_7_portion(criterion, default_portion, sl32_graph, sl32_chi):
         ib = rng.integers(0, g.n, size=PREFILTER_PAIRS)
         traces = np.einsum("nii->n", arr[ia] @ arr[ib])
         rejected = np.flatnonzero((traces != 3) & (traces != -1) & (traces != 1))
-        for k in rejected:
+
+        # class-filter soundness: the edge pass skips pairs whose images mod
+        # 2 are not adjacent.  On the same random pairs, every such pair that
+        # the trace filter would keep must fail (AB)^4 = identity as well.
+        # The 56 images and their adjacency come from literal mod-2 products
+        def mod2_mul(x, y):
+            return tuple(e % 2 for e in mat3_mul(x, y))
+
+        images = [m for m in itertools.product((0, 1), repeat=9)
+                  if m != MAT3_IDENTITY and mod2_mul(mod2_mul(m, m), m) == MAT3_IDENTITY]
+        assert len(images) == 56
+        table = np.zeros((56, 56), dtype=bool)
+        for a, x in enumerate(images):
+            for b, y in enumerate(images):
+                z = mod2_mul(x, y)
+                z = mod2_mul(z, z)
+                table[a, b] = mod2_mul(z, z) == MAT3_IDENTITY
+        position = {m: a for a, m in enumerate(images)}
+        image_of = np.array([position[tuple(e % 2 for e in v)] for v in ents])
+        skipped = np.flatnonzero(((traces == 3) | (traces == -1) | (traces == 1))
+                                 & ~table[image_of[ia], image_of[ib]])
+        for k in np.concatenate((rejected, skipped)):
             prod = mat3_mul(ents[ia[k]], ents[ib[k]])
             sq = mat3_mul(prod, prod)
             assert mat3_mul(sq, sq) != MAT3_IDENTITY
         info["note"] = (f"n={g.n}, chi in [{bounds.lower}, {bounds.upper}], "
                         f"clique 3, planarity {ev.status}, "
-                        f"{len(rejected)} of {PREFILTER_PAIRS} rejected pairs re-checked")
+                        f"{len(rejected)} of {PREFILTER_PAIRS} rejected pairs re-checked, "
+                        f"{len(skipped)} class-filtered trace candidates re-checked")
 
 
 def test_criterion_8_oracle_equivalence(criterion):

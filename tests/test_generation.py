@@ -1,10 +1,12 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
-from delta334.elements import (DEFAULT_ENTRY_LIMIT, IntMatrix3, compose,
-                               element_key, has_order_dividing_3, inverse,
+from delta334.elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError,
+                               IntMatrix3, Permutation, compose, element_key,
+                               has_order_dividing_3, inverse,
                                parametric_order3, reduce_mod)
 from delta334.generation import (
     INTRO_ORDER3_SEEDS,
@@ -19,6 +21,7 @@ from delta334.generation import (
     portion_chromatic_bounds,
     verify_edge_preservation,
     verify_no_identity_reduction,
+    _mod2_class_adjacency,
 )
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
@@ -193,9 +196,31 @@ class TestBuildEdges:
 
     def test_prefilter_statistics_recorded(self, small_portion):
         stats = small_portion.stats
-        assert stats.pairs_total > 0
-        assert 0 < stats.prefilter_candidates < stats.pairs_total
-        assert stats.edges_found == small_portion.graph.edge_count
+        g = small_portion.graph
+        assert stats.pairs_total == g.n * (g.n - 1) // 2
+        assert 0 < stats.prefilter_candidates <= stats.pairs_evaluated < stats.pairs_total
+        assert stats.edges_found == g.edge_count
+        # evaluated pairs are exactly the pairs over adjacent SL3(2) vertices
+        codomain = mod_p_codomain(2)
+        sizes = [0] * codomain.n
+        for v in g.labels:
+            sizes[codomain.vertex_of(reduce_mod(v, 2))] += 1
+        assert stats.pairs_evaluated == sum(sizes[a] * sizes[b]
+                                            for a, b in codomain.edges())
+
+
+class TestMod2Classes:
+    def test_class_table_is_the_sl32_graph(self):
+        g = mod_p_codomain(2)
+        assert g.n == 56 and g.edge_count == 532
+        # the table runs the vectorised predicate; the 56-vertex graph was
+        # built pair by pair
+        table = _mod2_class_adjacency([v.entries for v in g.labels])
+        assert not table.diagonal().any()
+        want = np.zeros((g.n, g.n), dtype=bool)
+        for a, b in g.edges():
+            want[a, b] = want[b, a] = True
+        assert (table == want).all()
 
 
 class TestIdentityReduction:
@@ -213,6 +238,16 @@ class TestIdentityReduction:
     def test_violations_are_reported(self):
         rep = verify_no_identity_reduction([IntMatrix3.identity()], 2)
         assert not rep.ok and rep.violations == [0]
+        # entries congruent to the identity mod 3 only
+        m = IntMatrix3((1, 3, 0, 0, 1, 0, 0, 0, 1))
+        assert verify_no_identity_reduction([m], 3).violations == [0]
+        assert verify_no_identity_reduction([m], 2).ok
+
+    def test_rejects_other_carriers_and_composite_moduli(self):
+        with pytest.raises(CarrierMismatchError):
+            verify_no_identity_reduction([Permutation((1, 2, 0))], 2)
+        with pytest.raises(ValueError):
+            verify_no_identity_reduction([IntMatrix3.identity()], 4)
 
 
 class TestEdgePreservation:
