@@ -16,7 +16,7 @@ from .cycles import (CensusEntry, HamiltonResult, cycle_census,
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
                        compose, element_key, element_label,
                        has_order_dividing_3, identity_like, inverse,
-                       parametric_order3, reduce_mod, serialize_element)
+                       parametric_order3, serialize_element)
 from .generation import (GenerationConfig, GenerationStats, PortionGraph,
                          build_portion_edges, generate_and_build,
                          generate_portion, load_seeds_file, mod_p_codomain,

@@ -382,9 +382,13 @@ def cmd_iso(args) -> int:
     g2 = _load(args.right)
     mapping = graph_isomorphic(g1, g2)
     if mapping is not None:
-        for i, j in g1.edges():
-            if not g2.has_edge(mapping[i], mapping[j]):
-                raise AssertionError("isomorphism witness failed verification")
+        # re-verified independently of the search: a bijection onto g2's
+        # vertices that maps edges onto edges and loops onto loops
+        if (len(mapping) != g1.n or sorted(mapping) != list(range(g2.n))
+                or g1.edge_count != g2.edge_count
+                or not all(g2.has_edge(mapping[i], mapping[j]) for i, j in g1.edges())
+                or {mapping[v] for v in g1.loops} != g2.loops):
+            raise AssertionError("isomorphism witness failed verification")
     payload = {
         "isomorphic": mapping is not None,
         "mapping": list(mapping) if mapping is not None else None,
@@ -459,15 +463,8 @@ def cmd_verify(args) -> int:
         failed = failed or not edge_rep.ok
 
         if not args.skip_probes:
-            # a proper 8-coloring of the codomain is all the lift needs;
-            # iterated greedy finds one in well under a second, so the
-            # optimality proof is not re-run here
-            codomain_coloring = heuristic_chromatic_upper(codomain, rounds=2000)
-            if codomain_coloring.num_colors > 8:
-                codomain_coloring = chromatic_number_exact(codomain).coloring
             bounds = portion_chromatic_bounds(
                 graph, codomain=codomain,
-                codomain_coloring=codomain_coloring,
                 clique_budget=args.node_budget,
                 color_time_budget=args.time_budget if args.time_budget else 120.0,
                 color_node_budget=args.node_budget,

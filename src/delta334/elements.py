@@ -394,15 +394,6 @@ def has_order_dividing_3(x: GroupElement) -> bool:
     return compose(compose(x, x), x).is_identity()
 
 
-def reduce_mod(a: IntMatrix3, p: int) -> ModMatrix:
-    """Entrywise reduction of an SL3(Z) matrix into SL3(Z/pZ)."""
-    if not isinstance(a, IntMatrix3):
-        raise CarrierMismatchError("reduce_mod expects an IntMatrix3")
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    return ModMatrix(tuple(e % p for e in a.entries), p, 3)
-
-
 def parametric_order3(a: int, b: int, c: int) -> IntMatrix3:
     """A three-parameter family of order-3 matrices in SL3(Z).
 

@@ -13,8 +13,10 @@ conjugation with product 1, so t = trace(AB) is 3, -1, or 1.  The same
 holds for s = trace(adj(AB)), the second characteristic coefficient, and s
 must equal t.  Conversely det(AB) = 1 with (t, s) = (1, 1) forces the
 characteristic polynomial (x-1)(x^2+1), squarefree, so (AB)^4 = I
-outright; (t, s) = (-1, -1) needs (AB)^2 = I and (t, s) = (3, 3) needs
-AB = I, i.e. B = A^(-1).
+outright; (t, s) = (-1, -1) needs (AB)^2 = I.  An edge with t = 3 has
+every eigenvalue 1, and a matrix of finite order is diagonalisable over C,
+so AB = I and B = A^(-1).  Other pairs can have (t, s) = (3, 3): their
+products are unipotent but not I, and they are not edges.
 
 Reduction mod 2 is a homomorphism, so both ends of an edge reduce to
 adjacent vertices of the 56-vertex SL3(2) graph.  The vertices are grouped
@@ -27,8 +29,9 @@ their adjugates.  They are computed blockwise as float64 BLAS products of
 centred residues modulo one prime p < 2^25, which are exact integers for
 any entry size.  Pairs with (t, s) = (1, 1) or (-1, -1) mod p survive and
 are decided exactly from P = AB: in int64 while 54 M^4 < 2^63 for the
-largest entry M, on numpy arrays of Python ints beyond.  Inverse pairs are
-edges outright, and no other pair can have (t, s) = (3, 3) mod p.
+largest entry M, on numpy arrays of Python ints beyond.  Pairs with t = 3
+mod p are dropped: the only edges among them are the inverse pairs, which
+are added from the vertex list directly.
 
 The mod-p verification program from the source material runs against these
 portions: no vertex reduces to the identity mod p, every edge maps to an
@@ -47,9 +50,10 @@ import numpy as np
 
 from .cliques import CliqueResult, clique_number, verify_clique
 from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
-                       improve_coloring, lift_coloring)
+                       heuristic_chromatic_upper, improve_coloring,
+                       lift_coloring)
 from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
-                       MAT3_IDENTITY, ModMatrix, element_key,
+                       MAT3_IDENTITY, element_key,
                        has_order_dividing_3, is_prime, mat3_adjugate, mat3_mul,
                        parametric_order3, serialize_element)
 from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
@@ -331,17 +335,6 @@ def _reduce_float(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mod2_class_adjacency(images) -> np.ndarray:
-    """The literal (ab)^4 = e (mod 2) predicate on every pair of the given
-    row-major 0/1 images, as a boolean table (diagonal included)."""
-    edges, loops = _mod3_pairwise_edges([ModMatrix(m, 2) for m in images])
-    table = np.zeros((len(images), len(images)), dtype=bool)
-    for i, j in edges:
-        table[i, j] = table[j, i] = True
-    table[loops, loops] = True
-    return table
-
-
 def _edges_with_prefilter(entries: list[tuple]):
     """(pairs evaluated, trace candidates, exact power checks, sorted edges).
 
@@ -364,7 +357,7 @@ def _edges_with_prefilter(entries: list[tuple]):
     flat = np.array(entries, dtype=np.int64 if 54 * maxabs ** 4 < 2 ** 63 else object)
     codes, cls = np.unique((flat % 2).astype(np.int64) @ (1 << np.arange(9)),
                            return_inverse=True)
-    adjacent = _mod2_class_adjacency(((codes[:, None] >> np.arange(9)) & 1).tolist())
+    adjacent = _mod3_pairwise_edges((codes[:, None] >> np.arange(9)) & 1, 2)
     assert not adjacent.diagonal().any(), "an order-3 vertex is adjacent to its class"
     # rows sorted by class; order maps a sorted position to its vertex
     order = np.argsort(cls, kind="stable")
@@ -399,8 +392,8 @@ def _edges_with_prefilter(entries: list[tuple]):
             hi = min(lo + block_size, starts[a + 1])
             t = _reduce_float(res_f[lo:hi] @ col_res.T)
             idx = np.flatnonzero((t == 1) | (t == -1) | (t == 3))
-            # t = s = 3 over Z means AB = I: exactly the inverse pairs, added
-            # above.  The (1, 1) and (-1, -1) classes must also have s = t mod p
+            # an edge with t = 3 has AB = I: the inverse pairs, added above.
+            # The (1, 1) and (-1, -1) classes must also have s = t mod p
             tr = t.ravel()[idx]
             s = _reduce_float((adj_f[lo:hi] @ col_adj.T).ravel()[idx])
             gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], m)
@@ -542,7 +535,9 @@ def portion_chromatic_bounds(portion, *,
 
     Lower bound: exact clique plus whatever the bounded exact search proves.
     Upper bound: best of the exact search's coloring, the mod-2 lifted
-    coloring, and an iterated-greedy refinement of the lift.  The exact
+    coloring, and an iterated-greedy refinement of the lift.  The lift pulls
+    back codomain_coloring, by default the codomain's heuristic coloring
+    (eight colors on SL3(2), the optimum; no chi proof is run).  The exact
     search is time-boxed (default 120s; pass None to lift the cap) because
     portion cores routinely exceed what branch-and-bound can exhaust.
     """
@@ -557,9 +552,8 @@ def portion_chromatic_bounds(portion, *,
         morphism = None
     if morphism is not None:
         if codomain_coloring is None:
-            codomain_coloring = chromatic_number_exact(codomain).coloring
-        if codomain_coloring is not None:
-            lifted = lift_coloring(morphism, codomain_coloring)
+            codomain_coloring = heuristic_chromatic_upper(codomain)
+        lifted = lift_coloring(morphism, codomain_coloring)
 
     kwargs = {}
     if clique_budget is not None:

@@ -11,15 +11,18 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .elements import (
     DirectSumElement,
     GroupElement,
     IntMatrix3,
     ModMatrix,
+    compose,
     element_key,
     has_order_dividing_3,
+    is_prime,
     mat3_mul,
-    reduce_mod,
 )
 from .groups import ElementSet
 
@@ -106,13 +109,6 @@ def _product_order_divides_4(x: GroupElement, y: GroupElement) -> bool:
         z = mat3_mul(x.entries, y.entries)
         z2 = mat3_mul(z, z)
         return mat3_mul(z2, z2) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    if isinstance(x, ModMatrix) and x.dim == 3:
-        p = x.p
-        z = tuple(e % p for e in mat3_mul(x.entries, y.entries))
-        z2 = tuple(e % p for e in mat3_mul(z, z))
-        z4 = tuple(e % p for e in mat3_mul(z2, z2))
-        return z4 == (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    from .elements import compose
     z = compose(x, y)
     z2 = compose(z, z)
     return compose(z2, z2).is_identity()
@@ -122,7 +118,9 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
     """Construct the 334-triangle graph over the given vertex elements.
 
     Every element must have order dividing 3.  Loops are recorded where a
-    vertex is adjacent to itself (only the identity ever is).
+    vertex is adjacent to itself (only the identity ever is).  Dim-3 mod-p
+    labels, at any count, go through the vectorised mod-p kernel; every
+    other carrier is tested pair by pair.
     """
     verts = list(elements)
     for v in verts:
@@ -132,8 +130,14 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
     meta = dict(meta or {})
     meta.setdefault("vertex_count", n)
 
-    if n > 200 and all(isinstance(v, ModMatrix) and v.dim == 3 for v in verts):
-        edges, loops = _mod3_pairwise_edges(verts)
+    if verts and all(isinstance(v, ModMatrix) and v.dim == 3 for v in verts):
+        p = verts[0].p
+        if any(v.p != p for v in verts):
+            raise ValueError("mixed moduli in one vertex set")
+        table = _mod3_pairwise_edges(np.array([v.entries for v in verts]), p)
+        i, j = np.nonzero(np.triu(table, 1))
+        edges = zip(i.tolist(), j.tolist())
+        loops = np.flatnonzero(table.diagonal()).tolist()
     else:
         edges = []
         loops = []
@@ -146,33 +150,23 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
     return TriangleGraph(verts, edges, loops, meta)
 
 
-def _mod3_pairwise_edges(verts: list[ModMatrix]) -> tuple[list, list]:
-    """Vectorized all-pairs (AB)^4 = I test for uniform dim-3 mod-p vertices."""
-    import numpy as np
-
-    p = verts[0].p
-    if any(v.p != p for v in verts):
-        raise ValueError("mixed moduli in one vertex set")
-    n = len(verts)
-    arr = np.array([v.entries for v in verts], dtype=np.int64).reshape(n, 3, 3)
+def _mod3_pairwise_edges(res: np.ndarray, p: int) -> np.ndarray:
+    """The n x n boolean table of (AB)^4 = I (mod p), diagonal included,
+    over the rows of an (n, 9) array of row-major residues mod p.  A product
+    entry is a sum of three products of residues: int64 while that fits,
+    numpy arrays of Python ints beyond."""
+    n = len(res)
+    dtype = np.int64 if 3 * (p - 1) ** 2 < 2 ** 63 else object
+    arr = np.asarray(res).astype(dtype).reshape(n, 3, 3)
     ident = np.eye(3, dtype=np.int64)
-    edges = []
-    loops = []
+    table = np.empty((n, n), dtype=bool)
     block = max(1, 4_000_000 // (n * 9))
     for start in range(0, n, block):
-        stop = min(n, start + block)
-        prod = np.matmul(arr[start:stop, None, :, :], arr[None, :, :, :]) % p
+        prod = np.matmul(arr[start:start + block, None, :, :], arr[None, :, :, :]) % p
         prod = np.matmul(prod, prod) % p
         prod = np.matmul(prod, prod) % p
-        hit = (prod == ident).all(axis=(2, 3))
-        for bi, j in np.argwhere(hit):
-            i = start + int(bi)
-            j = int(j)
-            if i < j:
-                edges.append((i, j))
-            elif i == j:
-                loops.append(i)
-    return edges, loops
+        table[start:start + block] = (prod == ident).all(axis=(2, 3))
+    return table
 
 
 def kronecker_product(g1: TriangleGraph, g2: TriangleGraph) -> TriangleGraph:
@@ -261,22 +255,28 @@ class MorphismReport:
 def induced_morphism(domain: TriangleGraph, p: int, codomain: TriangleGraph) -> MorphismReport:
     """The graph morphism induced by entrywise mod-p reduction.
 
-    Domain vertices must be integer matrices; the codomain is the mod-p
-    triangle graph.  Each domain vertex maps to its reduction's vertex; the
-    report lists any vertex whose reduction is absent, any edge that fails to
-    map to an edge, and any adjacent pair collapsed to one vertex.
+    Domain vertices must be integer matrices and codomain vertices dim-3
+    matrices mod p (the mod-p triangle graph).  Each domain vertex maps to
+    the codomain vertex with its reduced entries; the report lists any
+    vertex whose reduction is absent, any edge that fails to map to an
+    edge, and any adjacent pair collapsed to one vertex.
     """
+    if not is_prime(p):
+        raise ValueError(f"modulus must be prime, got {p}")
+    index: dict[tuple, int] = {}
+    for i, lab in enumerate(codomain.labels):
+        if not (isinstance(lab, ModMatrix) and lab.dim == 3 and lab.p == p):
+            raise ValueError(f"induced_morphism codomain must have dim-3 mod-{p} labels")
+        index[lab.entries] = i
     report = MorphismReport(ok=True, morphism=None, prime=p)
     vmap: list[int] = []
     for i, lab in enumerate(domain.labels):
         if not isinstance(lab, IntMatrix3):
             raise ValueError("induced_morphism domain must have IntMatrix3 labels")
-        reduced = reduce_mod(lab, p)
-        try:
-            vmap.append(codomain.vertex_of(reduced))
-        except KeyError:
+        j = index.get(tuple(e % p for e in lab.entries), -1)
+        if j < 0:
             report.missing_vertices.append(i)
-            vmap.append(-1)
+        vmap.append(j)
     for i, j in domain.edges():
         mi, mj = vmap[i], vmap[j]
         if mi < 0 or mj < 0:

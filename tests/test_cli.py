@@ -3,10 +3,13 @@ import xml.dom.minidom
 
 import pytest
 
+from delta334 import cli
 from delta334.cli import ENV_NODE_BUDGET, ENV_TIME_BUDGET, TOOL_VERSION, main
 from delta334.elements import IntMatrix3
 from delta334.graph import TriangleGraph
 from delta334.graphio import dumps_graph
+
+import toys
 
 
 def run(capsys, *argv):
@@ -174,6 +177,20 @@ class TestGroupPairs:
         assert code == 0
         doc = json.loads(out)
         assert not doc["isomorphic"] and doc["mapping"] is None
+
+    @pytest.mark.parametrize("left, right, mapping", [
+        # i -> i mod 3 sends every edge of C6 to an edge of C3
+        (toys.cycle_graph(6), toys.cycle_graph(3), [0, 1, 2, 0, 1, 2]),
+        (TriangleGraph(["e"], []), TriangleGraph(["e"], [], loops=[0]), [0]),
+    ], ids=["not-a-bijection", "loop-missed"])
+    def test_iso_rejects_an_incomplete_witness(self, tmp_path, capsys, monkeypatch,
+                                               left, right, mapping):
+        paths = tmp_path / "l.json", tmp_path / "r.json"
+        for path, g in zip(paths, (left, right)):
+            path.write_text(dumps_graph(g))
+        monkeypatch.setattr(cli, "graph_isomorphic", lambda g1, g2: mapping)
+        with pytest.raises(AssertionError, match="witness failed"):
+            main(["iso", "--left", str(paths[0]), "--right", str(paths[1])])
 
 
 class TestGeneration:

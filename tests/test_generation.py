@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from delta334.elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError,
-                               IntMatrix3, Permutation, compose, element_key,
-                               has_order_dividing_3, inverse,
-                               parametric_order3, reduce_mod)
+                               IntMatrix3, ModMatrix, Permutation, compose,
+                               element_key, has_order_dividing_3, inverse,
+                               parametric_order3)
 from delta334.generation import (
     INTRO_ORDER3_SEEDS,
     VERIFICATION_PRIMES,
@@ -21,8 +21,8 @@ from delta334.generation import (
     portion_chromatic_bounds,
     verify_edge_preservation,
     verify_no_identity_reduction,
-    _mod2_class_adjacency,
 )
+from delta334.graph import _mod3_pairwise_edges
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
 from delta334.cliques import verify_clique
@@ -204,7 +204,7 @@ class TestBuildEdges:
         codomain = mod_p_codomain(2)
         sizes = [0] * codomain.n
         for v in g.labels:
-            sizes[codomain.vertex_of(reduce_mod(v, 2))] += 1
+            sizes[codomain.vertex_of(ModMatrix(tuple(e % 2 for e in v.entries), 2))] += 1
         assert stats.pairs_evaluated == sum(sizes[a] * sizes[b]
                                             for a, b in codomain.edges())
 
@@ -213,14 +213,14 @@ class TestMod2Classes:
     def test_class_table_is_the_sl32_graph(self):
         g = mod_p_codomain(2)
         assert g.n == 56 and g.edge_count == 532
-        # the table runs the vectorised predicate; the 56-vertex graph was
-        # built pair by pair
-        table = _mod2_class_adjacency([v.entries for v in g.labels])
+        # the edge pass's class table is the mod-p kernel on 0/1 images;
+        # build_delta334 runs the same kernel, so the literal oracle decides
+        table = _mod3_pairwise_edges(np.array([v.entries for v in g.labels]), 2)
         assert not table.diagonal().any()
-        want = np.zeros((g.n, g.n), dtype=bool)
-        for a, b in g.edges():
-            want[a, b] = want[b, a] = True
-        assert (table == want).all()
+        for a, x in enumerate(g.labels):
+            for b, y in enumerate(g.labels):
+                assert table[a, b] == oracles.oracle_product_order_divides_4(x, y)
+        assert table.sum() == 2 * g.edge_count
 
 
 class TestIdentityReduction:

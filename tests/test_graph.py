@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delta334.elements import Permutation, identity_like, inverse, parametric_order3
+from delta334.elements import (ModMatrix, Permutation, compose, identity_like,
+                               inverse, parametric_order3)
 from delta334.generation import mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
@@ -48,10 +51,14 @@ class TestTriangleGraph:
 
 
 class TestEdgePredicate:
-    @pytest.mark.parametrize("text", ["S4", "SL2(3)", "A5"])
-    def test_matches_literal_fourth_power(self, text):
-        # these groups are small enough for the pairwise predicate
-        g = delta(text)
+    @pytest.mark.parametrize("text, include_identity", [
+        ("S4", False), ("SL2(3)", False), ("A5", False),
+        ("SL3(2)", False), ("SL3(2)", True),
+    ], ids=["S4", "SL2(3)", "A5", "SL3(2)", "SL3(2)-with-identity"])
+    def test_matches_literal_fourth_power(self, text, include_identity):
+        # SL3(2) runs the vectorised mod-p kernel, the others the pairwise
+        # predicate; both are checked pair by pair against the oracle
+        g = delta(text, include_identity)
         verts = g.labels
         for i, x in enumerate(verts):
             assert (i in g.loops) == oracles.oracle_product_order_divides_4(x, x)
@@ -77,16 +84,42 @@ class TestBuild:
             build_delta334(els)
 
     def test_mod3_fast_path_matches_generic(self):
-        # SL3(3) takes the vectorized route; spot-check rows against the
-        # literal (ab)^4 = e oracle.
+        # SL3(3) is too large for an all-pairs oracle check; spot-check the
+        # mod-p kernel's rows against the literal (ab)^4 = e oracle.
         g = mod_p_codomain(3)
         verts = g.labels
-        import random
         rng = random.Random(7)
         for v in rng.sample(range(g.n), 12):
             nbrs = {w for w in range(g.n) if w != v
                     and oracles.oracle_product_order_divides_4(verts[v], verts[w])}
             assert nbrs == set(g.neighbors(v))
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 4_294_967_291])
+    def test_large_modulus_matches_literal_fourth_power(self, p):
+        # near 2^32 a residue product sum overflows int64
+        rng = random.Random(p)
+        rot = ModMatrix((0, 0, 1, 1, 0, 0, 0, 1, 0), p)
+        verts = []
+        for _ in range(8):
+            e = ModMatrix((1, rng.randrange(p), rng.randrange(p),
+                           0, 1, rng.randrange(p), 0, 0, 1), p)
+            x = compose(compose(e, rot), inverse(e))
+            verts += [x, inverse(x)]
+        g = build_delta334(ElementSet(verts))
+        verts = g.labels
+        assert g.edge_count
+        for i, x in enumerate(verts):
+            for j in range(i + 1, g.n):
+                want = oracles.oracle_product_order_divides_4(x, verts[j])
+                assert g.has_edge(i, j) == want
+
+    @pytest.mark.parametrize("counts", [(3, 3), (56, 200)])
+    def test_mixed_moduli_rejected(self, counts):
+        # one modulus per vertex set, at every size
+        mixed = [v for text, k in zip(("SL3(2)", "SL3(3)"), counts)
+                 for v in list(order3_vertices(parse_group_spec(text)))[:k]]
+        with pytest.raises(ValueError, match="mixed moduli"):
+            build_delta334(ElementSet(mixed))
 
 
 class TestKronecker:
@@ -138,6 +171,15 @@ class TestInducedMorphism:
     def test_non_matrix_domain_rejected(self):
         with pytest.raises(ValueError):
             induced_morphism(delta("S4"), 2, mod_p_codomain(2))
+
+    def test_codomain_must_match_the_modulus(self):
+        dom = build_delta334(ElementSet([parametric_order3(0, 0, 0)]))
+        with pytest.raises(ValueError):
+            induced_morphism(dom, 3, mod_p_codomain(2))
+        with pytest.raises(ValueError):
+            induced_morphism(dom, 2, delta("S4"))
+        with pytest.raises(ValueError):
+            induced_morphism(dom, 4, mod_p_codomain(2))
 
 
 class TestIsomorphism:
