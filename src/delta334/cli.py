@@ -16,14 +16,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .cliques import clique_number, verify_clique
-from .coloring import (chromatic_number_exact, find_coloring_violation,
-                       heuristic_chromatic_upper)
-from .cycles import ABSENT, FOUND, cycle_census, hamiltonian_cycle, verify_cycle
+from .coloring import (ChromaticResult, chromatic_number_exact,
+                       find_coloring_violation, heuristic_chromatic_upper)
+from .cycles import (ABSENT, FOUND, census_to_json, cycle_census, hamiltonian_cycle,
+                     verify_cycle)
 from .elements import IntMatrix3, element_label, is_prime, serialize_element
-from .generation import (DEFAULT_CONJ_DEPTH, DEFAULT_ENTRY_BOUND,
-                         DEFAULT_FAMILY_BOUND, DEFAULT_TARGET_VERTICES,
+from .generation import (DEFAULT_COLOR_TIME_BUDGET, DEFAULT_CONJ_DEPTH,
+                         DEFAULT_ENTRY_BOUND, DEFAULT_FAMILY_BOUND,
+                         DEFAULT_TARGET_VERTICES,
                          VERIFICATION_PRIMES, GenerationConfig,
                          generate_and_build, load_seeds_file, mod_p_codomain,
                          portion_chromatic_bounds, verify_edge_preservation,
@@ -56,34 +59,22 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _number(convert, kind: str, ok, rule: str):
+    """An argparse type: `convert` the text, then require `ok(value)`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+_positive_int = _number(int, "an integer", lambda v: v > 0, "must be positive")
+_nonnegative_int = _number(int, "an integer", lambda v: v >= 0, "must be >= 0")
+_positive_float = _number(float, "a number", lambda v: v > 0, "must be positive")
 
 
 def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
@@ -120,18 +111,14 @@ def _emit(doc: dict, out_path: str | None, summary: list[str]) -> None:
 
 def _apply_env_budgets(args: argparse.Namespace) -> None:
     """Env vars override the built-in defaults, never an explicit flag."""
-    if getattr(args, "time_budget", "absent") is None and os.environ.get(ENV_TIME_BUDGET):
-        raw = os.environ[ENV_TIME_BUDGET]
-        try:
-            args.time_budget = _positive_float(raw)
-        except argparse.ArgumentTypeError as exc:
-            raise CLIError(f"{ENV_TIME_BUDGET}={raw!r}: {exc}")
-    if getattr(args, "node_budget", "absent") is None and os.environ.get(ENV_NODE_BUDGET):
-        raw = os.environ[ENV_NODE_BUDGET]
-        try:
-            args.node_budget = _positive_int(raw)
-        except argparse.ArgumentTypeError as exc:
-            raise CLIError(f"{ENV_NODE_BUDGET}={raw!r}: {exc}")
+    for flag, var, parse in (("time_budget", ENV_TIME_BUDGET, _positive_float),
+                             ("node_budget", ENV_NODE_BUDGET, _positive_int)):
+        raw = os.environ.get(var)
+        if raw and getattr(args, flag, "absent") is None:
+            try:
+                setattr(args, flag, parse(raw))
+            except argparse.ArgumentTypeError as exc:
+                raise CLIError(f"{var}={raw!r}: {exc}")
 
 
 def _load(path: str):
@@ -264,55 +251,35 @@ def cmd_color(args) -> int:
         raise CLIError("graph has loops; no proper coloring exists")
     if args.exact:
         res = chromatic_number_exact(graph, time_budget=args.time_budget,
-                                     **({"node_budget": args.node_budget}
-                                        if args.node_budget else {}))
-        lower, upper, exact = res.lower, res.upper, res.exact
-        coloring = res.coloring
-        certificate = dict(res.certificate)
-        nodes = res.nodes
+                                     node_budget=args.node_budget)
     else:
-        clique = clique_number(graph, **({"node_budget": args.node_budget}
-                                         if args.node_budget else {}))
+        # a clique found before the budget ran out still bounds chi below
+        clique = clique_number(graph, node_budget=args.node_budget)
         coloring = heuristic_chromatic_upper(graph)
-        lower, upper = (clique.size if clique.exact else 1), coloring.num_colors
-        exact = lower == upper
-        certificate = {"lower_bound_clique": list(clique.witness)}
-        nodes = clique.nodes
+        lower = max(clique.size, min(graph.n, 1))
+        res = ChromaticResult(lower, coloring.num_colors, coloring,
+                              lower == coloring.num_colors,
+                              {"lower_bound_clique": clique.witness}, clique.nodes)
+    coloring = res.coloring
     if coloring is not None:
         violation = find_coloring_violation(graph, coloring.colors)
         if violation is not None:
             raise AssertionError(f"solver returned an improper coloring: {violation}")
-    payload = {
-        "lower": lower,
-        "upper": upper,
-        "exact": exact,
-        "chi": upper if exact else None,
-        "num_colors": coloring.num_colors if coloring else None,
-        "coloring": list(coloring.colors) if coloring else None,
-        "certificate": certificate,
-        "nodes": nodes,
-    }
-    doc = {"manifest": _manifest(args, [args.input]), **payload}
-    line = (f"chromatic number {upper} (certified)" if exact
-            else f"chromatic bounds [{lower}, {upper}]")
+    doc = {"manifest": _manifest(args, [args.input]), **res.to_json_dict(),
+           "num_colors": coloring.num_colors if coloring else None}
+    line = (f"chromatic number {res.upper} (certified)" if res.exact
+            else f"chromatic bounds [{res.lower}, {res.upper}]")
     _emit(doc, args.out, [line])
     return 0
 
 
 def cmd_clique(args) -> int:
     graph = _load(args.input)
-    result = clique_number(graph, **({"node_budget": args.node_budget}
-                                     if args.node_budget else {}))
+    result = clique_number(graph, node_budget=args.node_budget)
     if result.witness and not verify_clique(graph, result.witness):
         raise AssertionError("clique witness failed verification")
-    payload = {
-        "size": result.size,
-        "exact": result.exact,
-        "witness": list(result.witness),
-        "witness_labels": [element_label(graph.labels[v]) for v in result.witness],
-        "nodes": result.nodes,
-    }
-    doc = {"manifest": _manifest(args, [args.input]), **payload}
+    doc = {"manifest": _manifest(args, [args.input]), **asdict(result),
+           "witness_labels": [element_label(graph.labels[v]) for v in result.witness]}
     tag = "exact" if result.exact else "lower bound (budget hit)"
     _emit(doc, args.out, [f"clique number {result.size} ({tag})"])
     return 0
@@ -320,33 +287,19 @@ def cmd_clique(args) -> int:
 
 def cmd_cycles(args) -> int:
     graph = _load(args.input)
-    census = cycle_census(graph, min_len=args.min_length,
-                          max_len=args.max_length,
-                          **({"node_budget": args.node_budget}
-                             if args.node_budget else {}))
-    payload = {
-        "census": {str(L): {"status": e.status,
-                            "cycle": list(e.cycle) if e.cycle else None,
-                            "reason": e.reason}
-                   for L, e in sorted(census.items())},
-    }
-    doc = {"manifest": _manifest(args, [args.input]), **payload}
+    census = cycle_census(graph, min_len=args.min_length, max_len=args.max_length,
+                          node_budget=args.node_budget)
+    doc = {"manifest": _manifest(args, [args.input]), "census": census_to_json(census)}
     _emit(doc, args.out, _census_lines(census))
     return 0
 
 
 def cmd_hamilton(args) -> int:
     graph = _load(args.input)
-    result = hamiltonian_cycle(graph, **({"node_budget": args.node_budget}
-                                         if args.node_budget else {}))
+    result = hamiltonian_cycle(graph, node_budget=args.node_budget)
     if result.cycle and not verify_cycle(graph, result.cycle):
         raise AssertionError("hamiltonian cycle failed verification")
-    payload = {
-        "status": result.status,
-        "cycle": list(result.cycle) if result.cycle else None,
-        "nodes": result.nodes,
-    }
-    doc = {"manifest": _manifest(args, [args.input]), **payload}
+    doc = {"manifest": _manifest(args, [args.input]), **asdict(result)}
     _emit(doc, args.out, [f"hamiltonian cycle: {result.status}"])
     return 0
 
@@ -466,7 +419,7 @@ def cmd_verify(args) -> int:
             bounds = portion_chromatic_bounds(
                 graph, codomain=codomain,
                 clique_budget=args.node_budget,
-                color_time_budget=args.time_budget if args.time_budget else 120.0,
+                color_time_budget=args.time_budget or DEFAULT_COLOR_TIME_BUDGET,
                 color_node_budget=args.node_budget,
             )
             lift_ok = bounds.lifted is not None and bounds.lifted.proper
@@ -500,7 +453,7 @@ def cmd_verify(args) -> int:
     planarity_doc = None
     if not args.skip_probes:
         evidence = nonplanarity_check(graph)
-        planarity_doc = evidence.to_json_dict()
+        planarity_doc = asdict(evidence)
         summary.append(f"planarity: {evidence.status} ({evidence.reason})")
 
     payload = {

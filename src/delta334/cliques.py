@@ -30,10 +30,12 @@ class CliqueResult:
     nodes: int
 
 
-def clique_number(graph: TriangleGraph,
-                  node_budget: int = DEFAULT_CLIQUE_BUDGET) -> CliqueResult:
+def clique_number(graph: TriangleGraph, node_budget: int | None = None) -> CliqueResult:
     """Exact maximum clique (loops ignored); budget exhaustion degrades the
-    result to a certified lower bound."""
+    result to a certified lower bound.  node_budget None means
+    DEFAULT_CLIQUE_BUDGET."""
+    if node_budget is None:
+        node_budget = DEFAULT_CLIQUE_BUDGET
     n = graph.n
     if n == 0:
         return CliqueResult(0, (), True, 0)

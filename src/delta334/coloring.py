@@ -77,14 +77,22 @@ class ChromaticResult:
     def chi(self) -> int | None:
         return self.upper if self.exact else None
 
+    def to_json_dict(self) -> dict:
+        return {"lower": self.lower, "upper": self.upper, "exact": self.exact,
+                "chi": self.chi, "nodes": self.nodes, "certificate": dict(self.certificate),
+                "coloring": self.coloring.colors if self.coloring else None}
+
 
 def chromatic_number_exact(graph: TriangleGraph,
                            time_budget: float | None = None,
-                           node_budget: int = DEFAULT_COLOR_NODE_BUDGET) -> ChromaticResult:
+                           node_budget: int | None = None) -> ChromaticResult:
     """Exact chromatic number with witness coloring, or best bounds on budget
     exhaustion.  Components are solved independently; within a component,
-    vertices with degree < k are peeled before the k-colorability search."""
+    vertices with degree < k are peeled before the k-colorability search.
+    node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
     _reject_loops(graph)
+    if node_budget is None:
+        node_budget = DEFAULT_COLOR_NODE_BUDGET
     n = graph.n
     if n == 0:
         return ChromaticResult(0, 0, Coloring((), 0, True), True)
@@ -164,26 +172,22 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int],
 
     nodes_used = 0
     certificate: dict = {}
-    exact = clq.exact
     while lower < upper:
         k = upper - 1
         status, kcolors, used = _k_colorable(sub, k, clq.witness, deadline,
                                              node_budget - nodes_used)
         nodes_used += used
         if status == "sat":
-            upper = k
-            upper_colors = kcolors
+            upper, upper_colors = k, kcolors
         elif status == "unsat":
             lower = upper
             certificate = {"infeasible_k": k, "nodes": used, "exhausted": True}
-            exact = True
-            break
         else:
-            exact = False
             break
+    # lower == upper proves chi whether or not the clique search finished:
+    # the clique found is real and the coloring is proper
     witness = Coloring.checked(sub, upper_colors)
-    return ChromaticResult(lower, upper, witness, exact and lower == upper,
-                           certificate, nodes_used)
+    return ChromaticResult(lower, upper, witness, lower == upper, certificate, nodes_used)
 
 
 def _dsatur(graph: TriangleGraph) -> list[int]:

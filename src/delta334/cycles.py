@@ -55,16 +55,18 @@ class HamiltonResult:
     nodes: int
 
 
-def hamiltonian_cycle(graph: TriangleGraph,
-                      node_budget: int = DEFAULT_HAMILTON_NODE_BUDGET) -> HamiltonResult:
+def hamiltonian_cycle(graph: TriangleGraph, node_budget: int | None = None) -> HamiltonResult:
+    """Rotation heuristic, then the exact search within node_budget nodes
+    (None means DEFAULT_HAMILTON_NODE_BUDGET)."""
+    if node_budget is None:
+        node_budget = DEFAULT_HAMILTON_NODE_BUDGET
     n = graph.n
     if n < 3:
         return HamiltonResult(NONE, None, 0)
     adj = [_mask(graph.neighbors(v)) for v in range(n)]
     # degree < 2 or disconnection rules a Hamiltonian cycle out immediately
-    if any(m.bit_count() < 2 for m in adj):
-        return HamiltonResult(NONE, None, 0)
-    if not _connected(adj, n):
+    full = (1 << n) - 1
+    if any(m.bit_count() < 2 for m in adj) or _reach(adj, 0, full) != full:
         return HamiltonResult(NONE, None, 0)
 
     cycle, _ = _posa(adj, n)
@@ -73,10 +75,8 @@ def hamiltonian_cycle(graph: TriangleGraph,
         return HamiltonResult(FOUND, tuple(cycle), 0)
 
     status, cycle, nodes = _hamilton_exact(adj, n, node_budget)
-    if cycle is not None:
-        assert verify_cycle(graph, cycle)
-        return HamiltonResult(status, tuple(cycle), nodes)
-    return HamiltonResult(status, None, nodes)
+    assert cycle is None or verify_cycle(graph, cycle)
+    return HamiltonResult(status, tuple(cycle) if cycle else None, nodes)
 
 
 @dataclass
@@ -90,12 +90,21 @@ class CensusEntry:
     reason: str | None = None
 
 
+def census_to_json(census: dict[int, CensusEntry]) -> dict:
+    """The JSON form of a cycle census, keyed by length as text."""
+    return {str(L): {"status": e.status, "cycle": e.cycle, "reason": e.reason}
+            for L, e in sorted(census.items())}
+
+
 def cycle_census(graph: TriangleGraph, min_len: int = 3, max_len: int | None = None,
-                 node_budget: int = DEFAULT_CENSUS_NODE_BUDGET) -> dict[int, CensusEntry]:
+                 node_budget: int | None = None) -> dict[int, CensusEntry]:
     """Census of simple cycle lengths in [min_len, max_len] (max_len defaults
     to |V| and is clamped there).  Lengths are settled in descending order;
     absence by exhaustive search is only attempted for |V| <= 64, odd lengths
-    in bipartite graphs are settled by parity."""
+    in bipartite graphs are settled by parity.  node_budget is shared by all
+    lengths; None means DEFAULT_CENSUS_NODE_BUDGET."""
+    if node_budget is None:
+        node_budget = DEFAULT_CENSUS_NODE_BUDGET
     n = graph.n
     if min_len < 3:
         raise ValueError("cycles have length >= 3")
@@ -160,18 +169,16 @@ def _bits(m: int):
         m ^= b
 
 
-def _connected(adj: list[int], n: int) -> bool:
-    if n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def _reach(adj: list[int], start: int, allowed: int) -> int:
+    """Mask of the vertices reachable from start through `allowed` ones."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
         for v in _bits(frontier):
             nxt |= adj[v]
-        frontier = nxt & ~seen
+        frontier = nxt & allowed & ~seen
         seen |= frontier
-    return seen.bit_count() == n
+    return seen
 
 
 def _two_coloring(graph: TriangleGraph):
@@ -280,16 +287,8 @@ def _hamilton_exact(adj: list[int], n: int, node_budget: int):
             if (adj[u] & region).bit_count() < 2:
                 return True
         # the rest of the cycle lives in avail + end; it must be connected
-        seen = 1 << end
-        frontier = seen
-        target = avail | seen
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & target & ~seen
-            seen |= frontier
-        return seen != target
+        rest = avail | (1 << end)
+        return _reach(adj, end, rest) != rest
 
     def dfs(end: int, avail: int) -> bool:
         nonlocal nodes

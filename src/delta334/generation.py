@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, product
 
 import numpy as np
@@ -74,6 +74,7 @@ DEFAULT_CONJ_DEPTH = 6
 DEFAULT_ENTRY_BOUND = 10 ** 9
 DEFAULT_TARGET_VERTICES = 25_000
 DEFAULT_FAMILY_BOUND = 1
+DEFAULT_COLOR_TIME_BUDGET = 120.0  # seconds for a portion's own chi search
 
 VERIFICATION_PRIMES = (2, 3, 5)
 
@@ -180,19 +181,6 @@ class GenerationStats:
     prefilter_candidates: int = 0
     exact_checks: int = 0  # pairs with t = s = -1 over Z, tested for P^2 = I
     edges_found: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "frontier_sizes": list(self.frontier_sizes),
-            "entry_bound_rejects": self.entry_bound_rejects,
-            "duplicate_hits": self.duplicate_hits,
-            "max_abs_entry": self.max_abs_entry,
-            "pairs_total": self.pairs_total,
-            "pairs_evaluated": self.pairs_evaluated,
-            "prefilter_candidates": self.prefilter_candidates,
-            "exact_checks": self.exact_checks,
-            "edges_found": self.edges_found,
-        }
 
 
 @dataclass
@@ -301,7 +289,7 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
 
     meta = {
         "source": "sl3z-portion",
-        "generation": {"config": cfg.to_json_dict(), "stats": stats.to_json_dict()},
+        "generation": {"config": cfg.to_json_dict(), "stats": asdict(stats)},
     }
     graph = TriangleGraph(verts, edges, meta=meta)
     return PortionGraph(graph, cfg, stats)
@@ -522,24 +510,26 @@ class PortionChromaticBounds:
 
     @property
     def chi(self) -> int | None:
-        return self.lower if self.exact and self.lower == self.upper else None
+        return self.lower if self.exact else None
 
 
 def portion_chromatic_bounds(portion, *,
                              codomain: TriangleGraph | None = None,
                              codomain_coloring: Coloring | None = None,
                              clique_budget: int | None = None,
-                             color_time_budget: float | None = 120.0,
+                             color_time_budget: float | None = DEFAULT_COLOR_TIME_BUDGET,
                              color_node_budget: int | None = None) -> PortionChromaticBounds:
     """Certified chromatic bounds for a portion graph.
 
-    Lower bound: exact clique plus whatever the bounded exact search proves.
-    Upper bound: best of the exact search's coloring, the mod-2 lifted
-    coloring, and an iterated-greedy refinement of the lift.  The lift pulls
-    back codomain_coloring, by default the codomain's heuristic coloring
-    (eight colors on SL3(2), the optimum; no chi proof is run).  The exact
-    search is time-boxed (default 120s; pass None to lift the cap) because
-    portion cores routinely exceed what branch-and-bound can exhaust.
+    Lower bound: the clique found, budget cut or not, and whatever the
+    bounded exact search proves.  Upper bound: best of the exact search's
+    coloring, the mod-2 lifted coloring, and an iterated-greedy refinement of
+    the lift.  The lift pulls back codomain_coloring, by default the
+    codomain's heuristic coloring (eight colors on SL3(2), the optimum; no
+    chi proof is run).  The exact search is time-boxed
+    (DEFAULT_COLOR_TIME_BUDGET; pass None to lift the cap) because portion
+    cores routinely exceed what branch-and-bound can exhaust.  The node
+    budgets pass straight through: None means each solver's default.
     """
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
 
@@ -555,30 +545,24 @@ def portion_chromatic_bounds(portion, *,
             codomain_coloring = heuristic_chromatic_upper(codomain)
         lifted = lift_coloring(morphism, codomain_coloring)
 
-    kwargs = {}
-    if clique_budget is not None:
-        kwargs["node_budget"] = clique_budget
-    clique = clique_number(graph, **kwargs)
+    clique = clique_number(graph, node_budget=clique_budget)
     if clique.witness:
         assert verify_clique(graph, clique.witness)
-
-    color_kwargs: dict = {"time_budget": color_time_budget}
-    if color_node_budget is not None:
-        color_kwargs["node_budget"] = color_node_budget
-    own = chromatic_number_exact(graph, **color_kwargs)
+    own = chromatic_number_exact(graph, time_budget=color_time_budget,
+                                 node_budget=color_node_budget)
 
     refined = None
     if lifted is not None and lifted.proper:
         refined = improve_coloring(graph, lifted, rounds=60)
 
-    lower = max(clique.size if clique.exact else 1, own.lower)
+    # a clique found before the budget ran out still bounds chi below
+    lower = max(clique.size, own.lower)
     candidates = [c for c in (own.coloring, lifted, refined)
                   if c is not None and c.proper]
     best = min(candidates, key=lambda c: c.num_colors)
     upper = min(own.upper, best.num_colors)
-    exact = lower == upper and (own.exact or clique.exact)
     return PortionChromaticBounds(
-        lower=lower, upper=upper, exact=exact,
+        lower=lower, upper=upper, exact=lower == upper,
         clique=clique, lifted=lifted, own=own, best_coloring=best,
         clique_discovery=clique.size > 3,
     )

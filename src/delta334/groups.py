@@ -210,16 +210,8 @@ def _enumerate(spec: GroupSpec) -> Iterator[GroupElement]:
 
 
 def _enumerate_sl3(p: int) -> Iterator[ModMatrix]:
-    if p <= 3:
-        for entries in itertools.product(range(p), repeat=9):
-            m0, m1, m2, m3, m4, m5, m6, m7, m8 = entries
-            det = (m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6)
-                   + m2 * (m3 * m7 - m4 * m6)) % p
-            if det == 1:
-                yield ModMatrix(entries, p, 3)
-        return
-    # p = 5: build row by row; det([r1;r2;r3]) = r3 . (r1 x r2), so for each
-    # independent (r1, r2) the valid third rows form an affine plane.
+    # row by row: det([r1;r2;r3]) = r3 . (r1 x r2), so for each independent
+    # (r1, r2) the valid third rows form an affine plane.
     vectors = list(itertools.product(range(p), repeat=3))
     nonzero = [v for v in vectors if any(v)]
     for r1 in nonzero:

@@ -10,13 +10,13 @@ rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cliques import CliqueResult, clique_number, verify_clique
 from .coloring import (ChromaticResult, chromatic_number_exact,
                        heuristic_chromatic_upper, _components)
-from .cycles import (CensusEntry, HamiltonResult, _two_coloring, cycle_census,
-                     hamiltonian_cycle, verify_cycle)
+from .cycles import (CensusEntry, HamiltonResult, _two_coloring, census_to_json,
+                     cycle_census, hamiltonian_cycle, verify_cycle)
 from .graph import TriangleGraph
 
 GIRTH_BFS_LIMIT = 2048  # full girth sweep above this is quadratic-ish; skip
@@ -149,12 +149,6 @@ class PlanarityEvidence:
     witness_kind: str | None = None
     witness_edges: tuple[tuple[int, int], ...] | None = None
 
-    def to_json_dict(self) -> dict:
-        return {"status": self.status, "reason": self.reason, "detail": self.detail,
-                "witness_kind": self.witness_kind,
-                "witness_edges": [list(e) for e in self.witness_edges]
-                if self.witness_edges else None}
-
 
 def nonplanarity_check(graph: TriangleGraph,
                        chromatic: ChromaticResult | None = None,
@@ -263,37 +257,17 @@ class InvariantReport:
             "loop_count": self.loop_count,
             "degree_histogram": {str(k): v for k, v in sorted(self.degree_histogram.items())},
             "component_sizes": list(self.component_sizes),
-            "bipartite": {
-                "bipartite": self.bipartite.bipartite,
-                "parts": [list(p) for p in self.bipartite.parts] if self.bipartite.parts else None,
-                "odd_cycle": list(self.bipartite.odd_cycle) if self.bipartite.odd_cycle else None,
-            },
+            "bipartite": asdict(self.bipartite),
             "girth": self.girth,
-            "girth_cycle": list(self.girth_cycle) if self.girth_cycle else None,
+            "girth_cycle": self.girth_cycle,
         }
-        if self.clique is not None:
-            d["clique"] = {"size": self.clique.size, "witness": list(self.clique.witness),
-                           "exact": self.clique.exact, "nodes": self.clique.nodes}
-        if self.chromatic is not None:
-            c = self.chromatic
-            d["chromatic"] = {
-                "lower": c.lower, "upper": c.upper, "exact": c.exact,
-                "chi": c.chi, "nodes": c.nodes, "certificate": dict(c.certificate),
-                "coloring": list(c.coloring.colors) if c.coloring else None,
-            }
-        if self.census is not None:
-            d["cycle_census"] = {
-                str(L): {"status": e.status,
-                         "cycle": list(e.cycle) if e.cycle else None,
-                         "reason": e.reason}
-                for L, e in sorted(self.census.items())
-            }
-        if self.hamilton is not None:
-            d["hamiltonian"] = {"status": self.hamilton.status,
-                                "cycle": list(self.hamilton.cycle) if self.hamilton.cycle else None,
-                                "nodes": self.hamilton.nodes}
-        if self.planarity is not None:
-            d["planarity"] = self.planarity.to_json_dict()
+        for key, result, to_json in (("clique", self.clique, asdict),
+                                     ("chromatic", self.chromatic, ChromaticResult.to_json_dict),
+                                     ("cycle_census", self.census, census_to_json),
+                                     ("hamiltonian", self.hamilton, asdict),
+                                     ("planarity", self.planarity, asdict)):
+            if result is not None:
+                d[key] = to_json(result)
         return d
 
 
@@ -311,10 +285,7 @@ def full_report(graph: TriangleGraph, *,
     comp_sizes = sorted((len(c) for c in components(graph)), reverse=True)
     bip = is_bipartite(graph)
     g, gcyc = girth(graph)
-    kwargs = {}
-    if clique_budget is not None:
-        kwargs["node_budget"] = clique_budget
-    clique = clique_number(graph, **kwargs)
+    clique = clique_number(graph, node_budget=clique_budget)
     if clique.witness:
         assert verify_clique(graph, clique.witness)
 
@@ -324,14 +295,14 @@ def full_report(graph: TriangleGraph, *,
     elif exact_chromatic:
         chromatic = chromatic_number_exact(graph, time_budget=color_time_budget)
     else:
+        # a clique found before the budget ran out still bounds chi below
         greedy = heuristic_chromatic_upper(graph)
-        chromatic = ChromaticResult(clique.size if clique.exact else 1,
-                                    greedy.num_colors, greedy,
-                                    exact=clique.exact and clique.size == greedy.num_colors)
+        lower = max(clique.size, min(graph.n, 1))
+        chromatic = ChromaticResult(lower, greedy.num_colors, greedy,
+                                    exact=lower == greedy.num_colors)
 
-    cyc_kwargs = {} if cycle_budget is None else {"node_budget": cycle_budget}
-    census = cycle_census(graph, **cyc_kwargs) if with_census else None
-    ham = hamiltonian_cycle(graph, **cyc_kwargs) if with_hamilton else None
+    census = cycle_census(graph, node_budget=cycle_budget) if with_census else None
+    ham = hamiltonian_cycle(graph, node_budget=cycle_budget) if with_hamilton else None
     planarity = nonplanarity_check(graph, chromatic) if with_planarity else None
     return InvariantReport(
         vertex_count=graph.n,

@@ -24,13 +24,39 @@ def test_workloads_call_existing_names():
     assert sorted(n for n in names if not hasattr(delta334, n)) == []
 
 
-def test_traced_targets_resolve():
+def _traced_pairs() -> list[tuple[str, str]]:
     targets = next(node.value for node in _tree("tracing.py").body
                    if isinstance(node, ast.Assign)
                    and any(isinstance(t, ast.Name) and t.id == "TARGETS"
                            for t in node.targets))
-    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def test_traced_targets_resolve():
+    pairs = _traced_pairs()
     assert ("generation", "build_portion_edges") in pairs
     missing = [f"{layer}.{fname}" for layer, fname in pairs
                if not hasattr(importlib.import_module(f"delta334.{layer}"), fname)]
     assert missing == []
+
+
+def test_traced_run_finds_every_binding_it_checks():
+    """run.py's trace.wrapped-every-binding check names module-level bindings
+    (e.g. delta334.invariants.clique_number) that the tracer must find bound
+    to a traced function; an import deleted from the library fails it."""
+    check = next(node for node in ast.walk(_tree("run.py"))
+                 if isinstance(node, ast.Tuple) and node.elts
+                 and isinstance(node.elts[0], ast.Constant)
+                 and node.elts[0].value == "trace.wrapped-every-binding")
+    names = [elt.value for node in ast.walk(check) if isinstance(node, ast.Set)
+             for elt in node.elts]
+    assert "delta334.invariants.clique_number" in names
+    traced = [getattr(importlib.import_module(f"delta334.{layer}"), fname)
+              for layer, fname in _traced_pairs()]
+    unbound = []
+    for dotted in names:
+        module, _, attr = dotted.rpartition(".")
+        value = getattr(importlib.import_module(module), attr, None)
+        if not any(value is t for t in traced):
+            unbound.append(dotted)
+    assert unbound == []

@@ -104,6 +104,15 @@ class TestReports:
         doc = json.loads(out)
         assert doc["lower"] <= doc["upper"] == doc["num_colors"]
 
+    def test_color_budget_cut_clique_bounds_chi(self, tmp_path, capsys):
+        path = str(tmp_path / "sl33.json")
+        assert main(["graph", "--group", "SL3(3)", "--out", path]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "color", "--in", path, "--node-budget", "5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["lower"] == len(doc["certificate"]["lower_bound_clique"]) == 4
+
     def test_clique(self, a4_graph, capsys):
         code, out, _ = run(capsys, "clique", "--in", a4_graph)
         assert code == 0
@@ -142,6 +151,29 @@ class TestReports:
         text = path.read_text()
         xml.dom.minidom.parseString(text)
         assert "<!-- manifest:" in text
+
+
+@pytest.mark.parametrize("group", ["A4", "S5"])
+def test_report_blocks_match_standalone_commands(group, tmp_path, capsys):
+    """Each result type has one JSON form: the stats report's blocks equal the
+    standalone commands' payloads, less the keys only the CLI adds."""
+    path = str(tmp_path / "g.json")
+    assert main(["graph", "--group", group, "--out", path]) == 0
+    capsys.readouterr()
+
+    def payload(*argv):
+        code, out, _ = run(capsys, *argv, "--in", path)
+        assert code == 0
+        doc = json.loads(out)
+        for key in ("manifest", "witness_labels", "num_colors"):
+            doc.pop(key, None)
+        return doc
+
+    report = payload("stats", "--census", "--hamilton", "--exact-chromatic")["report"]
+    assert report["clique"] == payload("clique")
+    assert report["hamiltonian"] == payload("hamilton")
+    assert report["cycle_census"] == payload("cycles")["census"]
+    assert report["chromatic"] == payload("color", "--exact")
 
 
 class TestGroupPairs:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delta334 import cliques
 from delta334.coloring import (
     Coloring,
     _iterated_greedy,
@@ -78,6 +79,16 @@ class TestExact:
         if res.coloring is not None:
             assert find_coloring_violation(toys.petersen_graph(),
                                            res.coloring.colors) is None
+
+    def test_cut_clique_search_still_proves_chi(self, monkeypatch):
+        # the default budget is read at call time; at 4 nodes the search has
+        # found a triangle but not finished, and a 3-coloring still proves chi
+        g = toys.octahedron()
+        monkeypatch.setattr(cliques, "DEFAULT_CLIQUE_BUDGET", 4)
+        clique = cliques.clique_number(g)
+        assert clique.size == 3 and not clique.exact
+        res = chromatic_number_exact(g)
+        assert res.exact and res.chi == 3
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)

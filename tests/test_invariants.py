@@ -117,6 +117,11 @@ class TestFullReport:
         text = json.dumps(rep.to_json_dict(), sort_keys=True)
         assert "cycle_census" in text and "hamiltonian" in text
 
+    def test_cut_clique_search_bounds_chi(self):
+        rep = full_report(toys.octahedron(), clique_budget=4)
+        assert rep.clique.size == 3 and not rep.clique.exact
+        assert rep.chromatic.lower == rep.clique.size == rep.chromatic.chi
+
     def test_loops_suppress_chromatic(self):
         g = TriangleGraph(range(2), [(0, 1)], loops=[0])
         rep = full_report(g)

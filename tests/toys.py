@@ -31,6 +31,13 @@ def star_graph(n):
     return TriangleGraph(range(n + 1), [(0, i) for i in range(1, n + 1)])
 
 
+def octahedron():
+    """K_{2,2,2}: every pair except the antipodes i, i + 3; omega = chi = 3.
+    Its clique search finds a triangle within 4 nodes and exhausts at 11."""
+    return TriangleGraph(range(6), [(i, j) for i in range(6)
+                                    for j in range(i + 1, 6) if j != i + 3])
+
+
 def petersen_graph():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
