@@ -233,9 +233,8 @@ def cmd_stats(args) -> int:
         with_census=args.census,
         with_hamilton=args.hamilton,
         with_planarity=not args.no_planarity,
-        clique_budget=args.node_budget,
-        color_time_budget=args.time_budget,
-        cycle_budget=args.node_budget,
+        node_budget=args.node_budget,
+        time_budget=args.time_budget,
     )
     doc = {
         "manifest": _manifest(args, [args.input]),

@@ -87,9 +87,9 @@ def chromatic_number_exact(graph: TriangleGraph,
                            time_budget: float | None = None,
                            node_budget: int | None = None) -> ChromaticResult:
     """Exact chromatic number with witness coloring, or best bounds on budget
-    exhaustion.  Components are solved independently; within a component,
-    vertices with degree < k are peeled before the k-colorability search.
-    node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
+    exhaustion.  Components are solved in turn and share the node budget;
+    within a component, vertices with degree < k are peeled before the
+    k-colorability search.  node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
     _reject_loops(graph)
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
@@ -101,27 +101,27 @@ def chromatic_number_exact(graph: TriangleGraph,
     colors = [0] * n
     lower_all = 1 if n else 0
     upper_all = 1
-    exact_all = True
     total_nodes = 0
     certificate: dict = {}
 
-    for comp in _components(graph):
-        res = _component_chromatic(graph, comp, deadline, node_budget)
+    for comp in components(graph):
+        res = _component_chromatic(graph, comp, deadline, node_budget - total_nodes)
         total_nodes += res.nodes
         if res.coloring is not None:
             for v, c in zip(comp, res.coloring.colors):
                 colors[v] = c
         lower_all = max(lower_all, res.lower)
         upper_all = max(upper_all, res.upper)
-        exact_all = exact_all and res.exact
         if res.certificate.get("infeasible_k") is not None and res.exact:
             prev = certificate.get("infeasible_k", -1)
             if res.certificate["infeasible_k"] > prev:
                 certificate = res.certificate
+    # chi is the largest component chi, so lower == upper proves it even when
+    # a later component was cut by the shared node budget
     witness = Coloring.checked(graph, colors)
-    exact_all = exact_all and witness.proper and lower_all == upper_all
+    exact = witness.proper and lower_all == upper_all
     return ChromaticResult(lower_all, upper_all, witness if witness.proper else None,
-                           exact_all, certificate, total_nodes)
+                           exact, certificate, total_nodes)
 
 
 def _reject_loops(graph: TriangleGraph):
@@ -130,7 +130,9 @@ def _reject_loops(graph: TriangleGraph):
                          "(drop the identity vertex first)")
 
 
-def _components(graph: TriangleGraph) -> list[list[int]]:
+def components(graph: TriangleGraph) -> list[list[int]]:
+    """Connected components as sorted vertex lists, in order of smallest
+    member."""
     seen = [False] * graph.n
     comps = []
     for s in range(graph.n):
@@ -380,17 +382,19 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
     # explicit stack: [vertex, untried color mask, undo log, max color before]
     stack = []
     nodes = 0
+    check_at = min(node_budget, 4096)  # next node count at which to stop or read the clock
     ok, cur_max = True, len(clique) - 1
     while True:
         if ok:
             if not left:
                 status = "sat"
                 break
+            if nodes >= check_at:
+                if nodes >= node_budget or deadline is not None and time.monotonic() > deadline:
+                    status = "budget"
+                    break
+                check_at = min(node_budget, nodes + 4096)
             nodes += 1
-            if nodes % 4096 == 0 and (nodes > node_budget or (
-                    deadline is not None and time.monotonic() > deadline)):
-                status = "budget"
-                break
             for m in level:  # level[0] is empty: an emptied avail is undone at once
                 if m:
                     break

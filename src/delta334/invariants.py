@@ -13,19 +13,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .cliques import CliqueResult, clique_number, verify_clique
-from .coloring import (ChromaticResult, chromatic_number_exact,
-                       heuristic_chromatic_upper, _components)
+from .coloring import (ChromaticResult, chromatic_number_exact, components,
+                       heuristic_chromatic_upper)
 from .cycles import (CensusEntry, HamiltonResult, _two_coloring, census_to_json,
                      cycle_census, hamiltonian_cycle, verify_cycle)
 from .graph import TriangleGraph
 
 GIRTH_BFS_LIMIT = 2048  # full girth sweep above this is quadratic-ish; skip
-
-
-def components(graph: TriangleGraph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, in order of smallest
-    member."""
-    return _components(graph)
 
 
 @dataclass
@@ -276,16 +270,16 @@ def full_report(graph: TriangleGraph, *,
                 with_census: bool = False,
                 with_hamilton: bool = False,
                 with_planarity: bool = True,
-                clique_budget: int | None = None,
-                color_time_budget: float | None = None,
-                cycle_budget: int | None = None) -> InvariantReport:
+                node_budget: int | None = None,
+                time_budget: float | None = None) -> InvariantReport:
     """Assemble an InvariantReport.  The cheap statistics always run; the
     exact chromatic search, cycle census, and Hamiltonian search are opt-in
-    since their cost grows quickly with the graph."""
+    since their cost grows quickly with the graph.  node_budget caps every
+    search and time_budget the exact chi search; None means their defaults."""
     comp_sizes = sorted((len(c) for c in components(graph)), reverse=True)
     bip = is_bipartite(graph)
     g, gcyc = girth(graph)
-    clique = clique_number(graph, node_budget=clique_budget)
+    clique = clique_number(graph, node_budget=node_budget)
     if clique.witness:
         assert verify_clique(graph, clique.witness)
 
@@ -293,7 +287,8 @@ def full_report(graph: TriangleGraph, *,
     if graph.loops:
         pass  # no proper coloring exists; leave chromatic data out
     elif exact_chromatic:
-        chromatic = chromatic_number_exact(graph, time_budget=color_time_budget)
+        chromatic = chromatic_number_exact(graph, time_budget=time_budget,
+                                           node_budget=node_budget)
     else:
         # a clique found before the budget ran out still bounds chi below
         greedy = heuristic_chromatic_upper(graph)
@@ -301,8 +296,8 @@ def full_report(graph: TriangleGraph, *,
         chromatic = ChromaticResult(lower, greedy.num_colors, greedy,
                                     exact=lower == greedy.num_colors)
 
-    census = cycle_census(graph, node_budget=cycle_budget) if with_census else None
-    ham = hamiltonian_cycle(graph, node_budget=cycle_budget) if with_hamilton else None
+    census = cycle_census(graph, node_budget=node_budget) if with_census else None
+    ham = hamiltonian_cycle(graph, node_budget=node_budget) if with_hamilton else None
     planarity = nonplanarity_check(graph, chromatic) if with_planarity else None
     return InvariantReport(
         vertex_count=graph.n,

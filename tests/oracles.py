@@ -8,7 +8,7 @@ these on every graph small enough to afford it.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def oracle_chromatic(graph):
@@ -124,6 +124,19 @@ def oracle_degeneracy_order(graph):
         for w in graph.neighbors(v):
             deg[w] -= 1
     return order
+
+
+def oracle_isomorphic(g1, g2):
+    """A permutation of g1's vertices that maps its edges onto g2's edges and
+    its loops onto g2's loops, or None, by trying every permutation."""
+    if g1.n != g2.n:
+        return None
+    edges2 = set(g2.edges())
+    for perm in permutations(range(g1.n)):
+        if ({perm[v] for v in g1.loops} == g2.loops
+                and {tuple(sorted((perm[i], perm[j]))) for i, j in g1.edges()} == edges2):
+            return perm
+    return None
 
 
 def oracle_cycle_lengths(graph):

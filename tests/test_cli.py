@@ -153,8 +153,13 @@ class TestReports:
         assert "<!-- manifest:" in text
 
 
-@pytest.mark.parametrize("group", ["A4", "S5"])
-def test_report_blocks_match_standalone_commands(group, tmp_path, capsys):
+@pytest.mark.parametrize("group, budget", [
+    pytest.param("A4", (), id="A4"),
+    pytest.param("S5", (), id="S5"),
+    # the chi = 8 proof takes 1,176,185 nodes: stats must cut it where color does
+    pytest.param("SL3(2)", ("--node-budget", "200000"), id="SL3(2)-node-budget"),
+])
+def test_report_blocks_match_standalone_commands(group, budget, tmp_path, capsys):
     """Each result type has one JSON form: the stats report's blocks equal the
     standalone commands' payloads, less the keys only the CLI adds."""
     path = str(tmp_path / "g.json")
@@ -162,7 +167,7 @@ def test_report_blocks_match_standalone_commands(group, tmp_path, capsys):
     capsys.readouterr()
 
     def payload(*argv):
-        code, out, _ = run(capsys, *argv, "--in", path)
+        code, out, _ = run(capsys, *argv, *budget, "--in", path)
         assert code == 0
         doc = json.loads(out)
         for key in ("manifest", "witness_labels", "num_colors"):
@@ -198,6 +203,17 @@ class TestGroupPairs:
         assert code == 0
         doc = json.loads(out)
         assert doc["isomorphic"] and len(doc["mapping"]) == 8
+
+    def test_iso_positive_with_identity(self, tmp_path, capsys):
+        left, right = tmp_path / "l.json", tmp_path / "r.json"
+        main(["graph", "--group", "S4", "--include-identity", "--out", str(left)])
+        main(["graph", "--group", "SL2(3)", "--include-identity", "--out", str(right)])
+        capsys.readouterr()
+        code, out, _ = run(capsys, "iso", "--left", str(left),
+                           "--right", str(right))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["isomorphic"] and len(doc["mapping"]) == 9
 
     def test_iso_negative_still_exit_zero(self, tmp_path, capsys):
         left, right = tmp_path / "l.json", tmp_path / "r.json"

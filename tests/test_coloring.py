@@ -80,6 +80,27 @@ class TestExact:
             assert find_coloring_violation(toys.petersen_graph(),
                                            res.coloring.colors) is None
 
+    @pytest.mark.parametrize("budget", [0, 1, 5000])
+    def test_node_budget_is_a_hard_cap(self, budget):
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
+        res = chromatic_number_exact(g, node_budget=budget)
+        assert res.nodes <= budget
+        assert (res.lower, res.upper) == (5, 8) and not res.exact
+
+    def test_components_share_the_node_budget(self):
+        # the first copy's chi = 5 proof takes 663 nodes, which leaves the
+        # second 37: it is cut, but its greedy 5-coloring still meets the
+        # first copy's lower bound, so chi of the union is proved
+        m5 = toys.complete_graph(2)
+        for _ in range(3):
+            m5 = toys.mycielski(m5)
+        g = toys.disjoint_union(m5, m5)
+        res = chromatic_number_exact(g, node_budget=700)
+        assert res.nodes == 700
+        assert res.exact and res.chi == 5
+        assert res.certificate["infeasible_k"] == 4
+        assert find_coloring_violation(g, res.coloring.colors) is None
+
     def test_cut_clique_search_still_proves_chi(self, monkeypatch):
         # the default budget is read at call time; at 4 nodes the search has
         # found a triangle but not finished, and a 3-coloring still proves chi

@@ -1,7 +1,10 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta334.elements import (ModMatrix, Permutation, compose, identity_like,
@@ -19,6 +22,24 @@ from delta334.groups import ElementSet, order3_vertices, parse_group_spec
 
 import oracles
 import toys
+
+
+@st.composite
+def looped_graphs(draw, n=None):
+    """Graphs on at most six vertices, each vertex looped or not."""
+    n = draw(st.integers(0, 6)) if n is None else n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    loops = [v for v in range(n) if draw(st.booleans())]
+    return TriangleGraph(range(n), edges, loops)
+
+
+def is_isomorphism(g, h, mapping):
+    """A bijection onto h's vertices mapping edges onto edges, loops onto loops."""
+    return (len(mapping) == g.n and sorted(mapping) == list(range(h.n))
+            and g.edge_count == h.edge_count
+            and all(h.has_edge(mapping[i], mapping[j]) for i, j in g.edges())
+            and {mapping[v] for v in g.loops} == h.loops)
 
 
 def delta(text, include_identity=False):
@@ -214,3 +235,46 @@ class TestIsomorphism:
         assert mapping is not None
         for i, j in g.edges():
             assert h.has_edge(mapping[i], mapping[j])
+
+    @given(st.data())
+    def test_relabelled_looped_copy_found(self, data):
+        g = data.draw(looped_graphs())
+        perm = data.draw(st.permutations(range(g.n)))
+        h = TriangleGraph(range(g.n), [(min(perm[i], perm[j]), max(perm[i], perm[j]))
+                                       for i, j in g.edges()],
+                          [perm[v] for v in g.loops])
+        mapping = graph_isomorphic(g, h)
+        assert mapping is not None and is_isomorphism(g, h, mapping)
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_verdict_matches_oracle(self, data):
+        g = data.draw(looped_graphs())
+        h = data.draw(looped_graphs(n=g.n))
+        mapping = graph_isomorphic(g, h)
+        assert (mapping is None) == (oracles.oracle_isomorphic(g, h) is None)
+        assert mapping is None or is_isomorphism(g, h, mapping)
+
+    @pytest.mark.parametrize("left, right, identity", [
+        ("S4", "SL2(3)", True),
+        ("A5", "SL2(5)", True),
+        ("sum(Z3,A4)", "sum(A4,Z3)", True),
+        ("sum(Z3,A4)", "sum(A4,Z3)", False),
+    ])
+    def test_isomorphic_groups(self, left, right, identity):
+        # isomorphic groups have isomorphic graphs, the looped identity included
+        g, h = delta(left, identity), delta(right, identity)
+        mapping = graph_isomorphic(g, h)
+        assert mapping is not None and is_isomorphism(g, h, mapping)
+
+    def test_empty_graphs(self):
+        assert graph_isomorphic(TriangleGraph([], []), TriangleGraph([], [])) == []
+
+    def test_import_leaves_networkx_unloaded(self):
+        # networkx is imported inside the functions that use it, which keeps
+        # it out of the memory and start-up time of every other caller
+        import delta334
+        src = str(Path(delta334.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import delta334; "
+                "sys.exit('networkx' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -118,7 +118,7 @@ class TestFullReport:
         assert "cycle_census" in text and "hamiltonian" in text
 
     def test_cut_clique_search_bounds_chi(self):
-        rep = full_report(toys.octahedron(), clique_budget=4)
+        rep = full_report(toys.octahedron(), node_budget=4)
         assert rep.clique.size == 3 and not rep.clique.exact
         assert rep.chromatic.lower == rep.clique.size == rep.chromatic.chi
 
