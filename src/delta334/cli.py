@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from .cliques import clique_number, verify_clique
-from .coloring import (ChromaticResult, chromatic_number_exact,
+from .coloring import (chromatic_bounds, chromatic_number_exact,
                        find_coloring_violation, heuristic_chromatic_upper)
 from .cycles import (ABSENT, FOUND, census_to_json, cycle_census, hamiltonian_cycle,
                      verify_cycle)
@@ -252,13 +252,8 @@ def cmd_color(args) -> int:
         res = chromatic_number_exact(graph, time_budget=args.time_budget,
                                      node_budget=args.node_budget)
     else:
-        # a clique found before the budget ran out still bounds chi below
-        clique = clique_number(graph, node_budget=args.node_budget)
-        coloring = heuristic_chromatic_upper(graph)
-        lower = max(clique.size, min(graph.n, 1))
-        res = ChromaticResult(lower, coloring.num_colors, coloring,
-                              lower == coloring.num_colors,
-                              {"lower_bound_clique": clique.witness}, clique.nodes)
+        res = chromatic_bounds(graph, clique_number(graph, node_budget=args.node_budget),
+                               colorings=(heuristic_chromatic_upper(graph),))
     coloring = res.coloring
     if coloring is not None:
         violation = find_coloring_violation(graph, coloring.colors)
@@ -396,19 +391,11 @@ def cmd_verify(args) -> int:
                        f"({rep.checked} vertices)")
         failed = failed or not rep.ok
 
-    edge_doc = None
-    bounds_doc = None
+    edge_doc = bounds_doc = None
     if 2 in primes:
         codomain = mod_p_codomain(2)
         edge_rep = verify_edge_preservation(graph, 2, codomain)
-        mr = edge_rep.morphism_report
-        edge_doc = {
-            "ok": edge_rep.ok,
-            "checked_edges": edge_rep.checked_edges,
-            "missing_vertices": list(mr.missing_vertices),
-            "unpreserved_edges": [list(e) for e in mr.unpreserved_edges],
-            "merged_adjacent_pairs": [list(e) for e in mr.merged_adjacent_pairs],
-        }
+        edge_doc = edge_rep.to_json_dict()
         state = "OK" if edge_rep.ok else "FAILED"
         summary.append(f"edge preservation mod 2: {state} "
                        f"({edge_rep.checked_edges} edges)")
@@ -416,26 +403,10 @@ def cmd_verify(args) -> int:
 
         if not args.skip_probes:
             bounds = portion_chromatic_bounds(
-                graph, codomain=codomain,
-                clique_budget=args.node_budget,
-                color_time_budget=args.time_budget or DEFAULT_COLOR_TIME_BUDGET,
-                color_node_budget=args.node_budget,
-            )
-            lift_ok = bounds.lifted is not None and bounds.lifted.proper
-            bounds_doc = {
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-                "exact": bounds.exact,
-                "chi": bounds.chi,
-                "lifted_proper": lift_ok,
-                "lifted_num_colors": bounds.lifted.num_colors if bounds.lifted else None,
-                "best_coloring": list(bounds.best_coloring.colors),
-                "best_num_colors": bounds.best_coloring.num_colors,
-                "clique_size": bounds.clique.size,
-                "clique_exact": bounds.clique.exact,
-                "clique_witness": list(bounds.clique.witness),
-                "clique_discovery": bounds.clique_discovery,
-            }
+                graph, codomain=codomain, color_node_budget=args.node_budget,
+                color_time_budget=args.time_budget or DEFAULT_COLOR_TIME_BUDGET)
+            bounds_doc = bounds.to_json_dict()
+            lift_ok = bounds_doc["lifted_proper"]
             state = "OK" if lift_ok else "FAILED"
             summary.append(f"lifted mod-2 coloring proper: {state}"
                            + (f" ({bounds.lifted.num_colors} colors)"

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cliques import clique_number
+from .cliques import CliqueResult, clique_number
 from .graph import TriangleGraph
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
@@ -83,13 +83,33 @@ class ChromaticResult:
                 "coloring": self.coloring.colors if self.coloring else None}
 
 
+def chromatic_bounds(graph: TriangleGraph, clique: CliqueResult,
+                     search: ChromaticResult | None = None,
+                     colorings=()) -> ChromaticResult:
+    """Certified chi bounds from results already computed.  lower: the clique
+    (found before any budget cut), the search's lower bound, and 1 on a
+    nonempty graph; upper: the proper coloring with the fewest colors among
+    the search's and `colorings`, the first on ties.  The certificate is the
+    search's plus lower_bound_clique; nodes are the clique's plus the search's."""
+    found = [c for c in (search.coloring if search else None, *colorings)
+             if c is not None and c.proper]
+    best = min(found, key=lambda c: c.num_colors)
+    lower = max(clique.size, search.lower if search else 0, min(graph.n, 1))
+    certificate = {**(search.certificate if search else {}),
+                   "lower_bound_clique": clique.witness}
+    return ChromaticResult(lower, best.num_colors, best, lower == best.num_colors,
+                           certificate, clique.nodes + (search.nodes if search else 0))
+
+
 def chromatic_number_exact(graph: TriangleGraph,
                            time_budget: float | None = None,
                            node_budget: int | None = None) -> ChromaticResult:
     """Exact chromatic number with witness coloring, or best bounds on budget
     exhaustion.  Components are solved in turn and share the node budget;
-    within a component, vertices with degree < k are peeled before the
-    k-colorability search.  node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
+    their clique searches share it too, counted apart from the chi nodes
+    that `nodes` reports.  Within a component, vertices with degree < k are
+    peeled before the k-colorability search.  node_budget None means
+    DEFAULT_COLOR_NODE_BUDGET."""
     _reject_loops(graph)
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
@@ -99,23 +119,23 @@ def chromatic_number_exact(graph: TriangleGraph,
     deadline = time.monotonic() + time_budget if time_budget else None
 
     colors = [0] * n
-    lower_all = 1 if n else 0
-    upper_all = 1
-    total_nodes = 0
+    lower_all = upper_all = 1
+    total_nodes = clique_nodes = 0
     certificate: dict = {}
 
     for comp in components(graph):
-        res = _component_chromatic(graph, comp, deadline, node_budget - total_nodes)
+        res, used = _component_chromatic(graph, comp, deadline, node_budget - total_nodes,
+                                         node_budget - clique_nodes)
         total_nodes += res.nodes
+        clique_nodes += used
         if res.coloring is not None:
             for v, c in zip(comp, res.coloring.colors):
                 colors[v] = c
         lower_all = max(lower_all, res.lower)
         upper_all = max(upper_all, res.upper)
-        if res.certificate.get("infeasible_k") is not None and res.exact:
-            prev = certificate.get("infeasible_k", -1)
-            if res.certificate["infeasible_k"] > prev:
-                certificate = res.certificate
+        if res.exact and (res.certificate.get("infeasible_k", -1)
+                          > certificate.get("infeasible_k", -1)):
+            certificate = res.certificate
     # chi is the largest component chi, so lower == upper proves it even when
     # a later component was cut by the shared node budget
     witness = Coloring.checked(graph, colors)
@@ -159,14 +179,15 @@ def _induced(graph: TriangleGraph, vertices: list[int]) -> TriangleGraph:
                                     for w in graph.neighbors(v) if w > v and w in local])
 
 
-def _component_chromatic(graph: TriangleGraph, comp: list[int],
-                         deadline: float | None, node_budget: int) -> ChromaticResult:
+def _component_chromatic(graph: TriangleGraph, comp: list[int], deadline: float | None,
+                         node_budget: int, clique_budget: int) -> tuple[ChromaticResult, int]:
+    """The component's bounds, and the nodes its clique search took."""
     sub = _induced(graph, comp)
     if not sub.edge_count:
-        return ChromaticResult(1, 1, Coloring((0,) * sub.n, 1, True), True)
+        return ChromaticResult(1, 1, Coloring((0,) * sub.n, 1, True), True), 0
 
-    clq = clique_number(sub)
-    lower = clq.size
+    clq = clique_number(sub, node_budget=clique_budget)
+    lower = max(clq.size, 2)  # a cut clique search may stop before its first edge
 
     greedy = _iterated_greedy(sub, _dsatur(sub), stop_at=lower, deadline=deadline)
     upper = max(greedy) + 1
@@ -189,7 +210,8 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int],
     # lower == upper proves chi whether or not the clique search finished:
     # the clique found is real and the coloring is proper
     witness = Coloring.checked(sub, upper_colors)
-    return ChromaticResult(lower, upper, witness, lower == upper, certificate, nodes_used)
+    return ChromaticResult(lower, upper, witness, lower == upper, certificate,
+                           nodes_used), clq.nodes
 
 
 def _dsatur(graph: TriangleGraph) -> list[int]:

@@ -49,9 +49,9 @@ from itertools import chain, product
 import numpy as np
 
 from .cliques import CliqueResult, clique_number, verify_clique
-from .coloring import (Coloring, ChromaticResult, chromatic_number_exact,
-                       heuristic_chromatic_upper, improve_coloring,
-                       lift_coloring)
+from .coloring import (Coloring, ChromaticResult, chromatic_bounds,
+                       chromatic_number_exact, heuristic_chromatic_upper,
+                       improve_coloring, lift_coloring)
 from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
                        MAT3_IDENTITY, element_key,
                        has_order_dividing_3, is_prime, mat3_adjugate, mat3_mul,
@@ -474,6 +474,13 @@ class EdgePreservationReport:
     def morphism(self) -> GraphMorphism | None:
         return self.morphism_report.morphism
 
+    def to_json_dict(self) -> dict:
+        mr = self.morphism_report
+        return {"ok": self.ok, "checked_edges": self.checked_edges,
+                "missing_vertices": mr.missing_vertices,
+                "unpreserved_edges": mr.unpreserved_edges,
+                "merged_adjacent_pairs": mr.merged_adjacent_pairs}
+
 
 def verify_edge_preservation(portion, p: int,
                              codomain: TriangleGraph | None = None) -> EdgePreservationReport:
@@ -493,9 +500,9 @@ def mod_p_codomain(p: int) -> TriangleGraph:
 class PortionChromaticBounds:
     """Chromatic bounds for a portion with all witnesses attached.
 
-    upper comes from the better of the lifted mod-2 coloring and the
-    portion's own search; lower from the clique and any infeasibility
-    certificate.  A clique of size four would contradict the source
+    lower, upper, exact and best_coloring are `chromatic_bounds` of the
+    clique, the portion's own search, and the lifted mod-2 coloring and its
+    refinement.  A clique of size four would contradict the source
     material's conjecture: it is flagged as a discovery, not an error.
     """
 
@@ -506,17 +513,29 @@ class PortionChromaticBounds:
     lifted: Coloring | None
     own: ChromaticResult
     best_coloring: Coloring
-    clique_discovery: bool  # a clique larger than 3 turned up
 
     @property
     def chi(self) -> int | None:
         return self.lower if self.exact else None
 
+    @property
+    def clique_discovery(self) -> bool:
+        """A clique larger than 3 turned up."""
+        return self.clique.size > 3
+
+    def to_json_dict(self) -> dict:
+        lifted, best, clique = self.lifted, self.best_coloring, self.clique
+        return {"lower": self.lower, "upper": self.upper, "exact": self.exact, "chi": self.chi,
+                "lifted_proper": lifted is not None and lifted.proper,
+                "lifted_num_colors": lifted.num_colors if lifted else None,
+                "best_coloring": best.colors, "best_num_colors": best.num_colors,
+                "clique_size": clique.size, "clique_exact": clique.exact,
+                "clique_witness": clique.witness, "clique_discovery": self.clique_discovery}
+
 
 def portion_chromatic_bounds(portion, *,
                              codomain: TriangleGraph | None = None,
                              codomain_coloring: Coloring | None = None,
-                             clique_budget: int | None = None,
                              color_time_budget: float | None = DEFAULT_COLOR_TIME_BUDGET,
                              color_node_budget: int | None = None) -> PortionChromaticBounds:
     """Certified chromatic bounds for a portion graph.
@@ -528,8 +547,9 @@ def portion_chromatic_bounds(portion, *,
     codomain's heuristic coloring (eight colors on SL3(2), the optimum; no
     chi proof is run).  The exact search is time-boxed
     (DEFAULT_COLOR_TIME_BUDGET; pass None to lift the cap) because portion
-    cores routinely exceed what branch-and-bound can exhaust.  The node
-    budgets pass straight through: None means each solver's default.
+    cores routinely exceed what branch-and-bound can exhaust.
+    color_node_budget caps the whole-graph clique search and the exact
+    search alike; None means each solver's default.
     """
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
 
@@ -545,24 +565,14 @@ def portion_chromatic_bounds(portion, *,
             codomain_coloring = heuristic_chromatic_upper(codomain)
         lifted = lift_coloring(morphism, codomain_coloring)
 
-    clique = clique_number(graph, node_budget=clique_budget)
+    clique = clique_number(graph, node_budget=color_node_budget)
     if clique.witness:
         assert verify_clique(graph, clique.witness)
     own = chromatic_number_exact(graph, time_budget=color_time_budget,
                                  node_budget=color_node_budget)
-
     refined = None
     if lifted is not None and lifted.proper:
         refined = improve_coloring(graph, lifted, rounds=60)
-
-    # a clique found before the budget ran out still bounds chi below
-    lower = max(clique.size, own.lower)
-    candidates = [c for c in (own.coloring, lifted, refined)
-                  if c is not None and c.proper]
-    best = min(candidates, key=lambda c: c.num_colors)
-    upper = min(own.upper, best.num_colors)
-    return PortionChromaticBounds(
-        lower=lower, upper=upper, exact=lower == upper,
-        clique=clique, lifted=lifted, own=own, best_coloring=best,
-        clique_discovery=clique.size > 3,
-    )
+    res = chromatic_bounds(graph, clique, own, (lifted, refined))
+    return PortionChromaticBounds(res.lower, res.upper, res.exact, clique, lifted, own,
+                                  res.coloring)

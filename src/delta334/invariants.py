@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .cliques import CliqueResult, clique_number, verify_clique
-from .coloring import (ChromaticResult, chromatic_number_exact, components,
-                       heuristic_chromatic_upper)
+from .coloring import (ChromaticResult, chromatic_bounds, chromatic_number_exact,
+                       components, heuristic_chromatic_upper)
 from .cycles import (CensusEntry, HamiltonResult, _two_coloring, census_to_json,
                      cycle_census, hamiltonian_cycle, verify_cycle)
 from .graph import TriangleGraph
@@ -283,18 +283,13 @@ def full_report(graph: TriangleGraph, *,
     if clique.witness:
         assert verify_clique(graph, clique.witness)
 
-    chromatic: ChromaticResult | None = None
     if graph.loops:
-        pass  # no proper coloring exists; leave chromatic data out
+        chromatic = None  # no proper coloring exists; leave chromatic data out
     elif exact_chromatic:
         chromatic = chromatic_number_exact(graph, time_budget=time_budget,
                                            node_budget=node_budget)
     else:
-        # a clique found before the budget ran out still bounds chi below
-        greedy = heuristic_chromatic_upper(graph)
-        lower = max(clique.size, min(graph.n, 1))
-        chromatic = ChromaticResult(lower, greedy.num_colors, greedy,
-                                    exact=lower == greedy.num_colors)
+        chromatic = chromatic_bounds(graph, clique, colorings=(heuristic_chromatic_upper(graph),))
 
     census = cycle_census(graph, node_budget=node_budget) if with_census else None
     ham = hamiltonian_cycle(graph, node_budget=node_budget) if with_hamilton else None

@@ -17,7 +17,7 @@ import pytest
 from delta334.elements import (MAT3_IDENTITY, ModMatrix, Permutation,
                                element_key, inverse, mat3_mul)
 from delta334.groups import conjugacy_classes, order3_vertices, parse_group_spec
-from delta334.graph import (build_delta334, graph_isomorphic,
+from delta334.graph import (TriangleGraph, build_delta334, graph_isomorphic,
                             kronecker_matches_direct_sum, kronecker_product)
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
@@ -202,6 +202,23 @@ def test_criterion_4_sl32(criterion, sl32_graph, sl32_chi):
         ev = nonplanarity_check(g)
         assert ev.status == "nonplanar" and ev.reason == "edge-count"
         info["note"] = "chi 8 certified, clique 5, hamiltonian, cycles 3-56"
+
+
+def test_sl32_chi_8_from_independence_number(sl32_graph, sl32_chi):
+    """A second certificate of chi(SL3(2)) = 8, independent of the k = 7
+    exhaustion: alpha = 7 from a clique search on the complement, so chi >=
+    ceil(56 / 7) = 8, and the eight classes of any 8-coloring are 7-sets."""
+    g = sl32_graph
+    complement = TriangleGraph(range(g.n), [(i, j) for i, j in
+                                            itertools.combinations(range(g.n), 2)
+                                            if not g.has_edge(i, j)])
+    alpha = clique_number(complement)
+    assert alpha.exact and alpha.size == 7 and alpha.nodes == 17_829
+    assert all(not g.has_edge(i, j)
+               for i, j in itertools.combinations(alpha.witness, 2))
+    assert -(-g.n // alpha.size) == 8 == sl32_chi.chi
+    colors = sl32_chi.coloring.colors
+    assert sorted(colors.count(c) for c in set(colors)) == [7] * 8
 
 
 def test_criterion_5_sl33(criterion):

@@ -5,6 +5,7 @@ imported or modified."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import delta334
@@ -22,6 +23,22 @@ def test_workloads_call_existing_names():
              and isinstance(node.value, ast.Name) and node.value.id == "delta334"}
     assert "build_portion_edges" in names
     assert sorted(n for n in names if not hasattr(delta334, n)) == []
+
+
+def test_workloads_call_with_accepted_arguments():
+    """Every delta334.<name>(...) call in the workloads binds to the library
+    signature: a renamed or dropped keyword fails here, not mid-benchmark."""
+    calls = [node for node in ast.walk(_tree("workloads.py"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "delta334"]
+    keywords = {kw.arg for call in calls for kw in call.keywords}
+    assert {"color_time_budget", "color_node_budget", "codomain", "codomain_coloring",
+            "rounds", "validate"} <= keywords
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(kw.arg for kw in call.keywords)  # no **mapping
+        signature = inspect.signature(getattr(delta334, call.func.attr))
+        signature.bind_partial(*call.args, **{kw.arg: None for kw in call.keywords})
 
 
 def _traced_pairs() -> list[tuple[str, str]]:

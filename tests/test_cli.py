@@ -179,6 +179,7 @@ def test_report_blocks_match_standalone_commands(group, budget, tmp_path, capsys
     assert report["hamiltonian"] == payload("hamilton")
     assert report["cycle_census"] == payload("cycles")["census"]
     assert report["chromatic"] == payload("color", "--exact")
+    assert payload("stats")["report"]["chromatic"] == payload("color")
 
 
 class TestGroupPairs:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334 import cliques
+from delta334 import cliques, coloring
 from delta334.coloring import (
     Coloring,
     _iterated_greedy,
@@ -29,6 +29,19 @@ def small_graphs(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return TriangleGraph(range(n), edges)
+
+
+def _spy_clique_nodes(monkeypatch) -> list[int]:
+    """Record the nodes of every clique search the coloring module runs."""
+    spent = []
+
+    def spy(graph, node_budget=None):
+        res = cliques.clique_number(graph, node_budget)
+        spent.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(coloring, "clique_number", spy)
+    return spent
 
 
 class TestExact:
@@ -80,14 +93,28 @@ class TestExact:
             assert find_coloring_violation(toys.petersen_graph(),
                                            res.coloring.colors) is None
 
-    @pytest.mark.parametrize("budget", [0, 1, 5000])
-    def test_node_budget_is_a_hard_cap(self, budget):
+    # the clique search finds omega = 5 in 687 nodes; cut before its first
+    # edge, it leaves the trivial lower bound 2
+    @pytest.mark.parametrize("budget, lower", [pytest.param(0, 2, id="0"),
+                                               pytest.param(1, 2, id="1"),
+                                               pytest.param(5000, 5, id="5000")])
+    def test_node_budget_is_a_hard_cap(self, budget, lower, monkeypatch):
         g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
+        clique_nodes = _spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=budget)
-        assert res.nodes <= budget
-        assert (res.lower, res.upper) == (5, 8) and not res.exact
+        assert res.nodes <= budget and sum(clique_nodes) <= budget
+        assert (res.lower, res.upper) == (lower, 8) and not res.exact
 
-    def test_components_share_the_node_budget(self):
+    def test_node_budget_caps_the_clique_search(self, monkeypatch):
+        # unbudgeted, SL3(3)'s clique search proves omega = 6 in 228,076 nodes
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        clique_nodes = _spy_clique_nodes(monkeypatch)
+        res = chromatic_number_exact(g, node_budget=5)
+        assert res.nodes <= 5 and clique_nodes == [5]
+        assert res.lower == 4 and not res.exact
+        assert find_coloring_violation(g, res.coloring.colors) is None
+
+    def test_components_share_the_node_budget(self, monkeypatch):
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the
         # second 37: it is cut, but its greedy 5-coloring still meets the
         # first copy's lower bound, so chi of the union is proved
@@ -95,8 +122,10 @@ class TestExact:
         for _ in range(3):
             m5 = toys.mycielski(m5)
         g = toys.disjoint_union(m5, m5)
+        clique_nodes = _spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=700)
         assert res.nodes == 700
+        assert len(clique_nodes) == 2 and sum(clique_nodes) <= 700
         assert res.exact and res.chi == 5
         assert res.certificate["infeasible_k"] == 4
         assert find_coloring_violation(g, res.coloring.colors) is None
