@@ -1,19 +1,21 @@
 """Vertex coloring: DSATUR greedy upper bound and exact chromatic number.
 
-One saturation-ordered search, `_core_search`, serves both.  It colors the
-uncolored vertex with the fewest colors left next (then highest degree, then
-lowest index), keeping the vertices in int masks per count of colors left
-instead of scanning them (a bucket queue after Brélaz, CACM 1979, updated
-incrementally after San Segundo, Comput. Oper. Res. 2012).  DSATUR is its
-first descent with k = max degree + 1, which never backtracks.  Culberson's
-iterated greedy then recolors whole color classes first-fit, one numpy step
-per class, since each class of a proper coloring is an independent set and
-its vertices' colors depend only on the classes recolored before it.  The
-exact solver tests k-colorability downward from the iterated-greedy bound:
+DSATUR (Brélaz, CACM 1979) colors the uncolored vertex with the most
+distinct neighbor colors next (then highest degree, then lowest index) with
+its smallest free color, popping vertices from a heap.  Culberson's iterated
+greedy then recolors whole color classes first-fit, one numpy step per
+class, since each class of a proper coloring is an independent set and its
+vertices' colors depend only on the classes recolored before it.  The exact
+solver tests k-colorability downward from the iterated-greedy bound:
 vertices of degree < k are peeled, and the core search adds a maximum-clique
-pre-coloring for symmetry breaking, forward checking on the color domains,
-and an ascending-color symmetry cap (a vertex may only open one new color).
-The chromatic number is certified when the (chi-1)-coloring search exhausts.
+pre-coloring for symmetry breaking, forward checking on bitboards (after San
+Segundo, Comput. Oper. Res. 2012: a mask per color of the vertices that may
+still take it, and a mask per count of colors left as the vertex queue), and
+an ascending-color symmetry cap (a vertex may only open one new color).  The
+chromatic number is certified when the (chi-1)-coloring search exhausts.
+DSATUR has its own pass: on a whole component the bitboards would need a
+mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
+memory at any size.
 
 Graphs with loops cannot be properly colored; coloring operations reject
 them.  Identity-free triangle graphs never carry loops.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import chain
 
 import numpy as np
@@ -215,11 +218,29 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int], deadline: float 
 
 
 def _dsatur(graph: TriangleGraph) -> list[int]:
-    """DSATUR: the first descent of the search with k = max degree + 1."""
+    """DSATUR from a heap keyed on (-saturation, rank), rank ordering the
+    vertices by highest degree, then lowest index.  A vertex is pushed again
+    each time its saturation grows, so its older entries pop after it is
+    colored and are skipped."""
     n = graph.n
+    by_rank = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    rank = [0] * n
+    for r, v in enumerate(by_rank):
+        rank[v] = r
     colors = [-1] * n
-    k = max(graph.degree(v) for v in range(n)) + 1
-    _core_search(graph, k, list(range(n)), [], colors, None, n)
+    seen = [0] * n  # masks of the colors among each vertex's neighbors
+    heap = list(range(n))  # keys rank - saturation * n; sorted, so a heap
+    while heap:
+        v = by_rank[heappop(heap) % n]
+        if colors[v] >= 0:
+            continue
+        used = seen[v]
+        bit = ~used & (used + 1)  # the smallest free color
+        colors[v] = bit.bit_length() - 1
+        for w in graph.neighbors(v):
+            if colors[w] < 0 and not seen[w] & bit:
+                seen[w] |= bit
+                heappush(heap, rank[w] - seen[w].bit_count() * n)
     return colors
 
 
@@ -345,104 +366,109 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
                  colors: list[int], deadline: float | None, node_budget: int):
     """k-color the `core` vertices into `colors`: ('sat' | 'unsat' | 'budget', nodes).
 
-    avail[v] masks the colors left to v (0 off the core).  Core vertices own
-    the bits 1 << rank[v] (highest degree, then lowest index, first), and
-    level[a] masks the uncolored ones with a colors left.  The next vertex is
-    the lowest bit of the lowest non-empty level; its colors are tried in
-    ascending order, opening at most one new color.  Unless 'sat', the
-    core's colors are reset to -1.
+    Bitboard forward checking (San Segundo, Comput. Oper. Res. 2012): core
+    vertices own the bits 1 << rank (highest degree, then lowest index,
+    first), cand[c] masks those that may still take color c, free the
+    uncolored ones, and level[a] those with a colors left.  Coloring rank r
+    with c clears d = nbr[r] & cand[c] & free from cand[c] and moves d down
+    one level, one mask operation per level; it fails when level[0] fills,
+    and d is its undo.  nbr[r] is built when r is first colored, so a cut
+    search on a large core holds masks only for the vertices it reached.
+    The next vertex is the lowest bit of the lowest non-empty level; its
+    colors are tried in ascending order, opening at most one new color.
+    `colors` is written only on 'sat'.
     """
-    nbrs = [graph.neighbors(v) for v in range(graph.n)]
-    by_rank = sorted(core, key=lambda u: (-len(nbrs[u]), u))
-    rank = [0] * graph.n
-    avail = [0] * graph.n
-    for r, v in enumerate(by_rank):
-        rank[v] = r
-        avail[v] = (1 << k) - 1
-    level = [0] * (k + 1)
-    level[k] = (1 << len(core)) - 1
-    left = len(core)
+    by_rank = sorted(core, key=lambda u: (-graph.degree(u), u))
+    rank = dict(zip(by_rank, range(len(core))))
+    nbr = [-1] * len(core)
+    free = (1 << len(core)) - 1
+    cand = [free] * k
 
-    def assign(v: int, c: int, undo: list[int]) -> bool:
-        nonlocal left
-        colors[v] = c
-        left -= 1
-        level[avail[v].bit_count()] ^= 1 << rank[v]
-        bit = 1 << c
-        for w in nbrs[v]:
-            a = avail[w]
-            if a & bit and colors[w] < 0:
-                undo.append(w)
-                avail[w] = a ^ bit
-                size = a.bit_count()
-                b = 1 << rank[w]
-                level[size] ^= b
-                level[size - 1] |= b
-                if size == 1:
-                    return False
-        return True
-
-    def unassign(v: int, undo: list[int]):
-        nonlocal left
-        bit = 1 << colors[v]
-        colors[v] = -1
-        left += 1
-        level[avail[v].bit_count()] |= 1 << rank[v]
-        for w in undo:
-            a = avail[w]
-            avail[w] = a | bit
-            size = a.bit_count()
-            b = 1 << rank[w]
-            level[size] ^= b
-            level[size + 1] |= b
+    def neighbor_mask(r: int) -> int:
+        nbr[r] = sum(1 << rank[w] for w in graph.neighbors(by_rank[r]) if w in rank)
+        return nbr[r]
 
     # clique pre-coloring: any k-coloring can be permuted so a fixed clique
     # uses colors 0..len-1, so pinning them is sound symmetry breaking
-    for c, v in enumerate(sorted(clique)):
-        if c >= k or not assign(v, c, []):
-            return ("unsat", 0)
-    # explicit stack: [vertex, untried color mask, undo log, max color before]
+    clique = sorted(clique)
+    if len(clique) > k:
+        return ("unsat", 0)
+    for c, v in enumerate(clique):
+        free ^= 1 << rank[v]
+        cand[c] ^= neighbor_mask(rank[v])
+    level = [0] * k + [free]
+    for c in range(len(clique)):  # the vertices that lost color c drop a level
+        out = free & ~cand[c]
+        level = [m & ~out | (level[a + 1] & out if a < k else 0) for a, m in enumerate(level)]
+    if level[0]:
+        return ("unsat", 0)
+    # stack: (rank, color, undo mask, max color before, level taken from,
+    # one above the highest level d left) per colored vertex on the path
     stack = []
     nodes = 0
     check_at = min(node_budget, 4096)  # next node count at which to stop or read the clock
-    ok, cur_max = True, len(clique) - 1
-    while True:
-        if ok:
-            if not left:
-                status = "sat"
+    cur_max = len(clique) - 1
+    status = None
+    while not status:
+        for a, m in enumerate(level):  # level[0] is empty: a failed color is undone at once
+            if m:
                 break
-            if nodes >= check_at:
-                if nodes >= node_budget or deadline is not None and time.monotonic() > deadline:
-                    status = "budget"
-                    break
-                check_at = min(node_budget, nodes + 4096)
-            nodes += 1
-            for m in level:  # level[0] is empty: an emptied avail is undone at once
-                if m:
-                    break
-            v = by_rank[(m & -m).bit_length() - 1]
-            stack.append([v, avail[v] & ((1 << min(k, cur_max + 2)) - 1), None, cur_max])
-        frame = stack[-1]
-        v, allowed, undo, prev_max = frame
-        if undo is not None:
-            unassign(v, undo)  # the last color tried here failed
-        if not allowed:
-            stack.pop()
-            if not stack:
-                status = "unsat"
+        else:
+            status = "sat"
+            break
+        if nodes >= check_at:
+            if nodes >= node_budget or deadline is not None and time.monotonic() > deadline:
+                status = "budget"
                 break
-            ok = False
-            continue
-        bit = allowed & -allowed
-        frame[1] = allowed ^ bit
-        c = bit.bit_length() - 1
-        frame[2] = undo = []
-        ok = assign(v, c, undo)
-        cur_max = max(prev_max, c)
+            check_at = min(node_budget, nodes + 4096)
+        nodes += 1
+        b = m & -m
+        level[a] ^= b
+        free ^= b
+        r = b.bit_length() - 1
+        c, prev_max = -1, cur_max
+        while True:  # r's next color, or back to its parent's once none is left
+            lim = prev_max + 2 if prev_max < k - 2 else k
+            c += 1
+            while c < lim and not cand[c] >> r & 1:
+                c += 1
+            if c == lim:
+                level[a] |= 1 << r
+                free |= 1 << r
+                if not stack:
+                    status = "unsat"
+                    break
+                r, c, d, prev_max, a, top = stack.pop()
+            else:
+                m = nbr[r]
+                if m < 0:
+                    m = neighbor_mask(r)
+                d = rest = m & cand[c] & free
+                cand[c] ^= d
+                top = a
+                while rest:
+                    x = level[top] & rest
+                    if x:
+                        level[top] ^= x
+                        level[top - 1] |= x
+                        rest ^= x
+                    top += 1
+                if not level[0]:
+                    stack.append((r, c, d, prev_max, a, top))
+                    cur_max = c if c > prev_max else prev_max
+                    break
+            cand[c] |= d  # undo color c at r
+            for t in range(top - 2, a - 2, -1):
+                x = level[t] & d
+                if x:
+                    level[t] ^= x
+                    level[t + 1] |= x
 
-    if status != "sat":
-        for v in core:
-            colors[v] = -1
+    if status == "sat":
+        for c, v in enumerate(clique):
+            colors[v] = c
+        for r, c, *_ in stack:
+            colors[by_rank[r]] = c
     return (status, nodes)
 
 

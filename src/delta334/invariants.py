@@ -164,10 +164,10 @@ def nonplanarity_check(graph: TriangleGraph,
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(graph.edges())
-    planar, cert = nx.check_planarity(g, counterexample=True)
-    if planar:
+    if nx.check_planarity(g)[0]:
         return PlanarityEvidence("inconclusive", detail="no certificate found")
-    edges = tuple(tuple(sorted(e)) for e in cert.edges())
+    # networkx's witness graph: the kept edges added in the order they were kept
+    edges = tuple(tuple(sorted(e)) for e in nx.Graph(_kuratowski_edges(g)).edges())
     kind = _verify_kuratowski(edges)
     if kind is None:
         return PlanarityEvidence("inconclusive",
@@ -177,6 +177,32 @@ def nonplanarity_check(graph: TriangleGraph,
     return PlanarityEvidence("nonplanar", "kuratowski",
                              f"{kind} subdivision on {len(edges)} edges",
                              witness_kind=kind, witness_edges=edges)
+
+
+def _kuratowski_edges(g) -> list[tuple[int, int]]:
+    """The edges of nonplanar networkx graph `g` that networkx's
+    `get_counterexample` keeps, in the order it keeps them, from O(k log m)
+    planarity tests instead of one per edge; `g` is left with just them.
+    That function takes the edges in `g.edges()` order and drops each one
+    whose removal leaves the graph nonplanar.  Nonplanarity is monotone, so
+    a run of edges whose joint removal leaves the graph nonplanar would be
+    dropped one by one all the same; a run that fails the test is halved,
+    down to single edges, which are kept."""
+    import networkx as nx
+
+    order = list(g.edges())
+    kept = []
+    runs = [(0, len(order))]
+    while runs:
+        lo, hi = runs.pop()
+        g.remove_edges_from(order[lo:hi])
+        if nx.check_planarity(g)[0]:
+            g.add_edges_from(order[lo:hi])
+            if hi - lo == 1:
+                kept.append(order[lo])
+            else:
+                runs += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+    return kept
 
 
 def _verify_kuratowski(edges) -> str | None:

@@ -221,6 +221,18 @@ def test_sl32_chi_8_from_independence_number(sl32_graph, sl32_chi):
     assert sorted(colors.count(c) for c in set(colors)) == [7] * 8
 
 
+SL32_CHI_COLORS = (3, 1, 6, 0, 6, 1, 3, 5, 5, 4, 2, 2, 7, 5, 0, 6, 3, 2, 6, 1, 6, 2, 5, 0,
+                   6, 2, 7, 3, 1, 0, 4, 5, 3, 4, 5, 4, 7, 7, 2, 0, 5, 1, 1, 6, 4, 3, 7, 4,
+                   0, 1, 7, 0, 2, 3, 4, 7)
+
+
+def test_sl32_chi_search_is_pinned(sl32_chi):
+    """The k = 7 exhaustion visits the same nodes and the chi coloring is
+    the same as before the search's forward checking moved to bitboards."""
+    assert sl32_chi.nodes == sl32_chi.certificate["nodes"] == 1_176_185
+    assert sl32_chi.coloring.colors == SL32_CHI_COLORS
+
+
 def test_criterion_5_sl33(criterion):
     with criterion(5, "SL3(3) size and degrees", 60.0) as info:
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))

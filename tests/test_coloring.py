@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -113,6 +114,15 @@ class TestExact:
         assert res.nodes <= 5 and clique_nodes == [5]
         assert res.lower == 4 and not res.exact
         assert find_coloring_violation(g, res.coloring.colors) is None
+
+    def test_sl33_budgeted_search_is_pinned(self):
+        # the nodes and coloring of the search, from before its forward
+        # checking moved to bitboards: the search order must not change
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        res = chromatic_number_exact(g, node_budget=50_000)
+        assert (res.lower, res.upper, res.nodes, res.exact) == (6, 29, 50_000, False)
+        digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
+        assert digest[:16] == "5bca5e1c1511086c"
 
     def test_components_share_the_node_budget(self, monkeypatch):
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the

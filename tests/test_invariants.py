@@ -1,9 +1,15 @@
+import random
+
+import networkx as nx
 import pytest
+from networkx.algorithms.planarity import get_counterexample
 
 from delta334.coloring import chromatic_number_exact
+from delta334.generation import GenerationConfig, generate_and_build
 from delta334.graph import TriangleGraph, build_delta334
 from delta334.groups import order3_vertices, parse_group_spec
 from delta334.invariants import (
+    _kuratowski_edges,
     components,
     full_report,
     girth,
@@ -90,6 +96,37 @@ class TestNonplanarity:
         res = chromatic_number_exact(toys.complete_graph(5))
         ev = nonplanarity_check(toys.complete_graph(5), chromatic=res)
         assert ev.status == "nonplanar"
+
+    @staticmethod
+    def networkx_witness(g):
+        """networkx's witness edges, and ours from a copy of g."""
+        want = list(get_counterexample(g).edges())
+        assert list(nx.Graph(_kuratowski_edges(nx.Graph(g))).edges()) == want
+        return want
+
+    def test_witness_matches_networkx_on_random_graphs(self):
+        rng = random.Random(0x334)
+        tried = 0
+        while tried < 30:
+            n = rng.randint(6, 24)
+            g = nx.gnm_random_graph(n, rng.randint(3 * n - 6, min(n * (n - 1) // 2, 4 * n)),
+                                    seed=rng.randrange(1 << 30))
+            if not nx.check_planarity(g)[0]:
+                self.networkx_witness(g)
+                tried += 1
+
+    def test_witness_matches_networkx_on_a_portion(self):
+        # 300 vertices and 316 edges: under 3n - 6, so only a subdivision
+        # shows the portion nonplanar
+        portion = generate_and_build(GenerationConfig(target_vertices=300)).graph
+        g = nx.Graph()
+        g.add_nodes_from(range(portion.n))
+        g.add_edges_from(portion.edges())
+        assert (g.number_of_nodes(), g.number_of_edges()) == (300, 316)
+        want = self.networkx_witness(g)
+        ev = nonplanarity_check(portion)
+        assert ev.reason == "kuratowski"
+        assert ev.witness_edges == tuple(tuple(sorted(e)) for e in want)
 
 
 class TestFullReport:
