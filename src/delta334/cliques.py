@@ -119,6 +119,8 @@ def _degeneracy_order(graph: TriangleGraph) -> list[int]:
 def verify_clique(graph: TriangleGraph, vertices: tuple[int, ...]) -> bool:
     """Every pair in the witness must be an edge."""
     vs = list(vertices)
+    if not all(0 <= v < graph.n for v in vs):
+        return False
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
             if not graph.has_edge(vs[i], vs[j]):

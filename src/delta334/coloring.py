@@ -6,13 +6,14 @@ its smallest free color, popping vertices from a heap.  Culberson's iterated
 greedy then recolors whole color classes first-fit, one numpy step per
 class, since each class of a proper coloring is an independent set and its
 vertices' colors depend only on the classes recolored before it.  The exact
-solver tests k-colorability downward from the iterated-greedy bound:
-vertices of degree < k are peeled, and the core search adds a maximum-clique
-pre-coloring for symmetry breaking, forward checking on bitboards (after San
-Segundo, Comput. Oper. Res. 2012: a mask per color of the vertices that may
-still take it, and a mask per count of colors left as the vertex queue), and
-an ascending-color symmetry cap (a vertex may only open one new color).  The
-chromatic number is certified when the (chi-1)-coloring search exhausts.
+solver tests k-colorability downward from the iterated-greedy bound to one
+clique of the whole graph: vertices of degree < k are peeled, and the core
+search adds that clique's pre-coloring for symmetry breaking, forward
+checking on bitboards (after San Segundo, Comput. Oper. Res.  2012: a mask
+per color of the vertices that may still take it, and a mask per count of
+colors left as the vertex queue), and an ascending-color symmetry cap (a
+vertex may only open one new color).  The chromatic number is certified when
+a coloring meets the clique or the (chi-1)-coloring search exhausts.
 DSATUR has its own pass: on a whole component the bitboards would need a
 mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
 memory at any size.
@@ -31,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cliques import CliqueResult, clique_number
+from .cliques import CliqueResult, clique_number, verify_clique
 from .graph import TriangleGraph
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
@@ -106,45 +107,47 @@ def chromatic_bounds(graph: TriangleGraph, clique: CliqueResult,
 
 def chromatic_number_exact(graph: TriangleGraph,
                            time_budget: float | None = None,
-                           node_budget: int | None = None) -> ChromaticResult:
+                           node_budget: int | None = None,
+                           clique: CliqueResult | None = None) -> ChromaticResult:
     """Exact chromatic number with witness coloring, or best bounds on budget
-    exhaustion.  Components are solved in turn and share the node budget;
-    their clique searches share it too, counted apart from the chi nodes
-    that `nodes` reports.  Within a component, vertices with degree < k are
-    peeled before the k-colorability search.  node_budget None means
-    DEFAULT_COLOR_NODE_BUDGET."""
+    exhaustion.  One clique bounds chi from below and is the certificate's
+    lower_bound_clique: `clique`, which the caller found (ValueError if it is
+    not a clique of `graph`), or else one clique_number search under
+    node_budget, counted apart from the chi nodes that `nodes` reports.
+    Components are solved in turn and share the node budget; within one,
+    vertices with degree < k are peeled before the k-colorability search.
+    node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
     _reject_loops(graph)
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
-    n = graph.n
-    if n == 0:
-        return ChromaticResult(0, 0, Coloring((), 0, True), True)
+    if clique is None:
+        clique = clique_number(graph, node_budget=node_budget)
+    elif not verify_clique(graph, clique.witness):
+        raise ValueError(f"{clique.witness} is not a clique of the graph")
     deadline = time.monotonic() + time_budget if time_budget else None
 
-    colors = [0] * n
-    lower_all = upper_all = 1
-    total_nodes = clique_nodes = 0
+    colors = [0] * graph.n
+    lower_all = upper_all = min(graph.n, 1)
+    total_nodes = 0
     certificate: dict = {}
 
     for comp in components(graph):
-        res, used = _component_chromatic(graph, comp, deadline, node_budget - total_nodes,
-                                         node_budget - clique_nodes)
+        res = _component_chromatic(graph, comp, clique.witness, deadline,
+                                   node_budget - total_nodes)
         total_nodes += res.nodes
-        clique_nodes += used
-        if res.coloring is not None:
-            for v, c in zip(comp, res.coloring.colors):
-                colors[v] = c
+        for v, c in zip(comp, res.coloring.colors):
+            colors[v] = c
         lower_all = max(lower_all, res.lower)
         upper_all = max(upper_all, res.upper)
-        if res.exact and (res.certificate.get("infeasible_k", -1)
-                          > certificate.get("infeasible_k", -1)):
+        if res.certificate.get("infeasible_k", -1) > certificate.get("infeasible_k", -1):
             certificate = res.certificate
     # chi is the largest component chi, so lower == upper proves it even when
     # a later component was cut by the shared node budget
     witness = Coloring.checked(graph, colors)
     exact = witness.proper and lower_all == upper_all
     return ChromaticResult(lower_all, upper_all, witness if witness.proper else None,
-                           exact, certificate, total_nodes)
+                           exact, {**certificate, "lower_bound_clique": clique.witness},
+                           total_nodes)
 
 
 def _reject_loops(graph: TriangleGraph):
@@ -175,32 +178,30 @@ def components(graph: TriangleGraph) -> list[list[int]]:
     return comps
 
 
-def _induced(graph: TriangleGraph, vertices: list[int]) -> TriangleGraph:
-    """The subgraph on ascending `vertices`, relabelled 0..len(vertices)-1."""
-    local = {v: i for i, v in enumerate(vertices)}
-    return TriangleGraph(vertices, [(i, local[w]) for i, v in enumerate(vertices)
-                                    for w in graph.neighbors(v) if w > v and w in local])
-
-
-def _component_chromatic(graph: TriangleGraph, comp: list[int], deadline: float | None,
-                         node_budget: int, clique_budget: int) -> tuple[ChromaticResult, int]:
-    """The component's bounds, and the nodes its clique search took."""
-    sub = _induced(graph, comp)
+def _component_chromatic(graph: TriangleGraph, comp: list[int], clique: tuple[int, ...],
+                         deadline: float | None, node_budget: int) -> ChromaticResult:
+    """The component's coloring and upper bound, and a lower bound on chi of
+    the graph: the clique's size clamped to the greedy bound, as no component
+    needs fewer colors, or upper once the search below it exhausts.  The
+    clique is pinned only in the component that holds it."""
+    local = {v: i for i, v in enumerate(comp)}  # the induced subgraph's labels
+    sub = TriangleGraph(comp, [(i, local[w]) for i, v in enumerate(comp)
+                               for w in graph.neighbors(v) if w > v and w in local])
     if not sub.edge_count:
-        return ChromaticResult(1, 1, Coloring((0,) * sub.n, 1, True), True), 0
+        return ChromaticResult(1, 1, Coloring((0,) * sub.n, 1, True), True)
+    pinned = tuple(local[v] for v in clique if v in local)  # all of it or none
 
-    clq = clique_number(sub, node_budget=clique_budget)
-    lower = max(clq.size, 2)  # a cut clique search may stop before its first edge
-
-    greedy = _iterated_greedy(sub, _dsatur(sub), stop_at=lower, deadline=deadline)
+    floor = max(len(clique), 2)  # a cut clique search may stop before its first edge
+    greedy = _iterated_greedy(sub, _dsatur(sub), stop_at=floor, deadline=deadline)
     upper = max(greedy) + 1
+    lower = min(floor, upper)
     upper_colors = list(greedy)
 
     nodes_used = 0
     certificate: dict = {}
     while lower < upper:
         k = upper - 1
-        status, kcolors, used = _k_colorable(sub, k, clq.witness, deadline,
+        status, kcolors, used = _k_colorable(sub, k, pinned, deadline,
                                              node_budget - nodes_used)
         nodes_used += used
         if status == "sat":
@@ -210,11 +211,8 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int], deadline: float 
             certificate = {"infeasible_k": k, "nodes": used, "exhausted": True}
         else:
             break
-    # lower == upper proves chi whether or not the clique search finished:
-    # the clique found is real and the coloring is proper
     witness = Coloring.checked(sub, upper_colors)
-    return ChromaticResult(lower, upper, witness, lower == upper, certificate,
-                           nodes_used), clq.nodes
+    return ChromaticResult(lower, upper, witness, lower == upper, certificate, nodes_used)
 
 
 def _dsatur(graph: TriangleGraph) -> list[int]:

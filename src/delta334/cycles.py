@@ -212,7 +212,7 @@ def _two_coloring(graph: TriangleGraph):
     return color, parent, depth, None
 
 
-def _posa(adj: list[int], n: int, steps: int | None = None):
+def _posa(adj: list[int], n: int):
     """Rotation heuristic.  Returns (hamiltonian cycle | None, longest path).
 
     Deterministic: fixed seed, and the walk prefers fewest-continuations
@@ -220,8 +220,7 @@ def _posa(adj: list[int], n: int, steps: int | None = None):
     """
     if n < 3:
         return None, []
-    if steps is None:
-        steps = max(4000, 80 * n)
+    steps = max(4000, 80 * n)
     rng = random.Random(0xD334)
     start = max(range(n), key=lambda v: (adj[v].bit_count(), -v))
     path = [start]

@@ -48,7 +48,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .cliques import CliqueResult, clique_number, verify_clique
+from .cliques import CliqueResult, clique_number
 from .coloring import (Coloring, ChromaticResult, chromatic_bounds,
                        chromatic_number_exact, heuristic_chromatic_upper,
                        improve_coloring, lift_coloring)
@@ -548,8 +548,9 @@ def portion_chromatic_bounds(portion, *,
     chi proof is run).  The exact search is time-boxed
     (DEFAULT_COLOR_TIME_BUDGET; pass None to lift the cap) because portion
     cores routinely exceed what branch-and-bound can exhaust.
-    color_node_budget caps the whole-graph clique search and the exact
-    search alike; None means each solver's default.
+    color_node_budget caps the one clique search, whose clique the exact
+    search reuses, and the exact search alike; None means each solver's
+    default.
     """
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
 
@@ -566,10 +567,8 @@ def portion_chromatic_bounds(portion, *,
         lifted = lift_coloring(morphism, codomain_coloring)
 
     clique = clique_number(graph, node_budget=color_node_budget)
-    if clique.witness:
-        assert verify_clique(graph, clique.witness)
     own = chromatic_number_exact(graph, time_budget=color_time_budget,
-                                 node_budget=color_node_budget)
+                                 node_budget=color_node_budget, clique=clique)
     refined = None
     if lifted is not None and lifted.proper:
         refined = improve_coloring(graph, lifted, rounds=60)

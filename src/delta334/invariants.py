@@ -20,6 +20,7 @@ from .cycles import (CensusEntry, HamiltonResult, _two_coloring, census_to_json,
 from .graph import TriangleGraph
 
 GIRTH_BFS_LIMIT = 2048  # full girth sweep above this is quadratic-ish; skip
+KURATOWSKI_LIMIT = 100_000  # no subdivision search on more vertices than this
 
 
 @dataclass
@@ -145,8 +146,7 @@ class PlanarityEvidence:
 
 
 def nonplanarity_check(graph: TriangleGraph,
-                       chromatic: ChromaticResult | None = None,
-                       kuratowski_limit: int = 100_000) -> PlanarityEvidence:
+                       chromatic: ChromaticResult | None = None) -> PlanarityEvidence:
     """Certificate-based nonplanarity: edge count, chromatic lower bound,
     then a Kuratowski subdivision extracted by the linear-time planarity
     algorithm and re-verified here.  Never claims planarity."""
@@ -157,7 +157,7 @@ def nonplanarity_check(graph: TriangleGraph,
     if chromatic is not None and chromatic.lower >= 5:
         return PlanarityEvidence("nonplanar", "chromatic",
                                  f"chromatic lower bound {chromatic.lower} >= 5")
-    if n > kuratowski_limit:
+    if n > KURATOWSKI_LIMIT:
         return PlanarityEvidence("inconclusive", detail="too large for subdivision search")
     import networkx as nx
 
@@ -301,7 +301,8 @@ def full_report(graph: TriangleGraph, *,
     """Assemble an InvariantReport.  The cheap statistics always run; the
     exact chromatic search, cycle census, and Hamiltonian search are opt-in
     since their cost grows quickly with the graph.  node_budget caps every
-    search and time_budget the exact chi search; None means their defaults."""
+    search and time_budget the exact chi search; None means their defaults.
+    The one clique search bounds chi in both modes."""
     comp_sizes = sorted((len(c) for c in components(graph)), reverse=True)
     bip = is_bipartite(graph)
     g, gcyc = girth(graph)
@@ -313,7 +314,7 @@ def full_report(graph: TriangleGraph, *,
         chromatic = None  # no proper coloring exists; leave chromatic data out
     elif exact_chromatic:
         chromatic = chromatic_number_exact(graph, time_budget=time_budget,
-                                           node_budget=node_budget)
+                                           node_budget=node_budget, clique=clique)
     else:
         chromatic = chromatic_bounds(graph, clique, colorings=(heuristic_chromatic_upper(graph),))
 

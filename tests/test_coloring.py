@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334 import cliques, coloring
+from delta334 import cliques
 from delta334.coloring import (
     Coloring,
     _iterated_greedy,
@@ -30,19 +30,6 @@ def small_graphs(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return TriangleGraph(range(n), edges)
-
-
-def _spy_clique_nodes(monkeypatch) -> list[int]:
-    """Record the nodes of every clique search the coloring module runs."""
-    spent = []
-
-    def spy(graph, node_budget=None):
-        res = cliques.clique_number(graph, node_budget)
-        spent.append(res.nodes)
-        return res
-
-    monkeypatch.setattr(coloring, "clique_number", spy)
-    return spent
 
 
 class TestExact:
@@ -101,7 +88,7 @@ class TestExact:
                                                pytest.param(5000, 5, id="5000")])
     def test_node_budget_is_a_hard_cap(self, budget, lower, monkeypatch):
         g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
-        clique_nodes = _spy_clique_nodes(monkeypatch)
+        clique_nodes = toys.spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=budget)
         assert res.nodes <= budget and sum(clique_nodes) <= budget
         assert (res.lower, res.upper) == (lower, 8) and not res.exact
@@ -109,7 +96,7 @@ class TestExact:
     def test_node_budget_caps_the_clique_search(self, monkeypatch):
         # unbudgeted, SL3(3)'s clique search proves omega = 6 in 228,076 nodes
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
-        clique_nodes = _spy_clique_nodes(monkeypatch)
+        clique_nodes = toys.spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=5)
         assert res.nodes <= 5 and clique_nodes == [5]
         assert res.lower == 4 and not res.exact
@@ -117,28 +104,50 @@ class TestExact:
 
     def test_sl33_budgeted_search_is_pinned(self):
         # the nodes and coloring of the search, from before its forward
-        # checking moved to bitboards: the search order must not change
+        # checking moved to bitboards: the search order must not change, and
+        # passing the clique it would find itself changes nothing
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
-        res = chromatic_number_exact(g, node_budget=50_000)
-        assert (res.lower, res.upper, res.nodes, res.exact) == (6, 29, 50_000, False)
-        digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
-        assert digest[:16] == "5bca5e1c1511086c"
+        for clique in (None, cliques.clique_number(g, node_budget=50_000)):
+            res = chromatic_number_exact(g, node_budget=50_000, clique=clique)
+            assert (res.lower, res.upper, res.nodes, res.exact) == (6, 29, 50_000, False)
+            digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
+            assert digest[:16] == "5bca5e1c1511086c"
 
     def test_components_share_the_node_budget(self, monkeypatch):
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the
         # second 37: it is cut, but its greedy 5-coloring still meets the
-        # first copy's lower bound, so chi of the union is proved
+        # first copy's lower bound, so chi of the union is proved; one
+        # clique search serves both copies
         m5 = toys.complete_graph(2)
         for _ in range(3):
             m5 = toys.mycielski(m5)
         g = toys.disjoint_union(m5, m5)
-        clique_nodes = _spy_clique_nodes(monkeypatch)
+        clique_nodes = toys.spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=700)
         assert res.nodes == 700
-        assert len(clique_nodes) == 2 and sum(clique_nodes) <= 700
+        assert len(clique_nodes) == 1 and sum(clique_nodes) <= 700
         assert res.exact and res.chi == 5
         assert res.certificate["infeasible_k"] == 4
         assert find_coloring_violation(g, res.coloring.colors) is None
+
+    def test_clique_bounds_every_component(self, monkeypatch):
+        # K4 + C5: the whole-graph clique proves chi = 4 with no search; C5
+        # needs no k = 2 refutation, as it cannot raise chi above 4
+        g = toys.disjoint_union(toys.complete_graph(4), toys.cycle_graph(5))
+        clique_nodes = toys.spy_clique_nodes(monkeypatch)
+        res = chromatic_number_exact(g)
+        assert len(clique_nodes) == 1
+        assert res.exact and res.chi == 4 and res.nodes == 0
+        assert res.certificate == {"lower_bound_clique": (0, 1, 2, 3)}
+        assert find_coloring_violation(g, res.coloring.colors) is None
+
+    @pytest.mark.parametrize("witness", [(0, 1, 2), (-1, 0), (5, 4)],
+                             ids=["non-edge", "negative", "past-end"])
+    def test_given_clique_is_verified(self, witness):
+        # on C5, -1 would index vertex 4, a neighbor of 0
+        fake = cliques.CliqueResult(len(witness), witness, True, 0)
+        with pytest.raises(ValueError):
+            chromatic_number_exact(toys.cycle_graph(5), clique=fake)
 
     def test_cut_clique_search_still_proves_chi(self, monkeypatch):
         # the default budget is read at call time; at 4 nodes the search has

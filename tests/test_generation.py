@@ -29,6 +29,7 @@ from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
 from delta334.cliques import verify_clique
 
 import oracles
+import toys
 
 
 @pytest.fixture(scope="module")
@@ -294,11 +295,14 @@ class TestChromaticBounds:
         else:
             assert bounds.chi is None
 
-    def test_node_budgeted_bounds_are_pinned(self, small_portion):
+    def test_node_budgeted_bounds_are_pinned(self, small_portion, monkeypatch):
         # the own search's nodes and bounds and the best coloring, from
-        # before its forward checking moved to bitboards
+        # before its forward checking moved to bitboards; the one clique
+        # search serves the bounds and the own search
+        clique_nodes = toys.spy_clique_nodes(monkeypatch)
         bounds = portion_chromatic_bounds(small_portion, color_time_budget=None,
                                           color_node_budget=20_000)
+        assert len(clique_nodes) == 1
         assert (bounds.own.nodes, bounds.own.lower, bounds.own.upper) == (20_000, 3, 5)
         digest = hashlib.sha256(bytes(bounds.best_coloring.colors)).hexdigest()
         assert digest[:16] == "c09da8c70f824664"

@@ -146,6 +146,13 @@ class TestFullReport:
         assert found == {4, 6, 8}
         assert rep.hamilton.status == "found"
 
+    def test_exact_report_runs_one_clique_search(self, monkeypatch):
+        g = build_delta334(order3_vertices(parse_group_spec("sum(Z3,A4)")))
+        clique_nodes = toys.spy_clique_nodes(monkeypatch)
+        rep = full_report(g, exact_chromatic=True)
+        assert len(clique_nodes) == 1
+        assert rep.chromatic.certificate["lower_bound_clique"] == rep.clique.witness
+
     def test_report_serializes(self):
         import json
         g = toys.petersen_graph()

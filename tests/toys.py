@@ -1,8 +1,32 @@
-"""Small ad hoc graphs for exercising the solvers.
+"""Small ad hoc graphs for exercising the solvers, and a clique-search spy.
 
 TriangleGraph does not care what the labels are, so plain integers do."""
 
+import importlib
+import pkgutil
+
+import delta334
+from delta334 import cliques
 from delta334.graph import TriangleGraph
+
+
+def spy_clique_nodes(monkeypatch) -> list[int]:
+    """Record the nodes of every clique search the library runs: the spy
+    replaces clique_number wherever a delta334 module binds it."""
+    real = cliques.clique_number
+    spent = []
+
+    def spy(graph, node_budget=None):
+        res = real(graph, node_budget)
+        spent.append(res.nodes)
+        return res
+
+    modules = [delta334] + [importlib.import_module(f"delta334.{info.name}")
+                            for info in pkgutil.iter_modules(delta334.__path__)]
+    for module in modules:
+        if getattr(module, "clique_number", None) is real:
+            monkeypatch.setattr(module, "clique_number", spy)
+    return spent
 
 
 def cycle_graph(n):
