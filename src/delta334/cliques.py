@@ -4,12 +4,14 @@ each vertex's later neighborhood.
 Following Eppstein, Löffler and Strash ("Listing all maximal cliques in
 sparse graphs in near-optimal time", ISAAC 2010), every clique is found
 under its earliest vertex v in a degeneracy order, among v's later
-neighbors P.  P is re-indexed as local bits, so the search runs on
-|P|-bit masks whatever the size of the graph, and |P| is at most the
-degeneracy.  Branching is Bron-Kerbosch with a pivot of most neighbors in
-P; a maximum clique needs no maximality test, so there is no excluded set.
-The search is exact unless the node budget runs out, in which case the
-best clique found so far is returned flagged as a lower bound only.
+neighbors P.  The order is graph._core_order's, the core decomposition that
+also gives the chi search its k-cores.  P is re-indexed as local bits, so
+the search runs on |P|-bit masks whatever the size of the graph, and |P| is
+at most the degeneracy.  Branching is Bron-Kerbosch with a pivot of most
+neighbors in P; a maximum clique needs no maximality test, so there is no
+excluded set.  The search is exact unless the node budget runs out, in
+which case the best clique found so far is returned flagged as a lower
+bound only.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import _bits, _mask
-from .graph import TriangleGraph
+from .graph import TriangleGraph, _core_order
 
 DEFAULT_CLIQUE_BUDGET = 20_000_000
 
@@ -40,7 +42,7 @@ def clique_number(graph: TriangleGraph, node_budget: int | None = None) -> Cliqu
     if n == 0:
         return CliqueResult(0, (), True, 0)
     nbrs = [frozenset(graph.neighbors(v)) for v in range(n)]
-    order = _degeneracy_order(graph)
+    order, _ = _core_order(graph)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -85,35 +87,6 @@ def clique_number(graph: TriangleGraph, node_budget: int | None = None) -> Cliqu
             break
     return CliqueResult(len(best), tuple(sorted(best)), nodes < node_budget,
                         min(nodes, node_budget))
-
-
-def _degeneracy_order(graph: TriangleGraph) -> list[int]:
-    """Peel a vertex of least remaining degree, lowest index on ties."""
-    n = graph.n
-    deg = [graph.degree(v) for v in range(n)]
-    removed = [False] * n
-    buckets = [0] * (max(deg, default=0) + 1)  # masks of vertices by degree
-    for v in range(n):
-        buckets[deg[v]] |= 1 << v
-    order = []
-    cursor = 0
-    for _ in range(n):
-        while not buckets[cursor]:
-            cursor += 1
-        low = buckets[cursor] & -buckets[cursor]
-        buckets[cursor] ^= low
-        v = low.bit_length() - 1
-        removed[v] = True
-        order.append(v)
-        for w in graph.neighbors(v):
-            if not removed[w]:
-                bit = 1 << w
-                buckets[deg[w]] ^= bit
-                deg[w] -= 1
-                buckets[deg[w]] |= bit
-                if deg[w] < cursor:
-                    cursor = deg[w]
-    return order
 
 
 def verify_clique(graph: TriangleGraph, vertices: tuple[int, ...]) -> bool:

@@ -7,13 +7,14 @@ greedy then recolors whole color classes first-fit, one numpy step per
 class, since each class of a proper coloring is an independent set and its
 vertices' colors depend only on the classes recolored before it.  The exact
 solver tests k-colorability downward from the iterated-greedy bound to one
-clique of the whole graph: vertices of degree < k are peeled, and the core
-search adds that clique's pre-coloring for symmetry breaking, forward
-checking on bitboards (after San Segundo, Comput. Oper. Res.  2012: a mask
-per color of the vertices that may still take it, and a mask per count of
-colors left as the vertex queue), and an ascending-color symmetry cap (a
-vertex may only open one new color).  The chromatic number is certified when
-a coloring meets the clique or the (chi-1)-coloring search exhausts.
+clique of the whole graph, each k on the k-core of one core decomposition
+per component (the rest is colored first-fit in reverse degeneracy order);
+the core search adds that clique's pre-coloring for symmetry breaking,
+forward checking on bitboards (after San Segundo, Comput. Oper. Res. 2012:
+a mask per color of the vertices that may still take it, and a mask per
+count of colors left as the vertex queue), and an ascending-color symmetry
+cap (a vertex may only open one new color).  Chi is certified when a
+coloring meets the clique or the (chi-1)-coloring search exhausts.
 DSATUR has its own pass: on a whole component the bitboards would need a
 mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
 memory at any size.
@@ -33,7 +34,7 @@ from itertools import chain
 import numpy as np
 
 from .cliques import CliqueResult, clique_number, verify_clique
-from .graph import TriangleGraph
+from .graph import TriangleGraph, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
 
@@ -91,14 +92,16 @@ def chromatic_bounds(graph: TriangleGraph, clique: CliqueResult,
                      search: ChromaticResult | None = None,
                      colorings=()) -> ChromaticResult:
     """Certified chi bounds from results already computed.  lower: the clique
-    (found before any budget cut), the search's lower bound, and 1 on a
-    nonempty graph; upper: the proper coloring with the fewest colors among
-    the search's and `colorings`, the first on ties.  The certificate is the
-    search's plus lower_bound_clique; nodes are the clique's plus the search's."""
+    (found before any budget cut), the search's lower bound, 2 with an edge
+    and 1 on a nonempty graph; upper: the proper coloring with the fewest
+    colors among the search's and `colorings`, the first on ties.  The
+    certificate is the search's plus lower_bound_clique; nodes are the
+    clique's plus the search's."""
     found = [c for c in (search.coloring if search else None, *colorings)
              if c is not None and c.proper]
     best = min(found, key=lambda c: c.num_colors)
-    lower = max(clique.size, search.lower if search else 0, min(graph.n, 1))
+    lower = max(clique.size, search.lower if search else 0,
+                2 if graph.edge_count else min(graph.n, 1))
     certificate = {**(search.certificate if search else {}),
                    "lower_bound_clique": clique.witness}
     return ChromaticResult(lower, best.num_colors, best, lower == best.num_colors,
@@ -114,17 +117,18 @@ def chromatic_number_exact(graph: TriangleGraph,
     lower_bound_clique: `clique`, which the caller found (ValueError if it is
     not a clique of `graph`), or else one clique_number search under
     node_budget, counted apart from the chi nodes that `nodes` reports.
-    Components are solved in turn and share the node budget; within one,
-    vertices with degree < k are peeled before the k-colorability search.
+    time_budget's clock starts before that search, which stops only at its
+    node budget.  Components are solved in turn and share the node budget;
+    within one, each k-colorability search runs on the k-core.
     node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
     _reject_loops(graph)
+    deadline = time.monotonic() + time_budget if time_budget else None
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
     if clique is None:
         clique = clique_number(graph, node_budget=node_budget)
     elif not verify_clique(graph, clique.witness):
         raise ValueError(f"{clique.witness} is not a clique of the graph")
-    deadline = time.monotonic() + time_budget if time_budget else None
 
     colors = [0] * graph.n
     lower_all = upper_all = min(graph.n, 1)
@@ -199,9 +203,11 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int], clique: tuple[in
 
     nodes_used = 0
     certificate: dict = {}
+    if lower < upper:
+        order, core = _core_order(sub)  # serves every k of the descent
     while lower < upper:
         k = upper - 1
-        status, kcolors, used = _k_colorable(sub, k, pinned, deadline,
+        status, kcolors, used = _k_colorable(sub, k, pinned, order, core, deadline,
                                              node_budget - nodes_used)
         nodes_used += used
         if status == "sat":
@@ -315,42 +321,26 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
     return best
 
 
-def _k_colorable(graph: TriangleGraph, k: int, clique: tuple[int, ...],
-                 deadline: float | None, node_budget: int):
+def _k_colorable(graph: TriangleGraph, k: int, clique: tuple[int, ...], order: list[int],
+                 core: list[int], deadline: float | None, node_budget: int):
     """('sat', colors, nodes) | ('unsat', None, nodes) | ('budget', None, nodes).
 
-    Vertices of degree < k are peeled first (they can always be colored at
-    the end); the search runs on the remaining core.
+    `order, core` is graph._core_order(graph).  The search runs on the
+    k-core, core[v] >= k.  The rest, a prefix of `order`, each have fewer than
+    k neighbors after them, so first-fit colors them in reverse order last.
     """
     n = graph.n
-    nbrs = [graph.neighbors(v) for v in range(n)]
-    alive = [True] * n
-    deg = [len(row) for row in nbrs]
-    peel_stack = []
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if alive[v] and deg[v] < k:
-                alive[v] = False
-                peel_stack.append(v)
-                for w in nbrs[v]:
-                    if alive[w]:
-                        deg[w] -= 1
-                changed = True
-    core = [v for v in range(n) if alive[v]]
-
+    kcore = [v for v in range(n) if core[v] >= k]
     colors = [-1] * n
     nodes = 0
-    if core:
-        core_set = set(core)
-        clique_core = [v for v in clique if v in core_set]
-        status, nodes = _core_search(graph, k, core, clique_core, colors,
+    if kcore:
+        clique_core = [v for v in clique if core[v] >= k]
+        status, nodes = _core_search(graph, k, kcore, clique_core, colors,
                                      deadline, node_budget)
         if status != "sat":
             return (status, None, nodes)
-    for v in reversed(peel_stack):
-        used = {colors[w] for w in nbrs[v] if colors[w] >= 0}
+    for v in reversed(order[:n - len(kcore)]):
+        used = {colors[w] for w in graph.neighbors(v) if colors[w] >= 0}
         c = 0
         while c in used:
             c += 1

@@ -1,14 +1,16 @@
 """The 334-triangle graph: vertices are order-dividing-3 group elements,
 with an edge between a and b exactly when (ab)^4 = e.
 
-Also here: Kronecker (tensor) products, graph morphisms induced by mod-p
-reduction, and a small-graph isomorphism test by networkx's VF2++ search.
+Also here: the core decomposition, Kronecker (tensor) products, graph
+morphisms induced by mod-p reduction, and a small-graph isomorphism test by
+networkx's VF2++ search.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,6 +102,39 @@ class TriangleGraph:
     def __repr__(self) -> str:
         return (f"TriangleGraph({self.n} vertices, {self.edge_count} edges, "
                 f"{len(self.loops)} loops)")
+
+
+def _core_order(graph: TriangleGraph) -> tuple[list[int], list[int]]:
+    """Degeneracy order and core numbers (Batagelj and Zaversnik, "An O(m)
+    algorithm for cores decomposition of networks", 2003): remove a vertex
+    of least remaining degree, lowest index on ties, popped from one heap
+    per degree (a vertex whose degree falls is pushed onto the lower heap,
+    and its stale entry is skipped).  core[v] is the highest degree removed
+    up to v, so core never falls along `order`: the vertices outside the
+    k-core are a prefix of it, each with fewer than k neighbors after it."""
+    n = graph.n
+    deg = [graph.degree(v) for v in range(n)]  # -1 once removed
+    heaps: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v in range(n):
+        heaps[deg[v]].append(v)  # ascending, so already heaps
+    order: list[int] = []
+    core = [0] * n
+    d = k = 0
+    while len(order) < n:
+        while not heaps[d]:
+            d += 1
+        v = heappop(heaps[d])
+        if deg[v] != d:
+            continue
+        deg[v] = -1
+        order.append(v)
+        core[v] = k = max(k, d)
+        for w in graph.neighbors(v):
+            if deg[w] >= 0:
+                deg[w] -= 1
+                heappush(heaps[deg[w]], w)
+        d = max(d - 1, 0)  # no remaining degree fell below d - 1
+    return order, core
 
 
 def _product_order_divides_4(x: GroupElement, y: GroupElement) -> bool:

@@ -126,6 +126,25 @@ def oracle_degeneracy_order(graph):
     return order
 
 
+def oracle_core_numbers(graph):
+    """Each vertex's core number: the largest k for which deleting, again and
+    again, every vertex with fewer than k remaining neighbors leaves it."""
+    core = [0] * graph.n
+    k = 1
+    while True:
+        left = set(range(graph.n))
+        while True:
+            low = {v for v in left if sum(w in left for w in graph.neighbors(v)) < k}
+            if not low:
+                break
+            left -= low
+        if not left:
+            return core
+        for v in left:
+            core[v] = k
+        k += 1
+
+
 def oracle_isomorphic(g1, g2):
     """A permutation of g1's vertices that maps its edges onto g2's edges and
     its loops onto g2's loops, or None, by trying every permutation."""

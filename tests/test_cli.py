@@ -113,6 +113,20 @@ class TestReports:
         doc = json.loads(out)
         assert doc["lower"] == len(doc["certificate"]["lower_bound_clique"]) == 4
 
+    @pytest.mark.parametrize("argv", [("color",), ("color", "--exact"), ("stats",)],
+                             ids=["color", "color-exact", "stats"])
+    def test_edge_bounds_chi_below_in_every_mode(self, argv, tmp_path, capsys):
+        # one node cuts the clique search before its first edge; an edge
+        # still proves chi >= 2, in bounds mode as in exact mode
+        path = str(tmp_path / "sl32.json")
+        assert main(["graph", "--group", "SL3(2)", "--out", path]) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, *argv, "--in", path, "--node-budget", "1")
+        assert code == 0
+        doc = json.loads(out)
+        bounds = doc["report"]["chromatic"] if argv == ("stats",) else doc
+        assert (bounds["lower"], bounds["upper"]) == (2, 8)
+
     def test_clique(self, a4_graph, capsys):
         code, out, _ = run(capsys, "clique", "--in", a4_graph)
         assert code == 0

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334.cliques import _degeneracy_order, clique_number, verify_clique
-from delta334.graph import TriangleGraph, build_delta334
+from delta334.cliques import clique_number, verify_clique
+from delta334.graph import TriangleGraph, _core_order, build_delta334
 from delta334.groups import order3_vertices, parse_group_spec
 
 import oracles
@@ -60,11 +60,28 @@ class TestDegeneracyOrder:
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_peel(self, graph):
-        assert _degeneracy_order(graph) == oracles.oracle_degeneracy_order(graph)
+        order, core = _core_order(graph)
+        assert order == oracles.oracle_degeneracy_order(graph)
+        assert core == oracles.oracle_core_numbers(graph)
 
     def test_matches_naive_peel_on_sl33(self):
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
-        assert _degeneracy_order(g) == oracles.oracle_degeneracy_order(g)
+        order, core = _core_order(g)
+        assert order == oracles.oracle_degeneracy_order(g)
+        assert core == oracles.oracle_core_numbers(g)
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_peel_is_a_prefix_with_few_later_neighbors(self, graph):
+        # the chi search's peel for k: the vertices outside the k-core, which
+        # first-fit colors in reverse order with fewer than k colors taken
+        order, core = _core_order(graph)
+        pos = {v: i for i, v in enumerate(order)}
+        for k in range(max(core) + 2):
+            peel = [v for v in order if core[v] < k]
+            assert peel == order[:len(peel)]
+            for v in peel:
+                assert sum(pos[w] > pos[v] for w in graph.neighbors(v)) < k
 
 
 class TestVerifyClique:

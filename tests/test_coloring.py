@@ -102,6 +102,15 @@ class TestExact:
         assert res.lower == 4 and not res.exact
         assert find_coloring_violation(g, res.coloring.colors) is None
 
+    def test_time_budget_covers_the_clique_search(self):
+        # SL3(3)'s clique search (228,076 nodes, ~0.6 s) runs inside the budget
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        start = time.monotonic()
+        res = chromatic_number_exact(g, time_budget=1.0)
+        assert time.monotonic() - start < 1.5
+        assert res.lower == 6 <= res.upper
+        assert find_coloring_violation(g, res.coloring.colors) is None
+
     def test_sl33_budgeted_search_is_pinned(self):
         # the nodes and coloring of the search, from before its forward
         # checking moved to bitboards: the search order must not change, and

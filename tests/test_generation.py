@@ -23,7 +23,7 @@ from delta334.generation import (
     verify_edge_preservation,
     verify_no_identity_reduction,
 )
-from delta334.graph import TriangleGraph, _mod3_pairwise_edges
+from delta334.graph import TriangleGraph, _core_order, _mod3_pairwise_edges
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
 from delta334.cliques import verify_clique
@@ -296,16 +296,16 @@ class TestChromaticBounds:
             assert bounds.chi is None
 
     def test_node_budgeted_bounds_are_pinned(self, small_portion, monkeypatch):
-        # the own search's nodes and bounds and the best coloring, from
-        # before its forward checking moved to bitboards; the one clique
-        # search serves the bounds and the own search
+        # the own search's nodes and bounds, from before its forward checking
+        # moved to bitboards, and the best coloring; the one clique search
+        # serves the bounds and the own search
         clique_nodes = toys.spy_clique_nodes(monkeypatch)
         bounds = portion_chromatic_bounds(small_portion, color_time_budget=None,
                                           color_node_budget=20_000)
         assert len(clique_nodes) == 1
         assert (bounds.own.nodes, bounds.own.lower, bounds.own.upper) == (20_000, 3, 5)
         digest = hashlib.sha256(bytes(bounds.best_coloring.colors)).hexdigest()
-        assert digest[:16] == "c09da8c70f824664"
+        assert digest[:16] == "1c741f6a1fc10e29"
 
     def test_dsatur_matches_oracle_on_a_portion_subgraph(self, small_portion):
         # the first 1,000 vertices: 215 components, 178 of them isolated
@@ -314,6 +314,12 @@ class TestChromaticBounds:
                                         if j < 1000])
         colors = heuristic_chromatic_upper(g, rounds=0).colors
         assert list(colors) == oracles.oracle_dsatur(g)
+
+    def test_core_numbers_match_oracle_on_a_portion_subgraph(self, small_portion):
+        # the first 1,000 vertices, as above: cores 0 to 4
+        g = TriangleGraph(range(1000), [(i, j) for i, j in small_portion.graph.edges()
+                                        if j < 1000])
+        assert _core_order(g)[1] == oracles.oracle_core_numbers(g)
 
     def test_time_budget_covers_the_whole_exact_search(self):
         g = generate_and_build(GenerationConfig(target_vertices=5000)).graph
