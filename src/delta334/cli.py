@@ -33,7 +33,7 @@ from .generation import (DEFAULT_COLOR_TIME_BUDGET, DEFAULT_CONJ_DEPTH,
                          verify_no_identity_reduction)
 from .graph import (build_delta334, graph_isomorphic, kronecker_matches_direct_sum,
                     kronecker_product)
-from .graphio import (GraphFormatError, graph_to_dot, graph_to_graphml,
+from .graphio import (GraphFormatError, canonical_json, graph_to_dot, graph_to_graphml,
                       graph_to_json_dict, load_graph)
 from .groups import parse_group_spec, order3_vertices
 from .invariants import InvariantReport, full_report, nonplanarity_check
@@ -90,13 +90,9 @@ def _manifest(args: argparse.Namespace, inputs: list[str]) -> dict:
     }
 
 
-def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(doc: dict, out_path: str | None, summary: list[str]) -> None:
     """JSON to --out (summary on stdout), or JSON to stdout (summary on stderr)."""
-    text = _canonical_json(doc)
+    text = canonical_json(doc)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

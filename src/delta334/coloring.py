@@ -394,7 +394,7 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
     # one above the highest level d left) per colored vertex on the path
     stack = []
     nodes = 0
-    check_at = min(node_budget, 4096)  # next node count at which to stop or read the clock
+    check_at = 0  # next node count at which to stop or read the clock: first before node 1
     cur_max = len(clique) - 1
     status = None
     while not status:

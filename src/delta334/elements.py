@@ -16,6 +16,7 @@ composition): ``compose(x, y)`` maps ``i`` to ``x(y(i))``.
 from __future__ import annotations
 
 import struct
+from itertools import chain, repeat
 from typing import Iterable, Union
 
 MAX_PERM_POINTS = 12
@@ -185,21 +186,20 @@ class IntMatrix3:
 
     def __init__(self, entries: Iterable[int]):
         entries = tuple(entries)
-        if len(entries) == 3 and all(isinstance(r, (tuple, list)) for r in entries):
-            entries = tuple(e for row in entries for e in row)
-        entries = tuple(int(e) for e in entries)
+        if len(entries) == 3 and all(map(isinstance, entries, repeat((tuple, list)))):
+            entries = tuple(chain.from_iterable(entries))
+        entries = tuple(map(int, entries))
         if len(entries) != 9:
             raise ValueError("IntMatrix3 needs 9 row-major entries or 3 rows")
-        for e in entries:
-            if abs(e) >= DEFAULT_ENTRY_LIMIT:
-                raise OverflowBoundError(f"entry {e} exceeds bound {DEFAULT_ENTRY_LIMIT}")
+        if max(map(abs, entries)) >= DEFAULT_ENTRY_LIMIT:
+            e = next(e for e in entries if abs(e) >= DEFAULT_ENTRY_LIMIT)
+            raise OverflowBoundError(f"entry {e} exceeds bound {DEFAULT_ENTRY_LIMIT}")
         det = mat3_det(entries)
         if det != 1:
             raise ValueError(f"determinant must be 1, got {det}")
         self.entries = entries
-        self._key = bytes([_TAG_INT_MATRIX]) + b"".join(
-            e.to_bytes(8, "little", signed=True) for e in entries
-        )
+        # the tag, then each entry as 8 little-endian signed bytes (|e| < 2^62)
+        self._key = struct.pack("<B9q", _TAG_INT_MATRIX, *entries)
 
     @classmethod
     def identity(cls) -> "IntMatrix3":

@@ -11,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +35,10 @@ class TriangleGraph:
     """An undirected graph with optional loops and per-vertex labels.
 
     Adjacency is frozen at construction as sorted neighbor tuples and a
-    lexicographically sorted edge tuple.
+    lexicographically sorted edge tuple.  Edges may come in either
+    orientation and repeated: they are checked once as a whole, both
+    orientations of each become one sorted, deduplicated array of arc keys
+    tail n + head, and the rows are slices of its heads.
     """
 
     __slots__ = ("labels", "loops", "meta", "_neighbors", "_edges", "_key_index")
@@ -42,17 +47,24 @@ class TriangleGraph:
                  loops: Iterable[int] = (), meta: dict | None = None):
         self.labels = tuple(labels)
         n = len(self.labels)
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-edge ({i},{i}) must be passed via loops")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for {n} vertices")
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        ids = list(range(n))  # one int object per vertex keeps the rows compact
-        self._neighbors = tuple(tuple(ids[w] for w in sorted(s)) for s in nbrs)
-        self._edges = tuple((i, j) for i in range(n) for j in self._neighbors[i] if i < j)
+        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+        ends = list(map(index, chain.from_iterable(pairs)))
+        if set(map(len, pairs)) - {2} or ends and (min(ends) < 0 or max(ends) >= n):
+            raise _edge_error(pairs, n)
+        i, j = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        if (i == j).any():
+            raise _edge_error(pairs, n)
+        arcs = np.concatenate((i * n + j, j * n + i))  # both orientations
+        arcs.sort()  # by tail, then head
+        arcs = np.concatenate((arcs[:1], arcs[1:][arcs[1:] != arcs[:-1]]))
+        tail, head = np.divmod(arcs, n)
+        cuts = np.searchsorted(tail, np.arange(n + 1)).tolist()
+        vertex = list(range(n)).__getitem__  # one int object per vertex, shared by all
+        heads = tuple(map(vertex, head.tolist()))
+        self._neighbors = tuple([heads[a:b] for a, b in zip(cuts, cuts[1:])])
+        out = tail < head  # each edge once, still in lexicographic order
+        self._edges = tuple(zip(map(vertex, tail[out].tolist()),
+                                map(vertex, head[out].tolist())))
         self.loops = frozenset(loops)
         for v in self.loops:
             if not 0 <= v < n:
@@ -102,6 +114,20 @@ class TriangleGraph:
     def __repr__(self) -> str:
         return (f"TriangleGraph({self.n} vertices, {self.edge_count} edges, "
                 f"{len(self.loops)} loops)")
+
+
+def _edge_error(pairs: Sequence, n: int) -> ValueError:
+    """The error for the first of `pairs` that is not two distinct vertices
+    of range(n)."""
+    for e in pairs:
+        if len(e) != 2:
+            return ValueError(f"edge {e!r} is not a pair")
+        i, j = map(index, e)
+        if i == j:
+            return ValueError(f"self-edge ({i},{i}) must be passed via loops")
+        if not (0 <= i < n and 0 <= j < n):
+            return ValueError(f"edge ({i},{j}) out of range for {n} vertices")
+    raise AssertionError("unreachable: the edges passed every check")
 
 
 def _core_order(graph: TriangleGraph) -> tuple[list[int], list[int]]:

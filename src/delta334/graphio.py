@@ -8,6 +8,15 @@ keys, two-space indent, trailing newline), so exporting a loaded graph
 reproduces the input byte for byte.  A portion file additionally carries a
 top-level "generation" block; in memory it lives under meta["generation"].
 
+Every JSON document the package writes, graph files and the CLI's
+payloads alike, goes through `canonical_json`, which writes what
+``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` writes without that
+call's per-item generator (Python's json encoder leaves its C accelerator
+whenever `indent` is set): a list of plain ints is one join, and a list of
+equal-length int lists or tuples (the edges) one `%` template.  The loader
+checks the edges as a whole, and TriangleGraph builds its rows from one
+sorted array.
+
 Labels are group elements on the wire: image arrays for permutations,
 row-major entry arrays for matrices, [left, right] for direct sums.  A
 "labels" descriptor in meta says how to decode them; graphs whose labels
@@ -18,6 +27,9 @@ through as plain JSON.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import lt
 from xml.sax.saxutils import escape
 
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
@@ -88,7 +100,7 @@ def graph_to_json_dict(graph: TriangleGraph) -> dict:
         "meta": meta,
         "vertices": [{"id": k, "label": label_to_wire(lab)}
                      for k, lab in enumerate(graph.labels)],
-        "edges": [list(e) for e in graph.edges()],
+        "edges": list(graph.edges()),
         "loops": sorted(graph.loops),
     }
     if generation is not None:
@@ -97,7 +109,67 @@ def graph_to_json_dict(graph: TriangleGraph) -> dict:
 
 
 def dumps_graph(graph: TriangleGraph) -> str:
-    return json.dumps(graph_to_json_dict(graph), sort_keys=True, indent=2) + "\n"
+    return canonical_json(graph_to_json_dict(graph))
+
+
+def canonical_json(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
+    with lists of ints and lists of equal-length int rows written in bulk."""
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(x, nl: str, out: list[str]) -> None:
+    """Append x as json.dumps writes it at the depth whose line break and
+    indent are `nl`.  Plain ints are tested by exact type, so bools still
+    print as true and false.  Keys are sorted before they are converted to
+    strings, as json does."""
+    if isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        types = set(map(type, x))
+        if types == {int}:
+            out.append("[" + inner + sep.join(map(int.__repr__, x)) + nl + "]")
+            return
+        widths = set(map(len, x)) if types <= {list, tuple} else ()
+        if len(widths) == 1:
+            flat = tuple(chain.from_iterable(x))
+            if set(map(type, flat)) == {int}:
+                deeper = inner + "  "
+                row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
+                out.append("[" + inner + sep.join([row] * len(x)) % flat + nl + "]")
+                return
+        out.append("[")
+        for v in x:
+            out.append(inner)
+            _write_json(v, inner, out)
+            out.append(",")
+        out[-1] = nl + "]"
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{")
+        for k, v in sorted(x.items()):
+            if not isinstance(k, str):
+                if not (isinstance(k, (int, float)) or k is None):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {type(k).__name__}")
+                k = json.dumps(k)
+            out.append(inner + encode_basestring_ascii(k) + ": ")
+            _write_json(v, inner, out)
+            out.append(",")
+        out[-1] = nl + "}"
+    elif type(x) is int:
+        out.append(int.__repr__(x))
+    else:
+        out.append(json.dumps(x))
 
 
 def graph_from_json_dict(doc: dict) -> TriangleGraph:
@@ -114,15 +186,8 @@ def graph_from_json_dict(doc: dict) -> TriangleGraph:
             raise GraphFormatError(f"vertex {k} must be {{'id': {k}, 'label': ...}}")
         labels.append(label_from_wire(desc, entry["label"]))
     n = len(labels)
-    edges = []
-    for e in doc["edges"]:
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
-            raise GraphFormatError(f"bad edge entry {e!r}")
-        i, j = e
-        if not (0 <= i < j < n):
-            raise GraphFormatError(f"edge [{i}, {j}] out of order or range")
-        edges.append((i, j))
+    edges = doc["edges"]
+    _check_edges(edges, n)
     loops = []
     for v in doc["loops"]:
         if not isinstance(v, int) or not 0 <= v < n:
@@ -131,6 +196,27 @@ def graph_from_json_dict(doc: dict) -> TriangleGraph:
     if "generation" in doc:
         meta["generation"] = doc["generation"]
     return TriangleGraph(labels, edges, loops, meta)
+
+
+def _check_edges(edges, n: int) -> None:
+    """Every edge is [i, j] with ints 0 <= i < j < n (a tuple will do, as
+    graph_to_json_dict writes them); the first that is not raises."""
+    if not isinstance(edges, list):
+        raise GraphFormatError(f"edges must be a list, not {type(edges).__name__}")
+    if all(map(isinstance, edges, repeat((list, tuple)))) and set(map(len, edges)) <= {2}:
+        ends = list(chain.from_iterable(edges))
+        first, second = ends[0::2], ends[1::2]
+        if (all(map(isinstance, ends, repeat(int)))
+                and (not ends or min(first) >= 0 and max(second) < n)
+                and all(map(lt, first, second))):
+            return
+    for e in edges:
+        if (not isinstance(e, (list, tuple)) or len(e) != 2
+                or not all(isinstance(x, int) for x in e)):
+            raise GraphFormatError(f"bad edge entry {e!r}")
+        i, j = e
+        if not (0 <= i < j < n):
+            raise GraphFormatError(f"edge [{i}, {j}] out of order or range")
 
 
 def load_graph(path) -> TriangleGraph:

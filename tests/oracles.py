@@ -239,3 +239,15 @@ def oracle_product_order_divides_4(x, y):
     m = rep_mul(to_rep(x), to_rep(y))
     m2 = rep_mul(m, m)
     return rep_is_identity(rep_mul(m2, m2))
+
+
+def oracle_adjacency(n, edges):
+    """Neighbor rows and the edge list of a graph on range(n), from one
+    neighbor set per vertex: each row sorted, the edges (i, j) with i < j
+    in lexicographic order, repeats and either orientation allowed."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    rows = tuple(tuple(sorted(s)) for s in nbrs)
+    return rows, tuple((i, j) for i in range(n) for j in rows[i] if i < j)

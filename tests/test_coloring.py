@@ -111,6 +111,15 @@ class TestExact:
         assert res.lower == 6 <= res.upper
         assert find_coloring_violation(g, res.coloring.colors) is None
 
+    def test_search_entered_after_its_deadline_runs_no_node(self):
+        # the clique search (~0.6 s) uses up the time budget before the chi
+        # search starts, and the chi search reads the clock before its first node
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        res = chromatic_number_exact(g, time_budget=0.01)
+        assert res.nodes == 0 and not res.exact
+        assert res.lower == 6 <= res.upper
+        assert find_coloring_violation(g, res.coloring.colors) is None
+
     def test_sl33_budgeted_search_is_pinned(self):
         # the nodes and coloring of the search, from before its forward
         # checking moved to bitboards: the search order must not change, and

@@ -82,6 +82,20 @@ class TestIntMatrix3:
         with pytest.raises(OverflowBoundError):
             IntMatrix3((1, DEFAULT_ENTRY_LIMIT, 0, 0, 1, 0, 0, 0, 1))
 
+    @pytest.mark.parametrize("big", [(1 << 62) - 1, -((1 << 62) - 1), 0, -1])
+    def test_key_is_tag_then_little_endian_entries(self, big):
+        for entries in ((1, big, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, big, 1, 0, big, 0, 1)):
+            m = IntMatrix3(entries)
+            assert element_key(m) == bytes([0x02]) + b"".join(
+                e.to_bytes(8, "little", signed=True) for e in entries)
+            rows = IntMatrix3([entries[0:3], list(entries[3:6]), entries[6:9]])
+            assert element_key(rows) == element_key(m)
+
+    @pytest.mark.parametrize("big", [1 << 62, -(1 << 62), 1 << 70])
+    def test_entry_limit_names_the_entry(self, big):
+        with pytest.raises(OverflowBoundError, match=f"entry {big} exceeds bound"):
+            IntMatrix3((1, 0, 0, 0, 1, 0, 0, big, 1))
+
     def test_compose_overflow_guard(self):
         m = IntMatrix3((1, 1 << 61, 0, 0, 1, 0, 0, 0, 1))
         with pytest.raises(OverflowBoundError):

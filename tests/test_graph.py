@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,21 @@ def looped_graphs(draw, n=None):
     return TriangleGraph(range(n), edges, loops)
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, edges): pairs of distinct vertices of range(n) in either
+    orientation, some repeated, in no particular order."""
+    n = draw(st.integers(0, 14))
+    if n < 2:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=40))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+    return n, draw(st.permutations(edges))
+
+
 def is_isomorphism(g, h, mapping):
     """A bijection onto h's vertices mapping edges onto edges, loops onto loops."""
     return (len(mapping) == g.n and sorted(mapping) == list(range(h.n))
@@ -61,6 +77,51 @@ class TestTriangleGraph:
         g = TriangleGraph(range(3), [(2, 0), (0, 1), (1, 0)])
         assert g.neighbors(0) == (1, 2)
         assert g.edge_count == 2
+
+    @given(edge_lists(), st.sampled_from(["tuples", "lists", "generator", "reversed",
+                                          "tuple", "array"]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_edges_match_set_oracle(self, case, form):
+        n, edges = case
+        given_edges = {
+            "tuples": lambda: list(edges),
+            "lists": lambda: [list(e) for e in edges],
+            "generator": lambda: (e for e in edges),
+            "reversed": lambda: [(j, i) for i, j in reversed(edges)],
+            "tuple": lambda: tuple(edges),
+            "array": lambda: np.array(edges, dtype=np.int64).reshape(-1, 2),
+        }[form]()
+        g = TriangleGraph(range(n), given_edges)
+        rows, want_edges = oracles.oracle_adjacency(n, edges)
+        assert tuple(g.neighbors(v) for v in range(n)) == rows
+        assert g.edges() == want_edges
+        assert all(type(v) is int for e in g.edges() for v in e)
+
+    def test_one_int_object_per_vertex(self):
+        # fresh int objects on the way in; rows and edges share one per vertex
+        n = 600
+        edges = [(int(str(j)), int(str(i))) for i in range(n) for j in (i + 1, i + 7) if j < n]
+        g = TriangleGraph(range(n), edges)
+        objects = {id(v) for u in range(n) for v in g.neighbors(u)}
+        objects |= {id(v) for e in g.edges() for v in e}
+        assert len(objects) <= n
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (0, 9)], r"^self-edge \(2,2\) must be passed via loops$"),
+        ([(0, 1), (0, 9), (2, 2)], r"^edge \(0,9\) out of range for 3 vertices$"),
+        ([(1, 0), (-1, 2)], r"^edge \(-1,2\) out of range for 3 vertices$"),
+        ([(0, 1), (3, 0)], r"^edge \(3,0\) out of range for 3 vertices$"),
+        ([(0, 1), (0, 1, 2)], r"is not a pair"),
+    ])
+    def test_bad_edge_messages(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            TriangleGraph(range(3), edges)
+        with pytest.raises(ValueError, match=message):
+            TriangleGraph(range(3), iter(edges))
+
+    def test_bad_loop_message(self):
+        with pytest.raises(ValueError, match=r"^loop vertex 5 out of range$"):
+            TriangleGraph(range(3), [(0, 1)], loops=[5])
 
     def test_degree_histogram(self):
         assert toys.complete_bipartite(4, 4).degree_histogram() == {4: 8}

@@ -1,11 +1,16 @@
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delta334 import cli
 from delta334.elements import DirectSumElement, Permutation, parametric_order3
 from delta334.graph import TriangleGraph, build_delta334, kronecker_product
 from delta334.graphio import (
     GraphFormatError,
+    canonical_json,
     dumps_graph,
     graph_from_json_dict,
     graph_to_dot,
@@ -59,6 +64,80 @@ class TestJsonRoundTrip:
         assert load_graph(path).meta["generation"] == {"conj_depth": 2}
 
 
+def json_dumps(doc):
+    """The layout canonical_json must reproduce byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text())
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner) | st.tuples(inner, inner)
+                   | st.lists(st.lists(st.integers(), min_size=2, max_size=2))
+                   | st.lists(st.tuples(st.integers(), st.booleans()))
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers(), inner)
+                   | st.dictionaries(st.floats(allow_nan=False), inner)),
+    max_leaves=30)
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("graph", graphs_of_every_label_kind() + [
+        TriangleGraph([], []),
+        delta("A4", include_identity=True),  # the identity vertex has a loop
+        TriangleGraph(['say "hi"', "\u00fcber \u2192 \U0001d4b3", "back\\slash\ttab", None],
+                      [(0, 1), (2, 1)], meta={"source": "caf\u00e9"}),
+    ], ids=["perm", "intmat", "modmat", "pair", "kron", "opaque", "empty", "loops",
+            "quoted-unicode"])
+    def test_graph_files_match_json_dumps(self, graph):
+        assert dumps_graph(graph) == json_dumps(graph_to_json_dict(graph))
+
+    @pytest.mark.parametrize("doc", [
+        {3: "three", 10: "ten", -1: [1, 2]},  # int keys sort as ints: -1, 3, 10
+        {2.5: 1, 0.1: None, -3.0: [0.5, -0.0, 1e300, float("inf")]},
+        {None: 1}, {True: 1, 7: 0}, {"a": (1, 2), "b": ((1, 2), (3, 4))},
+        [], {}, [[]], [{}], [[], []], [[1], [2, 3]], {"x": [[], {}]},
+        [True, 1], [1, True], [False], [[True, 1], [0, 1]], [[1, 2], (3, 4)],
+        [Level.LOW, 1], [[Level.LOW, 1]], {"k": Level.LOW},
+        [1, 2.0], [[1, 2.0]], [1, None], ["\u00e9", "\"", "\\"],
+        [[0, 1], [0, 1, 2]], [[-5, 2 ** 70]], [(1,), (2,)],
+        float("nan"), "plain", 0, None,
+    ])
+    def test_documents_match_json_dumps(self, doc):
+        assert canonical_json(doc) == json_dumps(doc)
+
+    @given(json_docs)
+    @settings(max_examples=150, deadline=None)
+    def test_random_documents_match_json_dumps(self, doc):
+        assert canonical_json(doc) == json_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 0}, [object()], {"a": {1, 2}}])
+    def test_unserializable_raises_like_json(self, doc):
+        with pytest.raises(TypeError):
+            json_dumps(doc)
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+
+    def test_cli_payloads_match_json_dumps(self, tmp_path, capsys):
+        graph_path = tmp_path / "a4.json"
+        assert cli.main(["graph", "--group", "A4", "--out", str(graph_path)]) == 0
+        text = graph_path.read_text()
+        assert text == json_dumps(json.loads(text))
+        for argv in (["stats", "--in", str(graph_path)],
+                     ["color", "--in", str(graph_path), "--exact"],
+                     ["cycles", "--in", str(graph_path)],
+                     ["enumerate", "--group", "S4"]):
+            capsys.readouterr()
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == json_dumps(json.loads(out))
+
+
 class TestMalformed:
     def make_doc(self):
         return graph_to_json_dict(toys.cycle_graph(3))
@@ -92,6 +171,26 @@ class TestMalformed:
         doc["edges"][0] = [0, 9]
         with pytest.raises(GraphFormatError):
             graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0.5, 1], ["0", 1], [1], 7, None])
+    def test_edge_entry_shape_enforced(self, edge):
+        doc = self.make_doc()
+        doc["edges"].append(edge)
+        with pytest.raises(GraphFormatError, match="bad edge entry"):
+            graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize("edges", [None, {"0": 1}, "01"])
+    def test_edges_must_be_a_list(self, edges):
+        doc = self.make_doc()
+        doc["edges"] = edges
+        with pytest.raises(GraphFormatError):
+            graph_from_json_dict(doc)
+
+    def test_duplicate_edges_collapse(self):
+        doc = self.make_doc()
+        doc["edges"] = [[0, 1], [1, 2], [0, 1], [0, 2], [1, 2]]
+        g = graph_from_json_dict(doc)
+        assert g.edges() == ((0, 1), (0, 2), (1, 2))
 
     def test_loop_range_enforced(self):
         doc = self.make_doc()
