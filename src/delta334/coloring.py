@@ -29,7 +29,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
 
 import numpy as np
 
@@ -61,10 +60,10 @@ def find_coloring_violation(graph: TriangleGraph, colors) -> tuple[int, int] | N
         raise ValueError(f"coloring covers {len(colors)} of {graph.n} vertices")
     for v in graph.loops:
         return (v, v)
-    for i, j in graph.edges():
-        if colors[i] == colors[j]:
-            return (i, j)
-    return None
+    i, j = graph._edge_ends()
+    colors = np.asarray(colors)
+    bad = np.flatnonzero(colors[i] == colors[j])
+    return (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
 
 
 @dataclass
@@ -217,7 +216,8 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int], clique: tuple[in
             certificate = {"infeasible_k": k, "nodes": used, "exhausted": True}
         else:
             break
-    witness = Coloring.checked(sub, upper_colors)
+    # proper by construction; chromatic_number_exact checks the joined coloring
+    witness = Coloring(tuple(upper_colors), len(set(upper_colors)), True)
     return ChromaticResult(lower, upper, witness, lower == upper, certificate, nodes_used)
 
 
@@ -278,11 +278,9 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
             break
         if deadline is not None and time.monotonic() > deadline:
             break
-        if it == 0:  # adjacency rows (CSR), built only once a round runs
-            deg = np.fromiter(map(graph.degree, range(n)), np.intp, n)
-            indptr = np.concatenate(([0], np.cumsum(deg)))
-            indices = np.fromiter(chain.from_iterable(map(graph.neighbors, range(n))),
-                                  np.intp, indptr[-1])
+        if it == 0:  # the graph's adjacency rows (CSR), read once a round runs
+            indptr, indices = graph._indptr, graph._heads
+            deg = np.diff(indptr)
             slots, edge_ids = np.arange(n), np.arange(indptr[-1])
             slot_of, estart = np.empty(n, np.intp), np.zeros(n + 1, np.intp)
             cur = np.array(best, np.intp)

@@ -56,7 +56,7 @@ from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
                        MAT3_IDENTITY, element_key,
                        has_order_dividing_3, is_prime, mat3_adjugate, mat3_mul,
                        parametric_order3, serialize_element)
-from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
+from .graph import (MorphismReport, TriangleGraph,
                     _mod3_pairwise_edges, build_delta334, induced_morphism)
 from .groups import order3_vertices, parse_group_spec
 
@@ -324,7 +324,8 @@ def _reduce_float(x: np.ndarray) -> np.ndarray:
 
 
 def _edges_with_prefilter(entries: list[tuple]):
-    """(pairs evaluated, trace candidates, exact power checks, sorted edges).
+    """(pairs evaluated, trace candidates, exact power checks, edges), the
+    edges an (m, 2) int64 array of (i, j), i < j, lexicographically sorted.
 
     One path for every entry size.  Reduction mod 2 is a homomorphism, so an
     edge joins two vertices whose images mod 2 are adjacent in the SL3(2)
@@ -338,7 +339,7 @@ def _edges_with_prefilter(entries: list[tuple]):
     exactly in integer arithmetic."""
     n = len(entries)
     if n < 2:
-        return 0, 0, 0, []
+        return 0, 0, 0, np.empty((0, 2), np.int64)
     # P = A_i A_j has entries up to 3 M^2 and principal-minor sum up to
     # 54 M^4; past int64 the same expressions run on Python ints
     maxabs = max(map(abs, chain.from_iterable(entries)))
@@ -409,8 +410,8 @@ def _edges_with_prefilter(entries: list[tuple]):
             # (peak RSS of a 5k-portion job loop ~98 MiB against ~86 MiB)
             del t, idx, tr, s, gi, gj, P, tp, sp, edge, minus, Pm, vi, vj
         del col_res, col_adj
-    i, j = np.divmod(np.sort(np.array(keys, dtype=np.int64)), n)
-    return evaluated, candidates, exact_checks, list(zip(i.tolist(), j.tolist()))
+    edges = np.stack(np.divmod(np.sort(np.array(keys, dtype=np.int64)), n), axis=1)
+    return evaluated, candidates, exact_checks, edges
 
 
 def _inverse_indices(entries: list[tuple]) -> np.ndarray:
@@ -457,38 +458,14 @@ def verify_no_identity_reduction(vertices, p: int) -> IdentityReductionReport:
     return IdentityReductionReport(p, len(verts), violations)
 
 
-@dataclass
-class EdgePreservationReport:
+def verify_edge_preservation(portion, p: int,
+                             codomain: TriangleGraph | None = None) -> MorphismReport:
     """Mod-p edge preservation: every portion edge must map to a codomain
     edge with distinct endpoints."""
-
-    p: int
-    checked_edges: int
-    morphism_report: MorphismReport
-
-    @property
-    def ok(self) -> bool:
-        return self.morphism_report.ok
-
-    @property
-    def morphism(self) -> GraphMorphism | None:
-        return self.morphism_report.morphism
-
-    def to_json_dict(self) -> dict:
-        mr = self.morphism_report
-        return {"ok": self.ok, "checked_edges": self.checked_edges,
-                "missing_vertices": mr.missing_vertices,
-                "unpreserved_edges": mr.unpreserved_edges,
-                "merged_adjacent_pairs": mr.merged_adjacent_pairs}
-
-
-def verify_edge_preservation(portion, p: int,
-                             codomain: TriangleGraph | None = None) -> EdgePreservationReport:
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
     if codomain is None:
         codomain = mod_p_codomain(p)
-    report = induced_morphism(graph, p, codomain)
-    return EdgePreservationReport(p, graph.edge_count, report)
+    return induced_morphism(graph, p, codomain)
 
 
 def mod_p_codomain(p: int) -> TriangleGraph:

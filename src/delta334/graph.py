@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
 from operator import index
 from typing import Iterable, Sequence
 
@@ -34,37 +33,31 @@ from .groups import ElementSet
 class TriangleGraph:
     """An undirected graph with optional loops and per-vertex labels.
 
-    Adjacency is frozen at construction as sorted neighbor tuples and a
-    lexicographically sorted edge tuple.  Edges may come in either
-    orientation and repeated: they are checked once as a whole, both
-    orientations of each become one sorted, deduplicated array of arc keys
-    tail n + head, and the rows are slices of its heads.
+    Edges may come in either orientation and repeated, as any sequence of
+    pairs or an (m, 2) integer array: they are converted to one array and
+    checked as a whole.  Both orientations of each edge become one sorted,
+    deduplicated array of arcs, kept as CSR: the heads, and per vertex the
+    offset of its first arc.  The sorted neighbor tuples are slices of the
+    heads, and edges() is derived from the arcs on each call.
     """
 
-    __slots__ = ("labels", "loops", "meta", "_neighbors", "_edges", "_key_index")
+    __slots__ = ("labels", "loops", "meta", "_neighbors", "_indptr", "_heads",
+                 "_key_index")
 
     def __init__(self, labels: Sequence, edges: Iterable[tuple[int, int]],
                  loops: Iterable[int] = (), meta: dict | None = None):
         self.labels = tuple(labels)
         n = len(self.labels)
-        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
-        ends = list(map(index, chain.from_iterable(pairs)))
-        if set(map(len, pairs)) - {2} or ends and (min(ends) < 0 or max(ends) >= n):
-            raise _edge_error(pairs, n)
-        i, j = np.array(ends, dtype=np.int64).reshape(-1, 2).T
-        if (i == j).any():
-            raise _edge_error(pairs, n)
+        i, j = _edge_array(edges, n).T
         arcs = np.concatenate((i * n + j, j * n + i))  # both orientations
         arcs.sort()  # by tail, then head
         arcs = np.concatenate((arcs[:1], arcs[1:][arcs[1:] != arcs[:-1]]))
-        tail, head = np.divmod(arcs, n)
-        cuts = np.searchsorted(tail, np.arange(n + 1)).tolist()
-        vertex = list(range(n)).__getitem__  # one int object per vertex, shared by all
-        heads = tuple(map(vertex, head.tolist()))
+        tail, self._heads = np.divmod(arcs, n)
+        self._indptr = np.searchsorted(tail, np.arange(n + 1))
+        cuts = self._indptr.tolist()
+        vertex = list(range(n)).__getitem__  # one int object per vertex in all rows
+        heads = tuple(map(vertex, self._heads.tolist()))
         self._neighbors = tuple([heads[a:b] for a, b in zip(cuts, cuts[1:])])
-        out = tail < head  # each edge once, still in lexicographic order
-        self._edges = tuple(zip(map(vertex, tail[out].tolist()),
-                                map(vertex, head[out].tolist())))
         self.loops = frozenset(loops)
         for v in self.loops:
             if not 0 <= v < n:
@@ -78,11 +71,18 @@ class TriangleGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._heads) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges (i, j) with i < j, lexicographically sorted."""
-        return self._edges
+        i, j = self._edge_ends()
+        return tuple(zip(i.tolist(), j.tolist()))
+
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The arrays of i and of j over the edges (i, j), in edges() order."""
+        tail = np.repeat(np.arange(self.n), np.diff(self._indptr))
+        out = tail < self._heads  # each edge once, still in lexicographic order
+        return tail[out], self._heads[out]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -116,18 +116,36 @@ class TriangleGraph:
                 f"{len(self.loops)} loops)")
 
 
-def _edge_error(pairs: Sequence, n: int) -> ValueError:
-    """The error for the first of `pairs` that is not two distinct vertices
-    of range(n)."""
-    for e in pairs:
-        if len(e) != 2:
+def _edge_array(edges, n: int) -> np.ndarray:
+    """`edges` as an (m, 2) int64 array, one np.asarray conversion checked as
+    a whole: integer or bool ends, pairs of distinct vertices of range(n).
+    ValueError or TypeError names the first edge that is not."""
+    pairs = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    try:
+        ends = np.asarray(pairs) if len(pairs) else np.empty((0, 2), np.int64)
+    except ValueError:  # ragged
+        raise _edge_error(pairs, n) from None
+    if (ends.dtype.kind not in "iub" or ends.ndim != 2 or ends.shape[1] != 2
+            or ends.size and (ends.min() < 0 or ends.max() >= n)
+            or (ends[:, 0] == ends[:, 1]).any()):
+        raise _edge_error(pairs, n)
+    return ends.astype(np.int64, copy=False)
+
+
+def _edge_error(pairs, n: int) -> Exception:
+    """The ValueError for the first of `pairs` that is not two distinct
+    vertices of range(n); an end that is not an int raises TypeError."""
+    for e in pairs.tolist() if isinstance(pairs, np.ndarray) else pairs:
+        try:
+            i, j = e
+        except (TypeError, ValueError):
             return ValueError(f"edge {e!r} is not a pair")
-        i, j = map(index, e)
+        i, j = index(i), index(j)
         if i == j:
             return ValueError(f"self-edge ({i},{i}) must be passed via loops")
         if not (0 <= i < n and 0 <= j < n):
             return ValueError(f"edge ({i},{j}) out of range for {n} vertices")
-    raise AssertionError("unreachable: the edges passed every check")
+    return TypeError("edge ends must have an integer dtype")
 
 
 def _core_order(graph: TriangleGraph) -> tuple[list[int], list[int]]:
@@ -196,8 +214,7 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
         if any(v.p != p for v in verts):
             raise ValueError("mixed moduli in one vertex set")
         table = _mod3_pairwise_edges(np.array([v.entries for v in verts]), p)
-        i, j = np.nonzero(np.triu(table, 1))
-        edges = zip(i.tolist(), j.tolist())
+        edges = np.argwhere(np.triu(table, 1))
         loops = np.flatnonzero(table.diagonal()).tolist()
     else:
         edges = []
@@ -311,6 +328,13 @@ class MorphismReport:
     unpreserved_edges: list[tuple[int, int]] = field(default_factory=list)
     merged_adjacent_pairs: list[tuple[int, int]] = field(default_factory=list)
     prime: int = 0
+    checked_edges: int = 0
+
+    def to_json_dict(self) -> dict:
+        return {"ok": self.ok, "checked_edges": self.checked_edges,
+                "missing_vertices": self.missing_vertices,
+                "unpreserved_edges": self.unpreserved_edges,
+                "merged_adjacent_pairs": self.merged_adjacent_pairs}
 
 
 def induced_morphism(domain: TriangleGraph, p: int, codomain: TriangleGraph) -> MorphismReport:
@@ -318,9 +342,10 @@ def induced_morphism(domain: TriangleGraph, p: int, codomain: TriangleGraph) -> 
 
     Domain vertices must be integer matrices and codomain vertices dim-3
     matrices mod p (the mod-p triangle graph).  Each domain vertex maps to
-    the codomain vertex with its reduced entries; the report lists any
-    vertex whose reduction is absent, any edge that fails to map to an
-    edge, and any adjacent pair collapsed to one vertex.
+    the codomain vertex with its reduced entries; the report lists, in
+    vertex and edge order, any vertex whose reduction is absent, any edge
+    that fails to map to an edge, and any adjacent pair collapsed to one
+    vertex.  checked_edges counts every domain edge.
     """
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
@@ -329,28 +354,25 @@ def induced_morphism(domain: TriangleGraph, p: int, codomain: TriangleGraph) -> 
         if not (isinstance(lab, ModMatrix) and lab.dim == 3 and lab.p == p):
             raise ValueError(f"induced_morphism codomain must have dim-3 mod-{p} labels")
         index[lab.entries] = i
-    report = MorphismReport(ok=True, morphism=None, prime=p)
     vmap: list[int] = []
-    for i, lab in enumerate(domain.labels):
+    for lab in domain.labels:
         if not isinstance(lab, IntMatrix3):
             raise ValueError("induced_morphism domain must have IntMatrix3 labels")
-        j = index.get(tuple(e % p for e in lab.entries), -1)
-        if j < 0:
-            report.missing_vertices.append(i)
-        vmap.append(j)
-    for i, j in domain.edges():
-        mi, mj = vmap[i], vmap[j]
-        if mi < 0 or mj < 0:
-            continue
-        if mi == mj:
-            report.merged_adjacent_pairs.append((i, j))
-        elif not codomain.has_edge(mi, mj):
-            report.unpreserved_edges.append((i, j))
-    report.ok = not (report.missing_vertices or report.unpreserved_edges
-                     or report.merged_adjacent_pairs)
-    if report.ok:
-        report.morphism = GraphMorphism(domain, codomain, tuple(vmap))
-    return report
+        vmap.append(index.get(tuple(e % p for e in lab.entries), -1))
+    images = np.array(vmap, dtype=np.int64)
+    i, j = domain._edge_ends()
+    mi, mj = images[i], images[j]
+    mapped = (mi >= 0) & (mj >= 0)
+    merged = mapped & (mi == mj)
+    ci, cj = codomain._edge_ends()
+    keys = np.minimum(mi, mj) * codomain.n + np.maximum(mi, mj)
+    unpreserved = mapped & ~merged & ~np.isin(keys, ci * codomain.n + cj)
+    missing = np.flatnonzero(images < 0).tolist()
+    unpreserved_edges = list(zip(i[unpreserved].tolist(), j[unpreserved].tolist()))
+    merged_pairs = list(zip(i[merged].tolist(), j[merged].tolist()))
+    ok = not (missing or unpreserved_edges or merged_pairs)
+    return MorphismReport(ok, GraphMorphism(domain, codomain, tuple(vmap)) if ok else None,
+                          missing, unpreserved_edges, merged_pairs, p, domain.edge_count)
 
 
 ISO_VERTEX_LIMIT = 100

@@ -14,8 +14,9 @@ payloads alike, goes through `canonical_json`, which writes what
 call's per-item generator (Python's json encoder leaves its C accelerator
 whenever `indent` is set): a list of plain ints is one join, and a list of
 equal-length int lists or tuples (the edges) one `%` template.  The loader
-checks the edges as a whole, and TriangleGraph builds its rows from one
-sorted array.
+converts and checks the edges once, by TriangleGraph's own conversion to
+an int64 array, adds the one rule of the file format (every edge is
+[i, j] with i < j) and hands that array to TriangleGraph.
 
 Labels are group elements on the wire: image arrays for permutations,
 row-major entry arrays for matrices, [left, right] for direct sums.  A
@@ -27,14 +28,15 @@ through as plain JSON.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import lt
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
                        element_label, serialize_element)
-from .graph import TriangleGraph
+from .graph import TriangleGraph, _edge_array
 
 
 class GraphFormatError(ValueError):
@@ -187,7 +189,16 @@ def graph_from_json_dict(doc: dict) -> TriangleGraph:
         labels.append(label_from_wire(desc, entry["label"]))
     n = len(labels)
     edges = doc["edges"]
-    _check_edges(edges, n)
+    if not isinstance(edges, list):
+        raise GraphFormatError(f"edges must be a list, not {type(edges).__name__}")
+    try:
+        ends = _edge_array(edges, n)
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"bad edge entry: {exc}") from exc
+    backward = np.flatnonzero(ends[:, 0] >= ends[:, 1])
+    if backward.size:
+        i, j = ends[backward[0]].tolist()
+        raise GraphFormatError(f"edge [{i}, {j}] out of order")
     loops = []
     for v in doc["loops"]:
         if not isinstance(v, int) or not 0 <= v < n:
@@ -195,28 +206,7 @@ def graph_from_json_dict(doc: dict) -> TriangleGraph:
         loops.append(v)
     if "generation" in doc:
         meta["generation"] = doc["generation"]
-    return TriangleGraph(labels, edges, loops, meta)
-
-
-def _check_edges(edges, n: int) -> None:
-    """Every edge is [i, j] with ints 0 <= i < j < n (a tuple will do, as
-    graph_to_json_dict writes them); the first that is not raises."""
-    if not isinstance(edges, list):
-        raise GraphFormatError(f"edges must be a list, not {type(edges).__name__}")
-    if all(map(isinstance, edges, repeat((list, tuple)))) and set(map(len, edges)) <= {2}:
-        ends = list(chain.from_iterable(edges))
-        first, second = ends[0::2], ends[1::2]
-        if (all(map(isinstance, ends, repeat(int)))
-                and (not ends or min(first) >= 0 and max(second) < n)
-                and all(map(lt, first, second))):
-            return
-    for e in edges:
-        if (not isinstance(e, (list, tuple)) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
-            raise GraphFormatError(f"bad edge entry {e!r}")
-        i, j = e
-        if not (0 <= i < j < n):
-            raise GraphFormatError(f"edge [{i}, {j}] out of order or range")
+    return TriangleGraph(labels, ends, loops, meta)
 
 
 def load_graph(path) -> TriangleGraph:

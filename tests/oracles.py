@@ -251,3 +251,36 @@ def oracle_adjacency(n, edges):
         nbrs[j].add(i)
     rows = tuple(tuple(sorted(s)) for s in nbrs)
     return rows, tuple((i, j) for i in range(n) for j in rows[i] if i < j)
+
+
+def oracle_coloring_violation(graph, colors):
+    """A loop, else the first edge (i, j), i < j, in lexicographic order over
+    the neighbor rows, whose ends share a color; None if there is none."""
+    for v in graph.loops:
+        return (v, v)
+    for i in range(graph.n):
+        for j in graph.neighbors(i):
+            if j > i and colors[i] == colors[j]:
+                return (i, j)
+    return None
+
+
+def oracle_induced_morphism(domain, p, codomain):
+    """(missing vertices, unpreserved edges, merged adjacent pairs) of the
+    map sending each domain vertex to the codomain vertex labeled by its
+    entries mod p, edge by edge in lexicographic order over the neighbor
+    rows; an edge with an unmapped end is skipped."""
+    where = {tuple(lab.entries): k for k, lab in enumerate(codomain.labels)}
+    image = [where.get(tuple(e % p for e in lab.entries), -1) for lab in domain.labels]
+    missing = [v for v in range(domain.n) if image[v] < 0]
+    unpreserved, merged = [], []
+    for i in range(domain.n):
+        for j in domain.neighbors(i):
+            a, b = image[i], image[j]
+            if j < i or a < 0 or b < 0:
+                continue
+            if a == b:
+                merged.append((i, j))
+            elif not codomain.has_edge(a, b):
+                unpreserved.append((i, j))
+    return missing, unpreserved, merged

@@ -279,6 +279,17 @@ class TestViolationDetection:
         with pytest.raises(ValueError):
             find_coloring_violation(toys.cycle_graph(3), (0, 1))
 
+    @given(small_graphs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_edge_by_edge_oracle(self, graph, data):
+        k = data.draw(st.integers(1, 4))
+        colors = data.draw(st.lists(st.integers(0, k - 1), min_size=graph.n, max_size=graph.n))
+        loops = data.draw(st.lists(st.integers(0, graph.n - 1), max_size=2))
+        looped = TriangleGraph(range(graph.n), graph.edges(), loops)
+        for g in (graph, looped):
+            want = oracles.oracle_coloring_violation(g, colors)
+            assert find_coloring_violation(g, colors) == want
+
 
 class TestLift:
     def test_lift_along_reduction_is_proper(self):

@@ -265,8 +265,8 @@ class TestEdgePreservation:
         rep = verify_edge_preservation(small_portion, 2)
         assert rep.ok
         assert rep.checked_edges == small_portion.graph.edge_count
-        assert not rep.morphism_report.unpreserved_edges
-        assert not rep.morphism_report.merged_adjacent_pairs
+        assert not rep.unpreserved_edges
+        assert not rep.merged_adjacent_pairs
 
     def test_empty_portion_vacuous(self):
         empty = build_portion_edges([])

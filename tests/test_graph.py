@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from delta334.elements import (ModMatrix, Permutation, compose, identity_like,
                                inverse, parametric_order3)
-from delta334.generation import mod_p_codomain
+from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
     build_delta334,
@@ -79,7 +79,7 @@ class TestTriangleGraph:
         assert g.edge_count == 2
 
     @given(edge_lists(), st.sampled_from(["tuples", "lists", "generator", "reversed",
-                                          "tuple", "array"]))
+                                          "tuple", "array", "int32", "uint64"]))
     @settings(max_examples=200, deadline=None)
     def test_rows_and_edges_match_set_oracle(self, case, form):
         n, edges = case
@@ -90,6 +90,8 @@ class TestTriangleGraph:
             "reversed": lambda: [(j, i) for i, j in reversed(edges)],
             "tuple": lambda: tuple(edges),
             "array": lambda: np.array(edges, dtype=np.int64).reshape(-1, 2),
+            "int32": lambda: np.array(edges, dtype=np.int32).reshape(-1, 2),
+            "uint64": lambda: np.array(edges, dtype=np.uint64).reshape(-1, 2),
         }[form]()
         g = TriangleGraph(range(n), given_edges)
         rows, want_edges = oracles.oracle_adjacency(n, edges)
@@ -98,12 +100,11 @@ class TestTriangleGraph:
         assert all(type(v) is int for e in g.edges() for v in e)
 
     def test_one_int_object_per_vertex(self):
-        # fresh int objects on the way in; rows and edges share one per vertex
+        # fresh int objects on the way in; the rows share one per vertex
         n = 600
         edges = [(int(str(j)), int(str(i))) for i in range(n) for j in (i + 1, i + 7) if j < n]
         g = TriangleGraph(range(n), edges)
         objects = {id(v) for u in range(n) for v in g.neighbors(u)}
-        objects |= {id(v) for e in g.edges() for v in e}
         assert len(objects) <= n
 
     @pytest.mark.parametrize("edges, message", [
@@ -112,12 +113,34 @@ class TestTriangleGraph:
         ([(1, 0), (-1, 2)], r"^edge \(-1,2\) out of range for 3 vertices$"),
         ([(0, 1), (3, 0)], r"^edge \(3,0\) out of range for 3 vertices$"),
         ([(0, 1), (0, 1, 2)], r"is not a pair"),
+        ([(0, 1), (2,)], r"^edge \(2,\) is not a pair$"),
+        ([0, 1], r"^edge 0 is not a pair$"),
+        ([(True, True)], r"^self-edge \(1,1\) must be passed via loops$"),
+        ([(0, 1), (0, 2 ** 64)], r"^edge \(0,18446744073709551616\) out of range for 3 vertices$"),
+        ([(-2 ** 63 - 1, 1)], r"^edge \(-9223372036854775809,1\) out of range for 3 vertices$"),
+        (np.array([(0, 1), (2 ** 64 - 1, 0)], dtype=np.uint64),
+         r"^edge \(18446744073709551615,0\) out of range for 3 vertices$"),
+        (np.array([(0, 1), (2, 1), (2, 2)], dtype=np.int32),
+         r"^self-edge \(2,2\) must be passed via loops$"),
     ])
     def test_bad_edge_messages(self, edges, message):
         with pytest.raises(ValueError, match=message):
             TriangleGraph(range(3), edges)
         with pytest.raises(ValueError, match=message):
             TriangleGraph(range(3), iter(edges))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (0.0, 1)], [(0, 1), ("0", 1)], np.array([(0.0, 1.0)]),
+    ])
+    def test_non_integer_ends_rejected(self, edges):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            TriangleGraph(range(3), edges)
+
+    @pytest.mark.parametrize("edges", [[(True, False)], np.array([(False, True)])])
+    def test_bool_pairs_accepted(self, edges):
+        g = TriangleGraph(range(2), edges)
+        assert g.edges() == ((0, 1),) and g.neighbors(0) == (1,)
+        assert all(type(v) is int for v in (*g.edges()[0], *g.neighbors(0)))
 
     def test_bad_loop_message(self):
         with pytest.raises(ValueError, match=r"^loop vertex 5 out of range$"):
@@ -249,6 +272,26 @@ class TestInducedMorphism:
         m = report.morphism
         for i, j in dom.edges():
             assert m.codomain.has_edge(m.vertex_map[i], m.vertex_map[j])
+
+    def test_failures_match_edge_by_edge_oracle(self):
+        # one codomain vertex and one edge dropped, and a domain vertex's
+        # neighbors given its label, so every list of the report fills
+        portion = generate_and_build(GenerationConfig(target_vertices=400)).graph
+        full = mod_p_codomain(2)
+        keep = full.edges()[1:]
+        codomain = TriangleGraph(full.labels[:-1], [e for e in keep if e[1] < full.n - 1])
+        labels = list(portion.labels)
+        u = next(v for v in range(portion.n) if portion.degree(v) >= 2)
+        for v in portion.neighbors(u):
+            labels[v] = labels[u]
+        domain = TriangleGraph(labels, portion.edges())
+        report = induced_morphism(domain, 2, codomain)
+        want = oracles.oracle_induced_morphism(domain, 2, codomain)
+        assert min(map(len, want)) >= 2
+        assert (report.missing_vertices, report.unpreserved_edges,
+                report.merged_adjacent_pairs) == want
+        assert not report.ok and report.morphism is None
+        assert report.checked_edges == domain.edge_count
 
     def test_non_matrix_domain_rejected(self):
         with pytest.raises(ValueError):

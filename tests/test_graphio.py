@@ -172,11 +172,18 @@ class TestMalformed:
         with pytest.raises(GraphFormatError):
             graph_from_json_dict(doc)
 
-    @pytest.mark.parametrize("edge", [[0, 1, 2], [0.5, 1], ["0", 1], [1], 7, None])
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0.5, 1], ["0", 1], [1], 7, None,
+                                      [0, 2 ** 64]])
     def test_edge_entry_shape_enforced(self, edge):
         doc = self.make_doc()
         doc["edges"].append(edge)
         with pytest.raises(GraphFormatError, match="bad edge entry"):
+            graph_from_json_dict(doc)
+
+    def test_reversed_edge_named(self):
+        doc = self.make_doc()
+        doc["edges"] = [[0, 1], [2, 1]]
+        with pytest.raises(GraphFormatError, match=r"^edge \[2, 1\] out of order$"):
             graph_from_json_dict(doc)
 
     @pytest.mark.parametrize("edges", [None, {"0": 1}, "01"])
