@@ -13,8 +13,10 @@ the core search adds that clique's pre-coloring for symmetry breaking,
 forward checking on bitboards (after San Segundo, Comput. Oper. Res. 2012:
 a mask per color of the vertices that may still take it, and a mask per
 count of colors left as the vertex queue), and an ascending-color symmetry
-cap (a vertex may only open one new color).  Chi is certified when a
-coloring meets the clique or the (chi-1)-coloring search exhausts.
+cap (a vertex may only open one new color).  A color that would take a
+neighbor's last color is refused before any mask moves, and a vertex's
+color loop ends at its last candidate.  Chi is certified when a coloring
+meets the clique or the (chi-1)-coloring search exhausts.
 DSATUR has its own pass: on a whole component the bitboards would need a
 mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
 memory at any size.
@@ -186,12 +188,14 @@ def _component_chromatic(graph: TriangleGraph, comp: list[int], clique: tuple[in
     """The component's coloring and upper bound, and a lower bound on chi of
     the graph: the clique's size clamped to the greedy bound, as no component
     needs fewer colors, or upper once the search below it exhausts.  The
-    clique is pinned only in the component that holds it."""
+    clique is pinned only in the component that holds it.  A component of
+    one or two vertices is a clique, chi = its size, and needs no subgraph."""
+    if len(comp) <= 2:
+        n = len(comp)
+        return ChromaticResult(n, n, Coloring(tuple(range(n)), n, True), True)
     local = {v: i for i, v in enumerate(comp)}  # the induced subgraph's labels
     sub = TriangleGraph(comp, [(i, local[w]) for i, v in enumerate(comp)
                                for w in graph.neighbors(v) if w > v and w in local])
-    if not sub.edge_count:
-        return ChromaticResult(1, 1, Coloring((0,) * sub.n, 1, True), True)
     pinned = tuple(local[v] for v in clique if v in local)  # all of it or none
 
     floor = max(len(clique), 2)  # a cut clique search may stop before its first edge
@@ -356,13 +360,15 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
     vertices own the bits 1 << rank (highest degree, then lowest index,
     first), cand[c] masks those that may still take color c, free the
     uncolored ones, and level[a] those with a colors left.  Coloring rank r
-    with c clears d = nbr[r] & cand[c] & free from cand[c] and moves d down
-    one level, one mask operation per level; it fails when level[0] fills,
-    and d is its undo.  nbr[r] is built when r is first colored, so a cut
-    search on a large core holds masks only for the vertices it reached.
-    The next vertex is the lowest bit of the lowest non-empty level; its
-    colors are tried in ascending order, opening at most one new color.
-    `colors` is written only on 'sat'.
+    with c takes d = nbr[r] & cand[c] & free.  It fails exactly when d meets
+    level[1], some neighbor's last color, and then nothing moves.
+    Otherwise it clears d from cand[c] and moves d down one level, one mask
+    operation per level, and d is its undo.  nbr[r] is built when r is first
+    colored, so a cut search on a large core holds masks only for the
+    vertices it reached.  The next vertex is the lowest bit of the lowest
+    non-empty level a; its colors are tried in ascending order, opening at
+    most one new color, and its loop ends after its a-th candidate, as it
+    has no other.  `colors` is written only on 'sat'.
     """
     by_rank = sorted(core, key=lambda u: (-graph.degree(u), u))
     rank = dict(zip(by_rank, range(len(core))))
@@ -388,74 +394,73 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
         level = [m & ~out | (level[a + 1] & out if a < k else 0) for a, m in enumerate(level)]
     if level[0]:
         return ("unsat", 0)
-    # stack: (rank, color, undo mask, max color before, level taken from,
-    # one above the highest level d left) per colored vertex on the path
+    # stack: (rank, color, undo mask, level taken from, one above the highest
+    # level d left, candidates left untried, color cap) per colored vertex
     stack = []
+    push, pop = stack.append, stack.pop
     nodes = 0
     check_at = 0  # next node count at which to stop or read the clock: first before node 1
-    cur_max = len(clique) - 1
-    status = None
-    while not status:
-        for a, m in enumerate(level):  # level[0] is empty: a failed color is undone at once
-            if m:
-                break
-        else:
-            status = "sat"
-            break
+    lim = min(len(clique) + 1, k)  # the next vertex's colors: the used ones and one new
+    while free:
+        a = 1  # level[0] is empty between nodes
+        m = level[1]
+        while not m:
+            a += 1
+            m = level[a]
         if nodes >= check_at:
             if nodes >= node_budget or deadline is not None and time.monotonic() > deadline:
-                status = "budget"
-                break
+                return ("budget", nodes)
             check_at = min(node_budget, nodes + 4096)
         nodes += 1
         b = m & -m
         level[a] ^= b
         free ^= b
         r = b.bit_length() - 1
-        c, prev_max = -1, cur_max
+        c, left = -1, a  # r has exactly a candidate colors
         while True:  # r's next color, or back to its parent's once none is left
-            lim = prev_max + 2 if prev_max < k - 2 else k
-            c += 1
-            while c < lim and not cand[c] >> r & 1:
+            if left:
                 c += 1
-            if c == lim:
+                while c < lim and not cand[c] >> r & 1:
+                    c += 1
+            if not left or c == lim:
                 level[a] |= 1 << r
                 free |= 1 << r
                 if not stack:
-                    status = "unsat"
-                    break
-                r, c, d, prev_max, a, top = stack.pop()
-            else:
-                m = nbr[r]
-                if m < 0:
-                    m = neighbor_mask(r)
-                d = rest = m & cand[c] & free
-                cand[c] ^= d
-                top = a
-                while rest:
-                    x = level[top] & rest
+                    return ("unsat", nodes)
+                r, c, d, a, top, left, lim = pop()
+                cand[c] |= d  # undo color c at r
+                while top > a:  # d back up one level, the lowest last
+                    top -= 1
+                    x = level[top - 1] & d
                     if x:
-                        level[top] ^= x
-                        level[top - 1] |= x
-                        rest ^= x
-                    top += 1
-                if not level[0]:
-                    stack.append((r, c, d, prev_max, a, top))
-                    cur_max = c if c > prev_max else prev_max
-                    break
-            cand[c] |= d  # undo color c at r
-            for t in range(top - 2, a - 2, -1):
-                x = level[t] & d
+                        level[top - 1] ^= x
+                        level[top] |= x
+                continue
+            left -= 1
+            m = nbr[r]
+            if m < 0:
+                m = neighbor_mask(r)
+            d = m & cand[c] & free
+            if d & level[1]:  # a neighbor's last color: c fails before any move
+                continue
+            cand[c] ^= d
+            rest, top = d, a
+            while rest:
+                x = level[top] & rest
                 if x:
-                    level[t] ^= x
-                    level[t + 1] |= x
-
-    if status == "sat":
-        for c, v in enumerate(clique):
-            colors[v] = c
-        for r, c, *_ in stack:
-            colors[by_rank[r]] = c
-    return (status, nodes)
+                    level[top] ^= x
+                    level[top - 1] |= x
+                    rest ^= x
+                top += 1
+            push((r, c, d, a, top, left, lim))
+            if c + 1 == lim < k:  # c is a new color: the next vertex may open one more
+                lim += 1
+            break
+    for c, v in enumerate(clique):
+        colors[v] = c
+    for r, c, *_ in stack:
+        colors[by_rank[r]] = c
+    return ("sat", nodes)
 
 
 def heuristic_chromatic_upper(graph: TriangleGraph, rounds: int | None = None) -> Coloring:

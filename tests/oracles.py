@@ -4,10 +4,13 @@ Everything here trades speed for obviousness: exhaustive enumeration,
 literal fourth powers on plain tuples, no bitsets, no pruning beyond
 discarding assignments that are already improper.  Feasible only on tiny
 inputs, which is the point: the fast package code is checked against
-these on every graph small enough to afford it.
+these on every graph small enough to afford it.  The one exception is
+oracle_core_search, an earlier, slower loop of the exact chi search: it
+pins the search tree, not just the answer, so it keeps that loop's bitsets.
 """
 
 import random
+import time
 from itertools import combinations, permutations
 
 
@@ -284,3 +287,105 @@ def oracle_induced_morphism(domain, p, codomain):
             elif not codomain.has_edge(a, b):
                 unpreserved.append((i, j))
     return missing, unpreserved, merged
+
+
+def oracle_core_search(graph, k, core, clique, colors, deadline, node_budget):
+    """The exact chi search's k-coloring of `core` as the library first ran
+    it on bitboards, kept as the reference its faster loop must match node
+    for node: ('sat' | 'unsat' | 'budget', nodes), with `colors` written
+    only on 'sat'.  Each color is tried by moving d = nbr[r] & cand[c] &
+    free down every level and undone when level[0] fills, and a vertex's
+    colors are scanned up to its cap even after its last candidate.
+    """
+    by_rank = sorted(core, key=lambda u: (-graph.degree(u), u))
+    rank = dict(zip(by_rank, range(len(core))))
+    nbr = [-1] * len(core)
+    free = (1 << len(core)) - 1
+    cand = [free] * k
+
+    def neighbor_mask(r: int) -> int:
+        nbr[r] = sum(1 << rank[w] for w in graph.neighbors(by_rank[r]) if w in rank)
+        return nbr[r]
+
+    # clique pre-coloring: any k-coloring can be permuted so a fixed clique
+    # uses colors 0..len-1, so pinning them is sound symmetry breaking
+    clique = sorted(clique)
+    if len(clique) > k:
+        return ("unsat", 0)
+    for c, v in enumerate(clique):
+        free ^= 1 << rank[v]
+        cand[c] ^= neighbor_mask(rank[v])
+    level = [0] * k + [free]
+    for c in range(len(clique)):  # the vertices that lost color c drop a level
+        out = free & ~cand[c]
+        level = [m & ~out | (level[a + 1] & out if a < k else 0) for a, m in enumerate(level)]
+    if level[0]:
+        return ("unsat", 0)
+    # stack: (rank, color, undo mask, max color before, level taken from,
+    # one above the highest level d left) per colored vertex on the path
+    stack = []
+    nodes = 0
+    check_at = 0  # next node count at which to stop or read the clock: first before node 1
+    cur_max = len(clique) - 1
+    status = None
+    while not status:
+        for a, m in enumerate(level):  # level[0] is empty: a failed color is undone at once
+            if m:
+                break
+        else:
+            status = "sat"
+            break
+        if nodes >= check_at:
+            if nodes >= node_budget or deadline is not None and time.monotonic() > deadline:
+                status = "budget"
+                break
+            check_at = min(node_budget, nodes + 4096)
+        nodes += 1
+        b = m & -m
+        level[a] ^= b
+        free ^= b
+        r = b.bit_length() - 1
+        c, prev_max = -1, cur_max
+        while True:  # r's next color, or back to its parent's once none is left
+            lim = prev_max + 2 if prev_max < k - 2 else k
+            c += 1
+            while c < lim and not cand[c] >> r & 1:
+                c += 1
+            if c == lim:
+                level[a] |= 1 << r
+                free |= 1 << r
+                if not stack:
+                    status = "unsat"
+                    break
+                r, c, d, prev_max, a, top = stack.pop()
+            else:
+                m = nbr[r]
+                if m < 0:
+                    m = neighbor_mask(r)
+                d = rest = m & cand[c] & free
+                cand[c] ^= d
+                top = a
+                while rest:
+                    x = level[top] & rest
+                    if x:
+                        level[top] ^= x
+                        level[top - 1] |= x
+                        rest ^= x
+                    top += 1
+                if not level[0]:
+                    stack.append((r, c, d, prev_max, a, top))
+                    cur_max = c if c > prev_max else prev_max
+                    break
+            cand[c] |= d  # undo color c at r
+            for t in range(top - 2, a - 2, -1):
+                x = level[t] & d
+                if x:
+                    level[t] ^= x
+                    level[t + 1] |= x
+
+    if status == "sat":
+        for c, v in enumerate(clique):
+            colors[v] = c
+        for r, c, *_ in stack:
+            colors[by_rank[r]] = c
+    return (status, nodes)

@@ -228,7 +228,9 @@ SL32_CHI_COLORS = (3, 1, 6, 0, 6, 1, 3, 5, 5, 4, 2, 2, 7, 5, 0, 6, 3, 2, 6, 1, 6
 
 def test_sl32_chi_search_is_pinned(sl32_chi):
     """The k = 7 exhaustion visits the same nodes and the chi coloring is
-    the same as before the search's forward checking moved to bitboards."""
+    the same as before the search's forward checking moved to bitboards,
+    and as before its loop refused a dead color before moving a mask and
+    stopped at a vertex's last candidate."""
     assert sl32_chi.nodes == sl32_chi.certificate["nodes"] == 1_176_185
     assert sl32_chi.coloring.colors == SL32_CHI_COLORS
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334 import cliques
+from delta334 import cliques, coloring
 from delta334.coloring import (
     Coloring,
+    _core_search,
     _iterated_greedy,
     chromatic_number_exact,
     find_coloring_violation,
@@ -15,7 +16,7 @@ from delta334.coloring import (
     improve_coloring,
     lift_coloring,
 )
-from delta334.graph import TriangleGraph, build_delta334, induced_morphism
+from delta334.graph import TriangleGraph, _core_order, build_delta334, induced_morphism
 from delta334.generation import mod_p_codomain
 from delta334.groups import ElementSet, order3_vertices, parse_group_spec
 from delta334.elements import inverse, parametric_order3
@@ -30,6 +31,17 @@ def small_graphs(draw):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return TriangleGraph(range(n), edges)
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 18 vertices at edge densities from sparse to dense: k-coloring
+    searches of up to a few hundred nodes."""
+    n = draw(st.integers(1, 18))
+    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65]))
+    rng = draw(st.randoms(use_true_random=False))
+    return TriangleGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
+                                    if rng.random() < p])
 
 
 class TestExact:
@@ -122,8 +134,10 @@ class TestExact:
 
     def test_sl33_budgeted_search_is_pinned(self):
         # the nodes and coloring of the search, from before its forward
-        # checking moved to bitboards: the search order must not change, and
-        # passing the clique it would find itself changes nothing
+        # checking moved to bitboards, and kept since by the loop that refuses
+        # a dead color before moving a mask and stops at a vertex's last
+        # candidate: the search order must not change, and passing the clique
+        # it would find itself changes nothing
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         for clique in (None, cliques.clique_number(g, node_budget=50_000)):
             res = chromatic_number_exact(g, node_budget=50_000, clique=clique)
@@ -159,6 +173,27 @@ class TestExact:
         assert res.certificate == {"lower_bound_clique": (0, 1, 2, 3)}
         assert find_coloring_violation(g, res.coloring.colors) is None
 
+    def test_components_of_one_or_two_vertices_build_no_subgraph(self, monkeypatch):
+        # an edge, a lone vertex, C5 and an edge: only C5 is built and
+        # searched (k = 2 refuted in 4 nodes); the others are cliques, colored
+        # 0 and 0, 1 as DSATUR on their own subgraphs colored them
+        g = toys.disjoint_union(toys.disjoint_union(toys.path_graph(2), toys.path_graph(1)),
+                                toys.disjoint_union(toys.cycle_graph(5), toys.path_graph(2)))
+        built = []
+        real = coloring.TriangleGraph
+
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(coloring, "TriangleGraph", spy)
+        res = chromatic_number_exact(g)
+        assert [sub.n for sub in built] == [5]
+        assert (res.lower, res.upper, res.exact, res.nodes) == (3, 3, True, 4)
+        assert res.coloring == Coloring((0, 1, 0, 0, 1, 0, 1, 2, 0, 1), 3, True)
+        assert res.certificate == {"infeasible_k": 2, "nodes": 4, "exhausted": True,
+                                   "lower_bound_clique": (0, 1)}
+
     @pytest.mark.parametrize("witness", [(0, 1, 2), (-1, 0), (5, 4)],
                              ids=["non-edge", "negative", "past-end"])
     def test_given_clique_is_verified(self, witness):
@@ -183,6 +218,36 @@ class TestExact:
         want, _ = oracles.oracle_chromatic(graph)
         res = chromatic_number_exact(graph)
         assert res.exact and res.chi == want
+
+    @given(random_graphs(), st.integers(2, 5), st.booleans(), st.booleans(),
+           st.integers(1, 2000))
+    @settings(max_examples=200, deadline=None)
+    def test_core_search_matches_reference_node_for_node(self, graph, k, peel, pin, budget):
+        # on the k-core, as _k_colorable passes it, or on every vertex, with
+        # or without the whole graph's clique pinned: the search must stop
+        # where the reference loop does, with the same status and coloring
+        _, core = _core_order(graph)
+        kcore = [v for v in range(graph.n) if core[v] >= k or not peel]
+        clique = [v for v in cliques.clique_number(graph).witness if v in kcore] if pin else []
+        got, want = [-1] * graph.n, [-1] * graph.n
+        result = _core_search(graph, k, kcore, clique, got, None, budget)
+        assert result == oracles.oracle_core_search(graph, k, kcore, clique, want, None, budget)
+        assert got == want
+
+    @pytest.mark.parametrize("graph, k", [
+        (toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2)))), 4),
+        (build_delta334(order3_vertices(parse_group_spec("SL3(2)"))), 7),
+    ], ids=["mycielski-23", "SL3(2)"])
+    def test_core_search_matches_reference_on_deep_trees(self, graph, k):
+        # trees far deeper than random graphs of 18 vertices give (663 nodes
+        # and a 20,000-node cut of the 1,176,185), with and without the clique
+        clique = list(cliques.clique_number(graph).witness)
+        for pinned in (clique, []):
+            args = (graph, k, list(range(graph.n)), pinned)
+            got, want = [-1] * graph.n, [-1] * graph.n
+            result = _core_search(*args, got, None, 20_000)
+            assert result == oracles.oracle_core_search(*args, want, None, 20_000)
+            assert got == want
 
 
 class TestHeuristics:
