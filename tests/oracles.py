@@ -4,9 +4,10 @@ Everything here trades speed for obviousness: exhaustive enumeration,
 literal fourth powers on plain tuples, no bitsets, no pruning beyond
 discarding assignments that are already improper.  Feasible only on tiny
 inputs, which is the point: the fast package code is checked against
-these on every graph small enough to afford it.  The one exception is
-oracle_core_search, an earlier, slower loop of the exact chi search: it
-pins the search tree, not just the answer, so it keeps that loop's bitsets.
+these on every graph small enough to afford it.  The two exceptions are
+oracle_core_search and oracle_clique_search, earlier, slower loops of the
+exact chi search and of the clique search: they pin the search tree, not
+just the answer, so they keep those loops' bitsets.
 """
 
 import random
@@ -389,3 +390,65 @@ def oracle_core_search(graph, k, core, clique, colors, deadline, node_budget):
         for r, c, *_ in stack:
             colors[by_rank[r]] = c
     return (status, nodes)
+
+
+def oracle_clique_search(graph, node_budget=None):
+    """The clique search as the library first ran it, kept as the reference
+    its faster loop must match node for node: the same CliqueResult under
+    every budget.  Its local rows are built per outer vertex from frozenset
+    neighborhoods, and every node, leaves included, is one call."""
+    from delta334.cliques import DEFAULT_CLIQUE_BUDGET, CliqueResult
+    from delta334.cycles import _bits, _mask
+    from delta334.graph import _core_order
+
+    if node_budget is None:
+        node_budget = DEFAULT_CLIQUE_BUDGET
+    n = graph.n
+    if n == 0:
+        return CliqueResult(0, (), True, 0)
+    nbrs = [frozenset(graph.neighbors(v)) for v in range(n)]
+    order, _ = _core_order(graph)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    best: list[int] = []
+    nodes = 0
+    later: list[int] = []   # local bit -> vertex, for the current outer vertex
+    rows: list[int] = []    # local adjacency masks within P
+
+    def expand(r: list[int], p: int):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes >= node_budget:
+            return
+        if not p:
+            if len(r) > len(best):
+                best = r[:]
+            return
+        if len(r) + p.bit_count() <= len(best):
+            return
+        pivot_hits = -1
+        for u in _bits(p):
+            hits = (p & rows[u]).bit_count()
+            if hits > pivot_hits:
+                pivot_hits, pivot = hits, u
+        for u in _bits(p & ~rows[pivot]):
+            r.append(later[u])
+            expand(r, p & rows[u])
+            r.pop()
+            p &= ~(1 << u)
+            if nodes >= node_budget:
+                return
+
+    for v in order:
+        later = sorted(w for w in nbrs[v] if pos[w] > pos[v])
+        if len(later) + 1 <= len(best):
+            continue
+        local = {w: i for i, w in enumerate(later)}
+        pset = frozenset(later)
+        rows = [_mask(local[x] for x in nbrs[w] & pset) for w in later]
+        expand([v], (1 << len(later)) - 1)
+        if nodes >= node_budget:
+            break
+    return CliqueResult(len(best), tuple(sorted(best)), nodes < node_budget,
+                        min(nodes, node_budget))

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334.cliques import clique_number, verify_clique
+from delta334 import cliques
+from delta334.cliques import CliqueResult, clique_number, verify_clique
+from delta334.generation import GenerationConfig, generate_and_build
 from delta334.graph import TriangleGraph, _core_order, build_delta334
 from delta334.groups import order3_vertices, parse_group_spec
 
@@ -54,6 +58,87 @@ class TestCliqueNumber:
         assert res.exact and res.size == want
         if want:
             assert verify_clique(graph, res.witness)
+
+
+@st.composite
+def clique_cases(draw):
+    """A random graph of up to 90 vertices, so that the densest ones have
+    later sets of more than 64 vertices (rows of two words), with loops."""
+    n = draw(st.integers(1, 90) | st.integers(75, 90))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.95]))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rnd.random() < density]
+    loops = [v for v in range(n) if rnd.random() < 0.05]
+    return TriangleGraph(range(n), edges, loops=loops), density
+
+
+@pytest.fixture(scope="module")
+def sl33():
+    return build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+
+
+@pytest.fixture(scope="module")
+def portion_5k():
+    return generate_and_build(GenerationConfig(target_vertices=5000)).graph
+
+
+class TestSameTreeAsTheOracle:
+    """clique_number must visit the search tree of oracle_clique_search node
+    for node: the same size, witness, exactness and nodes at every budget."""
+
+    @given(clique_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs_at_every_budget(self, case):
+        graph, density = case
+        # unbudgeted searches of the densest graphs run to millions of nodes
+        top = None if density <= 0.5 else 20_000
+        for budget in (top, 0, 1, 2, 3, 7, 50, 400):
+            assert clique_number(graph, budget) == oracles.oracle_clique_search(graph, budget)
+
+    def test_sl32(self):
+        g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
+        want = CliqueResult(5, (0, 3, 8, 26, 42), True, 687)
+        assert clique_number(g) == oracles.oracle_clique_search(g) == want
+
+    @pytest.mark.parametrize("budget, want", [
+        (5, CliqueResult(4, (1, 17, 23, 27), False, 5)),
+        (50_000, CliqueResult(6, (1, 17, 29, 53, 391, 722), False, 50_000)),
+        (None, CliqueResult(6, (1, 17, 29, 53, 391, 722), True, 228_076)),
+    ])
+    def test_sl33(self, sl33, budget, want):
+        assert clique_number(sl33, budget) == oracles.oracle_clique_search(sl33, budget) == want
+
+    def test_portion_5k(self, portion_5k):
+        res = clique_number(portion_5k)
+        assert res == oracles.oracle_clique_search(portion_5k)
+        assert (res.size, res.exact, res.nodes) == (3, True, 17_019)
+
+    def test_k70(self):
+        # later sets of up to 69 vertices: rows of two words
+        g = toys.complete_graph(70)
+        res = clique_number(g)
+        assert res == oracles.oracle_clique_search(g)
+        assert (res.size, res.witness, res.exact) == (70, tuple(range(70)), True)
+
+    def test_loops_are_ignored(self):
+        g = TriangleGraph(range(5), [(0, 1), (1, 2), (0, 2), (2, 3)], loops=[1, 3, 4])
+        res = clique_number(g)
+        assert res == oracles.oracle_clique_search(g)
+        assert (res.size, res.witness, res.exact) == (3, (0, 1, 2), True)
+
+
+class TestPairBlocks:
+    # blocks smaller than one arc's pairs, so a block can end inside an arc,
+    # inside a vertex's later set and inside a row's bits
+    @pytest.mark.parametrize("graph, block", [("sl33", 97), ("portion_5k", 7)])
+    def test_small_blocks_change_no_row(self, graph, block, request, monkeypatch):
+        g = request.getfixturevalue(graph)
+        order, _ = _core_order(g)
+        rows = cliques._later_rows(g, order)
+        want = [clique_number(g, budget) for budget in (5, 50_000, None)]
+        monkeypatch.setattr(cliques, "_PAIR_BLOCK", block)
+        assert cliques._later_rows(g, order) == rows
+        assert [clique_number(g, budget) for budget in (5, 50_000, None)] == want
 
 
 class TestDegeneracyOrder:

@@ -115,7 +115,7 @@ class TestExact:
         assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_time_budget_covers_the_clique_search(self):
-        # SL3(3)'s clique search (228,076 nodes, ~0.6 s) runs inside the budget
+        # SL3(3)'s clique search (228,076 nodes, ~0.3 s) runs inside the budget
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         start = time.monotonic()
         res = chromatic_number_exact(g, time_budget=1.0)
@@ -124,7 +124,7 @@ class TestExact:
         assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_search_entered_after_its_deadline_runs_no_node(self):
-        # the clique search (~0.6 s) uses up the time budget before the chi
+        # the clique search (~0.3 s) uses up the time budget before the chi
         # search starts, and the chi search reads the clock before its first node
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         res = chromatic_number_exact(g, time_budget=0.01)
