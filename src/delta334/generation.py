@@ -25,13 +25,17 @@ classes: about 35 % of all pairs on the default portion.  Two vertices with
 the same image are never adjacent (see _edges_with_prefilter).
 
 Both traces are Gram-matrix products, one over the matrices and one over
-their adjugates.  They are computed blockwise as float64 BLAS products of
-centred residues modulo one prime p < 2^25, which are exact integers for
-any entry size.  Pairs with (t, s) = (1, 1) or (-1, -1) mod p survive and
-are decided exactly from P = AB: in int64 while 54 M^4 < 2^63 for the
-largest entry M, on numpy arrays of Python ints beyond.  Pairs with t = 3
-mod p are dropped: the only edges among them are the inverse pairs, which
-are added from the vertex list directly.
+their adjugates.  They are computed as float64 BLAS products of centred
+residues modulo one prime p < 2^25, which are exact integers for any entry
+size, in blocks of about 2^18 entries (2 MiB) so that each block's
+elementwise passes run from a core's L2 cache.  The t block is reduced mod
+p only when it can wrap: |t| <= 9 M^2 for the largest entry M, so while
+9 M^2 <= p // 2 (M <= 1365, every default portion) t is the trace over Z
+itself.  Pairs with (t, s) = (1, 1) or (-1, -1) mod p survive and are
+decided exactly from P = AB: in int64 while 54 M^4 < 2^63, on numpy arrays
+of Python ints beyond.  Pairs with t = 3 mod p are dropped: the only edges
+among them are the inverse pairs, which are added from the vertex list
+directly.
 
 The mod-p verification program from the source material runs against these
 portions: no vertex reduces to the identity mod p, every edge maps to an
@@ -176,8 +180,8 @@ class GenerationStats:
     # pairs whose traces were computed: those with adjacent images mod 2
     pairs_evaluated: int = 0
     # evaluated pairs whose trace is 3, -1 or 1 mod p; exactly the evaluated
-    # pairs with that trace over Z while 9 M^2 < p / 2 (M the largest entry,
-    # about 1365)
+    # pairs with that trace over Z while 9 M^2 <= p // 2 (M the largest
+    # entry, up to 1365)
     prefilter_candidates: int = 0
     exact_checks: int = 0  # pairs with t = s = -1 over Z, tested for P^2 = I
     edges_found: int = 0
@@ -278,14 +282,13 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
     stats.pairs_total = n * (n - 1) // 2
 
     entries = [v.entries for v in verts]
-    evaluated, candidates_count, exact_checks, edges = _edges_with_prefilter(entries)
+    maxabs = max(map(abs, chain.from_iterable(entries)), default=0)
+    evaluated, candidates_count, exact_checks, edges = _edges_with_prefilter(entries, maxabs)
     stats.pairs_evaluated = evaluated
     stats.prefilter_candidates = candidates_count
     stats.exact_checks = exact_checks
     stats.edges_found = len(edges)
-    if entries:
-        stats.max_abs_entry = max(stats.max_abs_entry,
-                                  max(map(abs, chain.from_iterable(entries))))
+    stats.max_abs_entry = max(stats.max_abs_entry, maxabs)
 
     meta = {
         "source": "sl3z-portion",
@@ -299,6 +302,15 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
 # every partial sum of a 9-term residue dot product stays below
 # 9 * (p/2)^2 < 2^53 and float64 Gram products are exact integers.
 _RESIDUE_PRIME = 33_554_393
+
+# Entries per block of the edge pass's Gram products: 1 << 18 float64 is
+# 2 MiB, a core's L2 cache on the 2-core VM of BENCH_edge_pass.json, and
+# each block's elementwise passes run from there.  Smaller blocks cost more
+# BLAS calls, each streaming all of a class's columns for fewer rows.  Warm
+# passes, medians, 1 << 16 / 17 / 18 / 21: 25k 1.11 / 0.97 / 0.95 / 0.97 s,
+# 100k 18.1 / 12.8 / 11.7 / 10.4 s.  The 5k pass peaks at 48 MiB RSS here,
+# 55 MiB with 1 << 21 and t always reduced
+_BLOCK_ENTRIES = 1 << 18
 
 
 def _transposed_flat(arr: np.ndarray, n: int) -> np.ndarray:
@@ -323,7 +335,7 @@ def _reduce_float(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _edges_with_prefilter(entries: list[tuple]):
+def _edges_with_prefilter(entries: list[tuple], maxabs: int):
     """(pairs evaluated, trace candidates, exact power checks, edges), the
     edges an (m, 2) int64 array of (i, j), i < j, lexicographically sorted.
 
@@ -342,7 +354,6 @@ def _edges_with_prefilter(entries: list[tuple]):
         return 0, 0, 0, np.empty((0, 2), np.int64)
     # P = A_i A_j has entries up to 3 M^2 and principal-minor sum up to
     # 54 M^4; past int64 the same expressions run on Python ints
-    maxabs = max(map(abs, chain.from_iterable(entries)))
     flat = np.array(entries, dtype=np.int64 if 54 * maxabs ** 4 < 2 ** 63 else object)
     codes, cls = np.unique((flat % 2).astype(np.int64) @ (1 << np.arange(9)),
                            return_inverse=True)
@@ -362,10 +373,16 @@ def _edges_with_prefilter(entries: list[tuple]):
     adj_t = _transposed_flat(adj_f, n)
     # edges as keys i n + j with i < j, inverse pairs first.  The keys are
     # Python ints: small arrays kept alive across blocks pin the heap above
-    # the freed block products (25k pass: peak RSS 166 MiB against 136 MiB)
+    # the freed block products (peak RSS after a fresh-process pass, int64
+    # key arrays against these: 25k 90 against 89 MiB, 100k 410 against
+    # 380 MiB; 5k 47.6 against 48.5 MiB)
     inv_idx = _inverse_indices(entries)
     first = np.arange(n)
     keys = (first * n + inv_idx)[inv_idx > first].tolist()
+    # |t| <= 9 M^2.  While that is at most p // 2 the centred residues are
+    # the entries, t is the trace over Z and reducing it would change
+    # nothing; the gathered s candidates are reduced either way
+    reduce_t = 9 * maxabs ** 2 > _RESIDUE_PRIME // 2
     evaluated = candidates = exact_checks = 0
     classes = np.arange(len(codes))
     for a in classes:
@@ -376,14 +393,17 @@ def _edges_with_prefilter(entries: list[tuple]):
             continue
         col_res = res_t[cols]
         col_adj = adj_t[cols]
-        block_size = max(1, min(1024, (1 << 21) // m))
+        block_size = max(1, min(1024, _BLOCK_ENTRIES // m))
         for lo in range(starts[a], starts[a + 1], block_size):
             hi = min(lo + block_size, starts[a + 1])
-            t = _reduce_float(res_f[lo:hi] @ col_res.T)
+            t = res_f[lo:hi] @ col_res.T
+            if reduce_t:
+                _reduce_float(t)
             idx = np.flatnonzero((t == 1) | (t == -1) | (t == 3))
             # an edge with t = 3 has AB = I: the inverse pairs, added above.
             # The (1, 1) and (-1, -1) classes must also have s = t mod p
             tr = t.ravel()[idx]
+            del t  # the adjugate product below can take its memory
             s = _reduce_float((adj_f[lo:hi] @ col_adj.T).ravel()[idx])
             gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], m)
             gi += lo
@@ -407,8 +427,9 @@ def _edges_with_prefilter(entries: list[tuple]):
             keys.extend((np.minimum(vi, vj) * n + np.maximum(vi, vj)).tolist())
             # drop every block array before the next block allocates its
             # products: arrays left alive under them fragment the heap
-            # (peak RSS of a 5k-portion job loop ~98 MiB against ~86 MiB)
-            del t, idx, tr, s, gi, gj, P, tp, sp, edge, minus, Pm, vi, vj
+            # (peak RSS after a fresh-process pass without the dels: 5k 54
+            # against 48.5 MiB, 25k 90 against 89 MiB)
+            del idx, tr, s, gi, gj, P, tp, sp, edge, minus, Pm, vi, vj
         del col_res, col_adj
     edges = np.stack(np.divmod(np.sort(np.array(keys, dtype=np.int64)), n), axis=1)
     return evaluated, candidates, exact_checks, edges

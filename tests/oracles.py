@@ -240,9 +240,46 @@ def rep_is_identity(a):
 
 
 def oracle_product_order_divides_4(x, y):
-    m = rep_mul(to_rep(x), to_rep(y))
+    return _rep_order_divides_4(to_rep(x), to_rep(y))
+
+
+def _rep_order_divides_4(a, b):
+    m = rep_mul(a, b)
     m2 = rep_mul(m, m)
     return rep_is_identity(rep_mul(m2, m2))
+
+
+# The SL3(Z) edge pass's residue prime; its counters are defined mod p
+PREFILTER_PRIME = 33_554_393
+
+
+def oracle_prefilter_counts(entries):
+    """(evaluated, candidates, exact_checks) of the SL3(Z) edge pass on a
+    list of row-major 9-tuples, pair by pair in Python ints.
+
+    evaluated: pairs whose images mod 2 are adjacent, by the literal fourth
+    power on the images.  candidates: evaluated pairs whose t = trace(AB) is
+    1, -1 or 3 mod p.  exact_checks: candidates with t not 3 mod p and
+    s = trace(adj(AB)) equal to t mod p, whose t and s over Z are both -1."""
+    p = PREFILTER_PRIME
+    images = [("modmat", 2, 3, tuple(e % 2 for e in x)) for x in entries]
+    adjacent = {(a, b): _rep_order_divides_4(a, b)
+                for a in set(images) for b in set(images)}
+    evaluated = candidates = exact_checks = 0
+    for i, j in combinations(range(len(entries)), 2):
+        if not adjacent[images[i], images[j]]:
+            continue
+        evaluated += 1
+        _, P = rep_mul(("intmat", entries[i]), ("intmat", entries[j]))
+        t = P[0] + P[4] + P[8]
+        if t % p not in (1, p - 1, 3):
+            continue
+        candidates += 1
+        s = (P[4] * P[8] - P[5] * P[7] + P[0] * P[8] - P[2] * P[6]
+             + P[0] * P[4] - P[1] * P[3])
+        if t % p != 3 and (s - t) % p == 0 and t == s == -1:
+            exact_checks += 1
+    return evaluated, candidates, exact_checks
 
 
 def oracle_adjacency(n, edges):

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from delta334 import generation
 from delta334.elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError,
                                IntMatrix3, ModMatrix, Permutation, compose,
                                element_key, has_order_dividing_3, inverse,
@@ -36,6 +38,26 @@ import toys
 def small_portion():
     """Depth-2 closure of the default seeds: 5,476 vertices, 16,470 edges."""
     return generate_and_build(GenerationConfig(conj_depth=2))
+
+
+def _conjugated(verts, conj):
+    """g v g^-1 for every v, g the row-major 9-tuple conj."""
+    g = IntMatrix3(conj)
+    return [compose(compose(g, v), inverse(g)) for v in verts]
+
+
+def _e12(s):
+    return (1, s, 0, 0, 1, 0, 0, 0, 1)
+
+
+def _literal_edges(labels):
+    """Plain-integer (AB)^4 on every pair."""
+    return {(i, j) for i in range(len(labels)) for j in range(i + 1, len(labels))
+            if oracles.oracle_product_order_divides_4(labels[i], labels[j])}
+
+
+def _counters(stats):
+    return stats.pairs_evaluated, stats.prefilter_candidates, stats.exact_checks
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +196,8 @@ class TestBuildEdges:
         # Python ints, but large-entry vertices meet only their inverses.
         # "conjugated" takes 300 default vertices conjugated by E_12(size):
         # the same edges of every kind, with entries near 10^10, so their
-        # trace residues wrap mod p
+        # trace residues wrap mod p.  The counters are checked against the
+        # pair-by-pair oracle too: "default" (M = 49) never reduces t mod p
         verts = list(small_portion.graph.labels)[:500]
         if kind == "parametric":
             seeds = tuple(parametric_order3(a, b, s * size)
@@ -183,18 +206,55 @@ class TestBuildEdges:
                 seeds=seeds, family_bound=1, conj_depth=2, target_vertices=300,
                 entry_bound=DEFAULT_ENTRY_LIMIT))
         elif kind == "conjugated":
-            g = IntMatrix3((1, size, 0, 0, 1, 0, 0, 0, 1))
-            verts = [compose(compose(g, v), inverse(g)) for v in verts[:300]]
+            verts = _conjugated(verts[:300], _e12(size))
         if size is not None:
             assert max(abs(e) for v in verts for e in v.entries) >= size * size
-        built = build_portion_edges(verts).graph
-        labels = built.labels  # key-sorted
-        want = set()
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                if oracles.oracle_product_order_divides_4(labels[i], labels[j]):
-                    want.add((i, j))
-        assert want and set(built.edges()) == want
+        portion = build_portion_edges(verts)
+        want = _literal_edges(portion.graph.labels)  # key-sorted
+        assert want and set(portion.graph.edges()) == want
+        assert _counters(portion.stats) == oracles.oracle_prefilter_counts(
+            [v.entries for v in verts])
+
+    @pytest.mark.parametrize("conj, maxabs, reduced", [
+        ((1, -14, -11, 0, 1, 0, 0, 0, 1), 1365, False),
+        ((1, 13, 13, 0, 1, 2, 0, 0, 1), 1366, True)], ids=["M1365", "M1366"])
+    def test_t_is_reduced_only_above_the_entry_bound(self, conj, maxabs, reduced,
+                                                     small_portion, monkeypatch):
+        # |t| <= 9 M^2 <= p // 2 up to M = 1365, and there reducing t mod p
+        # changes nothing, so the pass skips it.  The two unitriangular
+        # conjugators, found by a search over |s|, |r| <= 16 and |q| <= 3 in
+        # (1, s, r, 0, 1, q, 0, 0, 1), put the largest entry of 300 default
+        # vertices on either side of the bound
+        verts = _conjugated(list(small_portion.graph.labels)[:300], conj)
+        reduce_float = generation._reduce_float
+        reduced_ndims = []
+
+        def spy(x):
+            reduced_ndims.append(x.ndim)
+            return reduce_float(x)
+
+        monkeypatch.setattr(generation, "_reduce_float", spy)
+        built = build_portion_edges(verts)
+        assert built.stats.max_abs_entry == maxabs
+        # t is reduced as 2-d blocks, s as the 1-d gathered candidates
+        assert 1 in reduced_ndims and (2 in reduced_ndims) == reduced
+        assert set(built.graph.edges()) == _literal_edges(built.graph.labels)
+        assert _counters(built.stats) == oracles.oracle_prefilter_counts(
+            [v.entries for v in verts])
+
+    @pytest.mark.parametrize("budget", [7, 1 << 21])
+    def test_block_budget_changes_no_edge_or_counter(self, budget, small_portion,
+                                                     monkeypatch):
+        # 7 entries make most blocks a single row, and 1 << 21 puts each
+        # class's rows in one block
+        default = list(small_portion.graph.labels)[:500]
+        vertex_sets = [default, _conjugated(default[:300], _e12(10 ** 4))]
+        want = [build_portion_edges(verts) for verts in vertex_sets]
+        monkeypatch.setattr(generation, "_BLOCK_ENTRIES", budget)
+        for verts, portion in zip(vertex_sets, want):
+            got = build_portion_edges(verts)
+            assert got.graph.edges() == portion.graph.edges()
+            assert asdict(got.stats) == asdict(portion.stats)
 
     def test_prefilter_statistics_recorded(self, small_portion):
         stats = small_portion.stats
