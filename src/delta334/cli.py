@@ -18,11 +18,12 @@ import os
 import sys
 from dataclasses import asdict
 
-from .cliques import clique_number, verify_clique
-from .coloring import (chromatic_bounds, chromatic_number_exact,
-                       find_coloring_violation, heuristic_chromatic_upper)
-from .cycles import (ABSENT, FOUND, census_to_json, cycle_census, hamiltonian_cycle,
-                     verify_cycle)
+from .cliques import CliqueResult, clique_number, verify_clique
+from .coloring import (ITERATED_GREEDY_SEED, ChromaticResult, chromatic_bounds,
+                       chromatic_number_exact, find_coloring_violation,
+                       heuristic_chromatic_upper)
+from .cycles import (ABSENT, FOUND, POSA_SEED, census_to_json, cycle_census,
+                     hamiltonian_cycle, verify_cycle)
 from .elements import IntMatrix3, element_label, is_prime, serialize_element
 from .generation import (DEFAULT_COLOR_TIME_BUDGET, DEFAULT_CONJ_DEPTH,
                          DEFAULT_ENTRY_BOUND, DEFAULT_FAMILY_BOUND,
@@ -36,13 +37,14 @@ from .graph import (build_delta334, graph_isomorphic, kronecker_matches_direct_s
 from .graphio import (GraphFormatError, canonical_json, graph_to_dot, graph_to_graphml,
                       graph_to_json_dict, load_graph)
 from .groups import parse_group_spec, order3_vertices
-from .invariants import InvariantReport, full_report, nonplanarity_check
+from .invariants import (InvariantReport, PlanarityEvidence, full_report,
+                         nonplanarity_check)
 
 TOOL_VERSION = "1.0.0"
 
 # Fixed seeds of the randomized heuristics (iterated-greedy coloring and
 # rotation-extension cycle search).  Recorded in every manifest.
-HEURISTIC_SEEDS = {"coloring": 0x334, "cycles": 0xD334}
+HEURISTIC_SEEDS = {"coloring": ITERATED_GREEDY_SEED, "cycles": POSA_SEED}
 
 ENV_TIME_BUDGET = "DELTA334_TIME_BUDGET"
 ENV_NODE_BUDGET = "DELTA334_NODE_BUDGET"
@@ -159,6 +161,20 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def _chi_line(res: ChromaticResult) -> str:
+    if res.exact:
+        return f"chromatic number: {res.chi} (certified)"
+    return f"chromatic bounds: [{res.lower}, {res.upper}]"
+
+
+def _clique_line(res: CliqueResult) -> str:
+    return f"clique number: {res.size} ({'exact' if res.exact else 'lower bound'})"
+
+
+def _planarity_line(evidence: PlanarityEvidence) -> str:
+    return f"planarity: {evidence.status} ({evidence.reason or evidence.detail})"
+
+
 def _report_summary(rep: InvariantReport) -> list[str]:
     lines = [
         f"vertices {rep.vertex_count}  edges {rep.edge_count}  loops {rep.loop_count}",
@@ -175,20 +191,15 @@ def _report_summary(rep: InvariantReport) -> list[str]:
         lines.append(f"bipartite: no (odd cycle of length {len(w)})")
     lines.append(f"girth: {rep.girth}")
     if rep.clique is not None:
-        tag = "exact" if rep.clique.exact else "lower bound"
-        lines.append(f"clique number: {rep.clique.size} ({tag})")
+        lines.append(_clique_line(rep.clique))
     if rep.chromatic is not None:
-        c = rep.chromatic
-        if c.exact:
-            lines.append(f"chromatic number: {c.chi} (certified)")
-        else:
-            lines.append(f"chromatic bounds: [{c.lower}, {c.upper}]")
+        lines.append(_chi_line(rep.chromatic))
     if rep.census is not None:
         lines.extend(_census_lines(rep.census))
     if rep.hamilton is not None:
         lines.append(f"hamiltonian: {rep.hamilton.status}")
     if rep.planarity is not None:
-        lines.append(f"planarity: {rep.planarity.status} ({rep.planarity.reason})")
+        lines.append(_planarity_line(rep.planarity))
     return lines
 
 
@@ -257,9 +268,7 @@ def cmd_color(args) -> int:
             raise AssertionError(f"solver returned an improper coloring: {violation}")
     doc = {"manifest": _manifest(args, [args.input]), **res.to_json_dict(),
            "num_colors": coloring.num_colors if coloring else None}
-    line = (f"chromatic number {res.upper} (certified)" if res.exact
-            else f"chromatic bounds [{res.lower}, {res.upper}]")
-    _emit(doc, args.out, [line])
+    _emit(doc, args.out, [_chi_line(res)])
     return 0
 
 
@@ -270,8 +279,7 @@ def cmd_clique(args) -> int:
         raise AssertionError("clique witness failed verification")
     doc = {"manifest": _manifest(args, [args.input]), **asdict(result),
            "witness_labels": [element_label(graph.labels[v]) for v in result.witness]}
-    tag = "exact" if result.exact else "lower bound (budget hit)"
-    _emit(doc, args.out, [f"clique number {result.size} ({tag})"])
+    _emit(doc, args.out, [_clique_line(result)])
     return 0
 
 
@@ -402,16 +410,11 @@ def cmd_verify(args) -> int:
                 graph, codomain=codomain, color_node_budget=args.node_budget,
                 color_time_budget=args.time_budget or DEFAULT_COLOR_TIME_BUDGET)
             bounds_doc = bounds.to_json_dict()
-            lift_ok = bounds_doc["lifted_proper"]
-            state = "OK" if lift_ok else "FAILED"
-            summary.append(f"lifted mod-2 coloring proper: {state}"
-                           + (f" ({bounds.lifted.num_colors} colors)"
-                              if bounds.lifted else ""))
-            failed = failed or not lift_ok
-            summary.append(f"chromatic bounds: [{bounds.lower}, {bounds.upper}]"
-                           + (" (exact)" if bounds.exact else ""))
-            tag = "exact" if bounds.clique.exact else "lower bound"
-            summary.append(f"clique number: {bounds.clique.size} ({tag})")
+            lifted = bounds.lifted  # None when reduction mod 2 is not a morphism
+            summary.append("lifted mod-2 coloring proper: "
+                           + (f"OK ({lifted.num_colors} colors)" if lifted else "FAILED"))
+            failed = failed or lifted is None
+            summary.extend([_chi_line(bounds), _clique_line(bounds.clique)])
             if bounds.clique_discovery:
                 summary.append("NOTE: clique of size > 3 found; this portion "
                                "contradicts the no-large-clique conjecture")
@@ -420,7 +423,7 @@ def cmd_verify(args) -> int:
     if not args.skip_probes:
         evidence = nonplanarity_check(graph)
         planarity_doc = asdict(evidence)
-        summary.append(f"planarity: {evidence.status} ({evidence.reason})")
+        summary.append(_planarity_line(evidence))
 
     payload = {
         "portion_vertices": graph.n,

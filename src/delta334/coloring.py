@@ -38,6 +38,7 @@ from .cliques import CliqueResult, clique_number, verify_clique
 from .graph import TriangleGraph, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
+ITERATED_GREEDY_SEED = 0x334  # recorded in every CLI manifest
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
         rounds = 2000 if n <= 200 else 300
     best = list(colors)
     best_k = max(best) + 1
-    rng = random.Random(0x334)
+    rng = random.Random(ITERATED_GREEDY_SEED)
     for it in range(rounds):
         if best_k <= stop_at:
             break

@@ -20,6 +20,7 @@ from .graph import TriangleGraph
 
 DEFAULT_HAMILTON_NODE_BUDGET = 5_000_000
 DEFAULT_CENSUS_NODE_BUDGET = 5_000_000
+POSA_SEED = 0xD334  # recorded in every CLI manifest
 
 # absence proofs by exhaustive search are attempted only this far up
 ABSENCE_VERTEX_LIMIT = 64
@@ -221,7 +222,7 @@ def _posa(adj: list[int], n: int):
     if n < 3:
         return None, []
     steps = max(4000, 80 * n)
-    rng = random.Random(0xD334)
+    rng = random.Random(POSA_SEED)
     start = max(range(n), key=lambda v: (adj[v].bit_count(), -v))
     path = [start]
     onpath = 1 << start

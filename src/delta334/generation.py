@@ -494,27 +494,23 @@ def mod_p_codomain(p: int) -> TriangleGraph:
     return build_delta334(order3_vertices(parse_group_spec(f"SL3({p})")))
 
 
-@dataclass
-class PortionChromaticBounds:
-    """Chromatic bounds for a portion with all witnesses attached.
-
-    lower, upper, exact and best_coloring are `chromatic_bounds` of the
-    clique, the portion's own search, and the lifted mod-2 coloring and its
-    refinement.  A clique of size four would contradict the source
-    material's conjecture: it is flagged as a discovery, not an error.
+@dataclass(kw_only=True)
+class PortionChromaticBounds(ChromaticResult):
+    """`chromatic_bounds` of a portion's clique, its own search, and the
+    lifted mod-2 coloring and its refinement, with the clique, the lift
+    (None when reduction mod 2 is not a morphism) and the search attached.
+    A clique of size four would contradict the source material's
+    conjecture: it is flagged as a discovery, not an error.
     """
 
-    lower: int
-    upper: int
-    exact: bool
     clique: CliqueResult
     lifted: Coloring | None
     own: ChromaticResult
-    best_coloring: Coloring
 
     @property
-    def chi(self) -> int | None:
-        return self.lower if self.exact else None
+    def best_coloring(self) -> Coloring:
+        """`coloring`, under the name that perfbench/workloads.py reads."""
+        return self.coloring
 
     @property
     def clique_discovery(self) -> bool:
@@ -522,13 +518,11 @@ class PortionChromaticBounds:
         return self.clique.size > 3
 
     def to_json_dict(self) -> dict:
-        lifted, best, clique = self.lifted, self.best_coloring, self.clique
-        return {"lower": self.lower, "upper": self.upper, "exact": self.exact, "chi": self.chi,
-                "lifted_proper": lifted is not None and lifted.proper,
-                "lifted_num_colors": lifted.num_colors if lifted else None,
-                "best_coloring": best.colors, "best_num_colors": best.num_colors,
-                "clique_size": clique.size, "clique_exact": clique.exact,
-                "clique_witness": clique.witness, "clique_discovery": self.clique_discovery}
+        """ChromaticResult's form plus the lift's size and the clique, the
+        latter in the `clique` command's form."""
+        return {**super().to_json_dict(),
+                "lifted_num_colors": self.lifted.num_colors if self.lifted else None,
+                "clique": asdict(self.clique), "clique_discovery": self.clique_discovery}
 
 
 def portion_chromatic_bounds(portion, *,
@@ -548,17 +542,15 @@ def portion_chromatic_bounds(portion, *,
     cores routinely exceed what branch-and-bound can exhaust.
     color_node_budget caps the one clique search, whose clique the exact
     search reuses, and the exact search alike; None means each solver's
-    default.
+    default.  ValueError when the labels are not IntMatrix3 or the codomain
+    is not a mod-2 triangle graph.
     """
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
 
-    lifted = None
+    lifted = refined = None
     if codomain is None:
         codomain = mod_p_codomain(2)
-    try:
-        morphism = induced_morphism(graph, 2, codomain).morphism
-    except ValueError:
-        morphism = None
+    morphism = induced_morphism(graph, 2, codomain).morphism
     if morphism is not None:
         if codomain_coloring is None:
             codomain_coloring = heuristic_chromatic_upper(codomain)
@@ -567,9 +559,7 @@ def portion_chromatic_bounds(portion, *,
     clique = clique_number(graph, node_budget=color_node_budget)
     own = chromatic_number_exact(graph, time_budget=color_time_budget,
                                  node_budget=color_node_budget, clique=clique)
-    refined = None
-    if lifted is not None and lifted.proper:
+    if lifted is not None:
         refined = improve_coloring(graph, lifted, rounds=60)
     res = chromatic_bounds(graph, clique, own, (lifted, refined))
-    return PortionChromaticBounds(res.lower, res.upper, res.exact, clique, lifted, own,
-                                  res.coloring)
+    return PortionChromaticBounds(**vars(res), clique=clique, lifted=lifted, own=own)

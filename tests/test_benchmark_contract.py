@@ -9,6 +9,7 @@ import inspect
 from pathlib import Path
 
 import delta334
+from delta334.elements import IntMatrix3
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -77,3 +78,41 @@ def test_traced_run_finds_every_binding_it_checks():
         if not any(value is t for t in traced):
             unbound.append(dotted)
     assert unbound == []
+
+
+def _bounds_reads() -> set[tuple[str, ...]]:
+    """The attribute chains that bounds_summary and bounds_check read off
+    the portion_chromatic_bounds result they call `b`, such as
+    ('own', 'lower') for b.own.lower, with every prefix."""
+    chains = set()
+    for func in _tree("workloads.py").body:
+        if isinstance(func, ast.FunctionDef) and func.name in ("bounds_summary",
+                                                               "bounds_check"):
+            for node in ast.walk(func):
+                chain = []
+                while isinstance(node, ast.Attribute):
+                    chain.append(node.attr)
+                    node = node.value
+                if chain and isinstance(node, ast.Name) and node.id == "b":
+                    chains.add(tuple(reversed(chain)))
+    return chains
+
+
+def test_bounds_reads_resolve_on_a_real_result():
+    """A reshaped PortionChromaticBounds fails here, not mid-benchmark."""
+    chains = _bounds_reads()
+    assert {"lower", "upper", "exact", "own", "clique", "lifted",
+            "best_coloring"} <= {chain[0] for chain in chains}
+    seed = IntMatrix3((-2, 0, -1, -5, 1, -1, 3, 0, 1))  # it and its inverse: one edge
+    portion = delta334.generate_and_build(delta334.GenerationConfig(
+        seeds=[seed], conj_depth=0, family_bound=0))
+    b = delta334.portion_chromatic_bounds(portion)
+    unresolved = []
+    for chain in sorted(chains):
+        value = b
+        try:
+            for attr in chain:
+                value = getattr(value, attr)
+        except AttributeError:
+            unresolved.append(".".join(chain))
+    assert unresolved == []

@@ -91,6 +91,13 @@ class TestReports:
         assert rep["hamiltonian"]["status"] == "found"
         assert rep["planarity"]["status"] == "nonplanar"  # K44 contains K33
 
+    def test_inconclusive_planarity_line_gives_detail(self, tiny_portion, capsys):
+        # one edge is planar: no certificate, so no reason, only a detail
+        for cmd, flag in (("stats", "--in"), ("verify", "--portion")):
+            code, _, err = run(capsys, cmd, flag, tiny_portion)
+            assert code == 0
+            assert "planarity: inconclusive (no certificate found)" in err.splitlines()
+
     def test_color_exact(self, a4_graph, capsys):
         code, out, _ = run(capsys, "color", "--in", a4_graph, "--exact")
         assert code == 0
@@ -303,9 +310,25 @@ class TestVerify:
         edge = doc["edge_preservation"]
         assert edge["ok"] and edge["checked_edges"] == 1
         bounds = doc["chromatic"]
-        assert bounds["lifted_proper"]
+        assert bounds["lifted_num_colors"] is not None and bounds["lifted_num_colors"] <= 8
         assert bounds["lower"] <= bounds["upper"] <= 8
         assert doc["planarity"]["status"] in ("nonplanar", "inconclusive")
+
+    def test_chromatic_block_is_color_form_plus_lift_and_clique(self, tmp_path, capsys):
+        path = str(tmp_path / "portion.json")
+        assert run(capsys, "gen-sl3z", "--depth", "1", "--out", path)[0] == 0
+        budget = ("--node-budget", "20000")
+        docs = {}
+        for cmd, flag in (("verify", "--portion"), ("color", "--in"), ("clique", "--in")):
+            code, out, _ = run(capsys, cmd, flag, path, *budget)
+            assert code == 0
+            docs[cmd] = json.loads(out)
+        bounds = docs["verify"]["chromatic"]
+        color_keys = set(docs["color"]) - {"manifest", "num_colors"}
+        assert set(bounds) == color_keys | {"lifted_num_colors", "clique", "clique_discovery"}
+        assert bounds["clique"] == {k: v for k, v in docs["clique"].items()
+                                    if k not in ("manifest", "witness_labels")}
+        assert bounds["certificate"]["lower_bound_clique"] == bounds["clique"]["witness"]
 
     def test_skip_probes_is_quick(self, tiny_portion, capsys):
         code, out, _ = run(capsys, "verify", "--portion", tiny_portion,
@@ -367,9 +390,9 @@ class TestErrors:
         assert code == 1 and "prime" in err
 
     def test_non_matrix_portion(self, a4_graph, capsys):
-        code, _, err = run(capsys, "verify", "--portion", a4_graph,
-                           "--skip-probes")
-        assert code == 1 and "integer-matrix" in err
+        for probes in (["--skip-probes"], []):
+            code, _, err = run(capsys, "verify", "--portion", a4_graph, *probes)
+            assert code == 1 and "integer-matrix" in err
 
     def test_empty_seed_set(self, tmp_path, capsys):
         seeds = tmp_path / "seeds.json"

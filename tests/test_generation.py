@@ -355,6 +355,11 @@ class TestChromaticBounds:
         else:
             assert bounds.chi is None
 
+    def test_non_matrix_labels_raise(self):
+        # no silent "no lift": reduction mod 2 needs integer-matrix labels
+        with pytest.raises(ValueError, match="IntMatrix3"):
+            portion_chromatic_bounds(TriangleGraph(range(3), [(0, 1), (1, 2)]))
+
     def test_node_budgeted_bounds_are_pinned(self, small_portion, monkeypatch):
         # the own search's nodes and bounds, from before its forward checking
         # moved to bitboards, and the best coloring; the one clique search
