@@ -408,7 +408,8 @@ def cmd_verify(args) -> int:
         if not args.skip_probes:
             bounds = portion_chromatic_bounds(
                 graph, codomain=codomain, color_node_budget=args.node_budget,
-                color_time_budget=args.time_budget or DEFAULT_COLOR_TIME_BUDGET)
+                color_time_budget=args.time_budget or DEFAULT_COLOR_TIME_BUDGET,
+                reduction=edge_rep)
             bounds_doc = bounds.to_json_dict()
             lifted = bounds.lifted  # None when reduction mod 2 is not a morphism
             summary.append("lifted mod-2 coloring proper: "

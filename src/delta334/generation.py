@@ -529,7 +529,8 @@ def portion_chromatic_bounds(portion, *,
                              codomain: TriangleGraph | None = None,
                              codomain_coloring: Coloring | None = None,
                              color_time_budget: float | None = DEFAULT_COLOR_TIME_BUDGET,
-                             color_node_budget: int | None = None) -> PortionChromaticBounds:
+                             color_node_budget: int | None = None,
+                             reduction: MorphismReport | None = None) -> PortionChromaticBounds:
     """Certified chromatic bounds for a portion graph.
 
     Lower bound: the clique found, budget cut or not, and whatever the
@@ -542,15 +543,22 @@ def portion_chromatic_bounds(portion, *,
     cores routinely exceed what branch-and-bound can exhaust.
     color_node_budget caps the one clique search, whose clique the exact
     search reuses, and the exact search alike; None means each solver's
-    default.  ValueError when the labels are not IntMatrix3 or the codomain
-    is not a mod-2 triangle graph.
+    default.  `reduction` is the graph's mod-2 reduction report, such as
+    verify_edge_preservation(portion, 2, codomain) gives, when the caller
+    has it; otherwise it is built here.  ValueError when the labels are not
+    IntMatrix3, the codomain is not a mod-2 triangle graph, or `reduction`
+    is of another prime or maps another graph.
     """
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
 
     lifted = refined = None
     if codomain is None:
         codomain = mod_p_codomain(2)
-    morphism = induced_morphism(graph, 2, codomain).morphism
+    if reduction is None:
+        reduction = induced_morphism(graph, 2, codomain)
+    elif reduction.prime != 2 or reduction.ok and reduction.morphism.domain is not graph:
+        raise ValueError("reduction is not the portion graph's mod-2 reduction")
+    morphism = reduction.morphism
     if morphism is not None:
         if codomain_coloring is None:
             codomain_coloring = heuristic_chromatic_upper(codomain)

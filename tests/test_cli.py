@@ -1,9 +1,10 @@
 import json
+import time
 import xml.dom.minidom
 
 import pytest
 
-from delta334 import cli
+from delta334 import cli, generation
 from delta334.cli import ENV_NODE_BUDGET, ENV_TIME_BUDGET, TOOL_VERSION, main
 from delta334.elements import IntMatrix3
 from delta334.graph import TriangleGraph
@@ -329,6 +330,28 @@ class TestVerify:
         assert bounds["clique"] == {k: v for k, v in docs["clique"].items()
                                     if k not in ("manifest", "witness_labels")}
         assert bounds["certificate"]["lower_bound_clique"] == bounds["clique"]["witness"]
+
+    def test_mod2_reduction_built_once(self, tiny_portion, capsys, monkeypatch):
+        # the edge-preservation report's morphism serves the chromatic bounds;
+        # building it a second time there gives the same bytes
+        built = []
+        real_morphism, real_bounds = generation.induced_morphism, cli.portion_chromatic_bounds
+
+        def spy(*args):
+            start = time.perf_counter()
+            report = real_morphism(*args)
+            built.append(time.perf_counter() - start)
+            return report
+
+        monkeypatch.setattr(generation, "induced_morphism", spy)
+        argv = ("verify", "--portion", tiny_portion)
+        code, once, _ = run(capsys, *argv)
+        assert code == 0 and len(built) == 1
+        monkeypatch.setattr(cli, "portion_chromatic_bounds",
+                            lambda *args, reduction, **kwargs: real_bounds(*args, **kwargs))
+        code, twice, _ = run(capsys, *argv)
+        assert code == 0 and len(built) == 3
+        assert twice == once
 
     def test_skip_probes_is_quick(self, tiny_portion, capsys):
         code, out, _ = run(capsys, "verify", "--portion", tiny_portion,

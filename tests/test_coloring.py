@@ -1,4 +1,7 @@
 import hashlib
+import os
+import random
+import signal
 import time
 
 import pytest
@@ -42,6 +45,31 @@ def random_graphs(draw):
     rng = draw(st.randoms(use_true_random=False))
     return TriangleGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
                                     if rng.random() < p])
+
+
+SL32 = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
+DEEP_TREES = pytest.mark.parametrize("graph, k", [
+    (toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2)))), 4),
+    (SL32, 7),
+], ids=["mycielski-23", "SL3(2)"])
+
+
+def core_and_clique(graph, k, peel, pin):
+    """The k-core, as _k_colorable passes it, or every vertex; the whole
+    graph's clique within it, or none."""
+    _, core = _core_order(graph)
+    kcore = [v for v in range(graph.n) if core[v] >= k or not peel]
+    return kcore, [v for v in cliques.clique_number(graph).witness if v in kcore] if pin else []
+
+
+def assert_core_search_matches(graph, k, core, clique, budget):
+    """The search must stop where the reference loop does, with the same
+    status, nodes and coloring."""
+    got, want = [-1] * graph.n, [-1] * graph.n
+    result = _core_search(graph, k, core, clique, got, None, budget)
+    assert result == oracles.oracle_core_search(graph, k, core, clique, want, None, budget)
+    assert got == want
+    return result
 
 
 class TestExact:
@@ -223,31 +251,201 @@ class TestExact:
            st.integers(1, 2000))
     @settings(max_examples=200, deadline=None)
     def test_core_search_matches_reference_node_for_node(self, graph, k, peel, pin, budget):
-        # on the k-core, as _k_colorable passes it, or on every vertex, with
-        # or without the whole graph's clique pinned: the search must stop
-        # where the reference loop does, with the same status and coloring
-        _, core = _core_order(graph)
-        kcore = [v for v in range(graph.n) if core[v] >= k or not peel]
-        clique = [v for v in cliques.clique_number(graph).witness if v in kcore] if pin else []
-        got, want = [-1] * graph.n, [-1] * graph.n
-        result = _core_search(graph, k, kcore, clique, got, None, budget)
-        assert result == oracles.oracle_core_search(graph, k, kcore, clique, want, None, budget)
-        assert got == want
+        # on the k-core or every vertex, with or without the clique pinned
+        assert_core_search_matches(graph, k, *core_and_clique(graph, k, peel, pin), budget)
 
-    @pytest.mark.parametrize("graph, k", [
-        (toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2)))), 4),
-        (build_delta334(order3_vertices(parse_group_spec("SL3(2)"))), 7),
-    ], ids=["mycielski-23", "SL3(2)"])
+    @DEEP_TREES
     def test_core_search_matches_reference_on_deep_trees(self, graph, k):
         # trees far deeper than random graphs of 18 vertices give (663 nodes
         # and a 20,000-node cut of the 1,176,185), with and without the clique
-        clique = list(cliques.clique_number(graph).witness)
-        for pinned in (clique, []):
-            args = (graph, k, list(range(graph.n)), pinned)
-            got, want = [-1] * graph.n, [-1] * graph.n
-            result = _core_search(*args, got, None, 20_000)
-            assert result == oracles.oracle_core_search(*args, want, None, 20_000)
-            assert got == want
+        for pin in (True, False):
+            assert_core_search_matches(graph, k, *core_and_clique(graph, k, False, pin), 20_000)
+
+
+def allow_split(mp, split_after, cpus=2):
+    """Let a k-coloring search split after `split_after` nodes, as on a
+    machine with `cpus` CPUs; the pids of the workers forked are returned."""
+    mp.setattr(coloring, "SPLIT_AFTER_NODES", split_after)
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def backtracking_sat_graph():
+    """27 vertices: the 7-coloring search backtracks for 303 nodes before
+    it finds a coloring."""
+    rng = random.Random(1248)
+    n, p = rng.randint(18, 30), rng.choice([0.3, 0.4, 0.5])
+    return TriangleGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
+                                    if rng.random() < p])
+
+
+class TestSplitSearch:
+    """A search still running after SPLIT_AFTER_NODES nodes splits into
+    pieces that this process and one forked worker search; the merged result
+    must be the one loop's, node for node, and the worker must be gone
+    whatever ends the search."""
+
+    @given(random_graphs(), st.integers(2, 5), st.booleans(), st.booleans(),
+           st.integers(1, 2000), st.integers(0, 20))
+    @settings(max_examples=200, deadline=None)
+    def test_split_search_matches_reference_node_for_node(self, graph, k, peel, pin, budget,
+                                                          split_after):
+        # split after a few nodes: sat, unsat and budget cuts all go through
+        # the merge
+        with pytest.MonkeyPatch.context() as mp:
+            forked = allow_split(mp, split_after)
+            assert_core_search_matches(graph, k, *core_and_clique(graph, k, peel, pin), budget)
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-cpus", "one-cpu"])
+    @DEEP_TREES
+    def test_split_search_matches_reference_on_deep_trees(self, graph, k, cpus, monkeypatch):
+        # split after 50 nodes of the 663 and of the 20,000-node cut; on one
+        # CPU no worker is forked and this process searches every piece, each
+        # capped at what the loop has left, so that past the subdivision's
+        # one-node calls it searches no more nodes than the loop
+        forked = allow_split(monkeypatch, 50, cpus)
+        descend, searched = coloring._descend, []
+
+        def counted(*args):
+            out = descend(*args)
+            if args[-1] > 1:
+                searched.append(out[1])
+            return out
+
+        monkeypatch.setattr(coloring, "_descend", counted)
+        for pin in (True, False):
+            searched.clear()
+            _, nodes = assert_core_search_matches(graph, k,
+                                                  *core_and_clique(graph, k, False, pin), 20_000)
+            assert cpus == 2 or sum(searched) <= nodes
+        assert len(forked) == (2 if cpus == 2 else 0)
+        assert_reaped(forked)
+
+    def test_sl32_proof_through_the_split(self, monkeypatch):
+        # the default split point, on two CPUs whatever the machine has
+        forked = allow_split(monkeypatch, coloring.SPLIT_AFTER_NODES)
+        res = chromatic_number_exact(SL32)
+        assert res.exact and res.chi == 8 and res.nodes == 1_176_185
+        assert res.certificate["infeasible_k"] == 7 and res.certificate["exhausted"]
+        digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
+        assert digest[:16] == "89bbd549ce01c0f8"
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("graph, k, budget, result", [
+        (backtracking_sat_graph(), 7, 5000, ("sat", 303)),
+        (SL32, 7, 20_000, ("budget", 20_000)),
+    ], ids=["sat", "node-budget"])
+    def test_worker_killed_when_the_parent_settles_the_search(self, graph, k, budget, result,
+                                                              monkeypatch):
+        # a worker that never takes a piece: this process searches them all,
+        # then kills it rather than waiting for it
+        forked = allow_split(monkeypatch, 8)
+        parent, take = os.getpid(), coloring._take
+        monkeypatch.setattr(coloring, "_take", lambda *args:
+                            time.sleep(60) if os.getpid() != parent else take(*args))
+        start = time.monotonic()
+        assert assert_core_search_matches(graph, k, list(range(graph.n)), [], budget) == result
+        assert time.monotonic() - start < 10
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    @DEEP_TREES
+    def test_worker_killed_mid_search_changes_nothing(self, graph, k, monkeypatch):
+        # the worker dies in its first piece; this process searches the
+        # pieces it did not report: the 663-node refutation, a 20,000-node cut
+        forked = allow_split(monkeypatch, 50)
+        parent, descend = os.getpid(), coloring._descend
+
+        def killed_in_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return descend(*args)
+
+        monkeypatch.setattr(coloring, "_descend", killed_in_worker)
+        assert_core_search_matches(graph, k, list(range(graph.n)), [], 20_000)
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    @DEEP_TREES
+    def test_failed_fork_searches_every_piece_here(self, graph, k, monkeypatch):
+        allow_split(monkeypatch, 50)
+
+        def fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert_core_search_matches(graph, k, list(range(graph.n)), [], 20_000)
+
+    def test_expired_time_budget_reaps_the_worker(self, monkeypatch):
+        forked = allow_split(monkeypatch, 1000)
+        colors = [-1] * SL32.n
+        start = time.monotonic()
+        status, nodes = _core_search(SL32, 7, list(range(SL32.n)), [], colors,
+                                     start + 0.3, 2_000_000)
+        assert time.monotonic() - start < 1.0
+        assert status == "budget" and 1000 < nodes < 1_176_185
+        assert colors == [-1] * SL32.n
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_time_cut_reports_at_most_the_node_budget(self, monkeypatch):
+        # this process takes one piece and starts it only after the deadline,
+        # while the worker searches every other piece of the 767-node
+        # refutation (each at most 55 nodes): 712 or more nodes are searched
+        # under a node budget of 600
+        graph = toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2))))
+        forked = allow_split(monkeypatch, 50)
+        parent, take = os.getpid(), coloring._take
+        deadline = time.monotonic() + 0.5
+
+        def take_late(*args):
+            i = take(*args)
+            if os.getpid() == parent and i is not None:
+                time.sleep(max(deadline - time.monotonic(), 0) + 0.05)
+            return i
+
+        monkeypatch.setattr(coloring, "_take", take_late)
+        colors = [-1] * graph.n
+        assert _core_search(graph, 4, list(range(graph.n)), [], colors, deadline,
+                            600) == ("budget", 600)
+        assert colors == [-1] * graph.n
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_exception_mid_search_reaps_the_worker(self, monkeypatch):
+        forked = allow_split(monkeypatch, 1000)
+        parent, descend, calls = os.getpid(), coloring._descend, []
+
+        def fails_in_second_piece(*args):
+            if os.getpid() == parent and forked:
+                calls.append(args)
+                if len(calls) == 2:
+                    raise RuntimeError("mid-search")
+            return descend(*args)
+
+        monkeypatch.setattr(coloring, "_descend", fails_in_second_piece)
+        with pytest.raises(RuntimeError, match="mid-search"):
+            _core_search(SL32, 7, list(range(SL32.n)), [], [-1] * SL32.n, None, 2_000_000)
+        assert len(forked) == 1
+        assert_reaped(forked)
 
 
 class TestHeuristics:

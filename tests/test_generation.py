@@ -1,7 +1,7 @@
 import hashlib
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -359,6 +359,14 @@ class TestChromaticBounds:
         # no silent "no lift": reduction mod 2 needs integer-matrix labels
         with pytest.raises(ValueError, match="IntMatrix3"):
             portion_chromatic_bounds(TriangleGraph(range(3), [(0, 1), (1, 2)]))
+
+    def test_given_reduction_is_checked(self, small_portion):
+        codomain = mod_p_codomain(2)
+        report = verify_edge_preservation(small_portion, 2, codomain)
+        other = replace(report.morphism, domain=codomain)
+        for wrong in (replace(report, prime=3), replace(report, morphism=other)):
+            with pytest.raises(ValueError, match="mod-2 reduction"):
+                portion_chromatic_bounds(small_portion, codomain=codomain, reduction=wrong)
 
     def test_node_budgeted_bounds_are_pinned(self, small_portion, monkeypatch):
         # the own search's nodes and bounds, from before its forward checking

@@ -1,7 +1,9 @@
-"""Small ad hoc graphs for exercising the solvers, and a clique-search spy.
+"""Small ad hoc graphs for exercising the solvers, a clique-search spy, and
+the test process's children.
 
 TriangleGraph does not care what the labels are, so plain integers do."""
 
+import glob
 import importlib
 import pkgutil
 
@@ -27,6 +29,16 @@ def spy_clique_nodes(monkeypatch) -> list[int]:
         if getattr(module, "clique_number", None) is real:
             monkeypatch.setattr(module, "clique_number", spy)
     return spent
+
+
+def live_children() -> list[int]:
+    """The pids of this process's children that are running or not yet
+    reaped, read from /proc (none where it has no children files)."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as f:
+            pids += map(int, f.read().split())
+    return pids
 
 
 def cycle_graph(n):
