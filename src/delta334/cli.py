@@ -34,8 +34,8 @@ from .generation import (DEFAULT_COLOR_TIME_BUDGET, DEFAULT_CONJ_DEPTH,
                          verify_no_identity_reduction)
 from .graph import (build_delta334, graph_isomorphic, kronecker_matches_direct_sum,
                     kronecker_product)
-from .graphio import (GraphFormatError, canonical_json, graph_to_dot, graph_to_graphml,
-                      graph_to_json_dict, load_graph)
+from .graphio import (GraphFormatError, _graph_document, canonical_json, graph_to_dot,
+                      graph_to_graphml, load_graph)
 from .groups import parse_group_spec, order3_vertices
 from .invariants import (InvariantReport, PlanarityEvidence, full_report,
                          nonplanarity_check)
@@ -152,7 +152,7 @@ def cmd_graph(args) -> int:
     spec = parse_group_spec(args.group)
     verts = order3_vertices(spec, include_identity=args.include_identity)
     graph = build_delta334(verts, meta={"source": str(spec)})
-    doc = graph_to_json_dict(graph)
+    doc = _graph_document(graph)
     doc["manifest"] = _manifest(args, [])
     _emit(doc, args.out, [
         f"built graph for {spec}: {graph.n} vertices, {graph.edge_count} edges, "
@@ -314,7 +314,7 @@ def cmd_kronecker(args) -> int:
     direct = build_delta334(order3_vertices(sum_spec, include_identity=True),
                             meta={"source": str(sum_spec)})
     ok, reason = kronecker_matches_direct_sum(product, direct)
-    doc = graph_to_json_dict(product)
+    doc = _graph_document(product)
     doc["manifest"] = _manifest(args, [])
     doc["product_lemma"] = {"holds": ok, "reason": reason,
                             "direct_sum_group": str(sum_spec)}
@@ -360,7 +360,7 @@ def cmd_gen_sl3z(args) -> int:
     )
     portion = generate_and_build(cfg)
     graph = portion.graph
-    doc = graph_to_json_dict(graph)
+    doc = _graph_document(graph)
     doc["manifest"] = _manifest(args, [args.seeds] if args.seeds else [])
     stats = portion.stats
     _emit(doc, args.out, [

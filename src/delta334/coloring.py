@@ -26,7 +26,8 @@ take the pieces in the order the one loop would reach them; otherwise it
 searches them all itself.  Merged in that order, the results are the one
 loop's: the same status, nodes, coloring and certificate, so every output
 is the same with one CPU or two.  Under a time budget, `nodes` counts what
-both processes searched, at most the node budget.
+both processes searched, at most the node budget.  `_Shared` hands out the
+pieces, and the SL3(Z) edge pass's blocks in `generation` too.
 DSATUR has its own pass: on a whole component the bitboards would need a
 mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
 memory at any size.
@@ -607,34 +608,34 @@ def _split_search(k: int, nbr: list[int], neighbor_mask, pieces: list[_Piece], t
     one forked worker, merged into what the one loop would return after its
     first `nodes`: (status, nodes, path).
 
-    Both processes take pieces in order from a token passed through a pipe
-    (Regin, Rezgui and Malapert, "Embarrassingly Parallel Search", CP 2013),
-    each piece capped at the most the loop could still spend on it.  The
-    worker reports (piece, status, nodes, path if sat) over a second pipe
-    and stops after a piece that is not 'unsat'.  Merged in piece order with
-    the nodes before each, the results give the loop's outcome: 'unsat' with
-    its node total, 'sat' with the first piece that finds a coloring, or
-    ('budget', node_budget).  A piece the worker does not report, because
-    it died or stopped, is searched here, and so is every piece when there
-    is no worker.  On a deadline the nodes are all that both processes
-    searched, at most node_budget.  The worker is killed once the outcome
-    is known, and always reaped.
+    The pieces are `_Shared` units, each capped at the most the loop could
+    still spend on it.  The worker reports (piece, status, nodes, path if
+    sat) and stops after a piece that is not 'unsat'.  Merged in piece order
+    with the nodes before each, the results give the loop's outcome:
+    'unsat' with its node total, 'sat' with the first piece that finds a
+    coloring, or ('budget', node_budget).  A piece the worker does not
+    report, because it died or stopped, is searched here, and so is every
+    piece when there is no worker.  On a deadline the nodes are all that
+    both processes searched, at most node_budget.  The worker is killed once
+    the outcome is known.
     """
-    # imported here: ~1 MiB of modules that a search which never splits does not need
-    from multiprocessing.connection import Pipe, wait
-
     spent, caps = nodes, []
     for p in pieces:
         spent += p.pre
         caps.append(max(node_budget - spent, 0))
-
-    results: dict[int, tuple] = {}
 
     def run(i: int):
         p, stack = pieces[i], []
         status, n, _, _ = _descend(k, nbr, neighbor_mask, p.level[:], p.cand[:], p.free, p.lim,
                                    stack, deadline, caps[i])
         return status, n, p.path + [(r, c) for r, c, *_ in stack] if status == "sat" else None
+
+    def work(taken, send):
+        for i in taken:
+            result = run(i)
+            send((i, *result))
+            if result[0] != "unsat":
+                break
 
     def merged():
         """The loop's (status, nodes, path), or the index of the first piece
@@ -658,72 +659,127 @@ def _split_search(k: int, nbr: list[int], neighbor_mask, pieces: list[_Piece], t
         total += tail
         return ("budget", node_budget, None) if total > node_budget else ("unsat", total, None)
 
-    def receive() -> bool:
-        """One report of the worker into `results`; False once it is gone."""
-        try:
-            i, *result = reports.recv()
-        except EOFError:
-            return False
-        results[i] = tuple(result)
-        return True
+    def needed():
+        out = merged()
+        return out if isinstance(out, int) else None
 
-    token_r, token_w = os.pipe()  # holds the next piece's index while no process takes it
-    os.set_blocking(token_r, False)
-    os.write(token_w, (0).to_bytes(4, "little"))
-    reports, report = Pipe(duplex=False)
-    try:
-        pid = os.fork() if _second_cpu() else None
-    except OSError:  # no worker: this process searches every piece
-        pid = None
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()  # a collection would touch, and so copy, the whole inherited heap
-            reports.close()
-            while True:
-                i = _take(token_r, token_w)
-                if i is None:
-                    wait([token_r])
-                    continue
-                if i >= len(pieces):
-                    break
-                result = run(i)
-                report.send((i, *result))
-                if result[0] != "unsat":
-                    break
-            code = 0
-        finally:
-            os._exit(code)
-    try:
-        report.close()
-        worker = taking = pid is not None
-        while isinstance(out := merged(), int):
-            if not worker:
-                results[out] = run(out)
-                continue
-            if reports in wait([reports, token_r] if taking else [reports]):
-                worker = receive()
-                continue
-            i = _take(token_r, token_w)
-            if i is None:
-                continue
-            if i >= min((j for j, r in results.items() if r[0] != "unsat"), default=len(pieces)):
-                taking = False
-                continue
-            results[i] = run(i)
+    with _Shared(len(pieces), work) as shared:
+        results = shared.results
+        shared.run(run, needed, lambda: min((j for j, r in results.items() if r[0] != "unsat"),
+                                            default=len(pieces)))
+        out = merged()
         if out[1] is None:  # the deadline: count what the worker searched too
-            while worker:
-                worker = receive()
+            while shared.worker:
+                shared.receive()
             out = ("budget", min(nodes + sum(p.pre for p in pieces) + tail
                                  + sum(r[1] for r in results.values()), node_budget), None)
         return out
-    finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        reports.close()
-        os.close(token_r)
-        os.close(token_w)
+
+
+class _Shared:
+    """Units 0, 1, ..., count - 1 of one job, run by this process and, when
+    `fork` holds and the process may run on two CPUs and can fork, by one
+    forked worker as well ("Embarrassingly Parallel Search", Regin, Rezgui
+    and Malapert, CP 2013).  Both processes take the units in order from a
+    token passed through a pipe.  The worker runs work(taken, send):
+    `taken` yields the units it takes until none is left, and `send`
+    reports (unit, *result) over a second pipe into this process's
+    `results`, {unit: result}.  Used as a context manager; on exit the
+    worker is killed, finished or not, and reaped."""
+
+    def __init__(self, count: int, work, fork: bool = True):
+        self.count, self.results = count, {}
+        self.pid = self.reports = None
+        self.first = 0  # no unit before it lacks a result
+        if not (fork and _second_cpu()):
+            return
+        # imported here: ~1 MiB of modules that a job which never splits does not need
+        from multiprocessing.connection import Pipe, wait
+        self._wait = wait
+        self.token_r, self.token_w = os.pipe()  # holds the next unit while no process takes it
+        os.set_blocking(self.token_r, False)
+        os.write(self.token_w, (0).to_bytes(4, "little"))
+        self.reports, report = Pipe(duplex=False)
+        try:
+            self.pid = os.fork()
+        except OSError:  # no worker: this process runs every unit
+            pass
+        if self.pid == 0:
+            code = 1
+            try:
+                gc.disable()  # a collection would touch, and so copy, the whole inherited heap
+                self.reports.close()
+                work(self._taken(), report.send)
+                code = 0
+            finally:
+                os._exit(code)
+        report.close()
+
+    @property
+    def worker(self) -> bool:
+        """Whether a worker may still report."""
+        return self.pid is not None and not self.reports.closed
+
+    def _taken(self):
+        """The units the worker takes, in order, until none is left."""
+        while True:
+            i = _take(self.token_r, self.token_w)
+            if i is None:
+                self._wait([self.token_r])
+            elif i < self.count:
+                yield i
+            else:
+                return
+
+    def receive(self):
+        """Store the worker's next report in `results`; once the worker is
+        gone, close its pipe instead, so that `worker` turns false."""
+        try:
+            i, *result = self.reports.recv()
+        except EOFError:
+            self.reports.close()
+            return
+        self.results[i] = tuple(result)
+
+    def missing(self) -> int | None:
+        """The first unit without a result, None when every one has one."""
+        while self.first < self.count and self.first in self.results:
+            self.first += 1
+        return self.first if self.first < self.count else None
+
+    def run(self, run, needed=None, limit=None):
+        """Compute results here, run(unit), until needed() (by default the
+        first unit without a result) is None.  With no worker left that is
+        the unit run next.  While there is one, this process takes units
+        from the token below limit() (by default, all of them) and stores
+        the worker's reports as they arrive."""
+        needed = needed or self.missing
+        taking = True
+        while (i := needed()) is not None:
+            if self.worker:
+                if self.reports in self._wait([self.reports, self.token_r] if taking
+                                              else [self.reports]):
+                    self.receive()
+                    continue
+                i = _take(self.token_r, self.token_w)
+                if i is None:
+                    continue
+                if i >= (limit() if limit else self.count):
+                    taking = False
+                    continue
+            self.results[i] = run(i)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.reports is not None:
+            self.reports.close()
+            os.close(self.token_r)
+            os.close(self.token_w)
 
 
 def _take(token_r: int, token_w: int) -> int | None:

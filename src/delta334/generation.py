@@ -28,10 +28,19 @@ Both traces are Gram-matrix products, one over the matrices and one over
 their adjugates.  They are computed as float64 BLAS products of centred
 residues modulo one prime p < 2^25, which are exact integers for any entry
 size, in blocks of about 2^18 entries (2 MiB) so that each block's
-elementwise passes run from a core's L2 cache.  The t block is reduced mod
-p only when it can wrap: |t| <= 9 M^2 for the largest entry M, so while
-9 M^2 <= p // 2 (M <= 1365, every default portion) t is the trace over Z
-itself.  Pairs with (t, s) = (1, 1) or (-1, -1) mod p survive and are
+elementwise passes run from a core's L2 cache.  Each block's products are
+issued as tiles of fewer than 2^19 multiply-adds, which OpenBLAS runs on
+the calling thread: two processes that each started BLAS threads would
+oversubscribe two cores, and with 9-term dot products threads gain nothing.
+A pass over at least SPLIT_PAIRS pairs shares its blocks, as units in
+order, with one forked worker when a second CPU is there to use (the
+`_Shared` of the exact chromatic search); the worker reports each block's
+edge keys and counters, and any block it does not report is run here, so
+the edges and counters are the same on one CPU or two.
+
+The t block is reduced mod p only when it can wrap: |t| <= 9 M^2 for the
+largest entry M, so while 9 M^2 <= p // 2 (M <= 1365, every default
+portion) t is the trace over Z itself.  Pairs with (t, s) = (1, 1) or (-1, -1) mod p survive and are
 decided exactly from P = AB: in int64 while 54 M^4 < 2^63, on numpy arrays
 of Python ints beyond.  Pairs with t = 3 mod p are dropped: the only edges
 among them are the inverse pairs, which are added from the vertex list
@@ -48,6 +57,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import chain, product
 
 import numpy as np
@@ -55,7 +65,7 @@ import numpy as np
 from .cliques import CliqueResult, clique_number
 from .coloring import (Coloring, ChromaticResult, chromatic_bounds,
                        chromatic_number_exact, heuristic_chromatic_upper,
-                       improve_coloring, lift_coloring)
+                       improve_coloring, lift_coloring, _Shared)
 from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
                        MAT3_IDENTITY, element_key,
                        has_order_dividing_3, is_prime, mat3_adjugate, mat3_mul,
@@ -303,14 +313,25 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
 # 9 * (p/2)^2 < 2^53 and float64 Gram products are exact integers.
 _RESIDUE_PRIME = 33_554_393
 
-# Entries per block of the edge pass's Gram products: 1 << 18 float64 is
-# 2 MiB, a core's L2 cache on the 2-core VM of BENCH_edge_pass.json, and
-# each block's elementwise passes run from there.  Smaller blocks cost more
-# BLAS calls, each streaming all of a class's columns for fewer rows.  Warm
-# passes, medians, 1 << 16 / 17 / 18 / 21: 25k 1.11 / 0.97 / 0.95 / 0.97 s,
-# 100k 18.1 / 12.8 / 11.7 / 10.4 s.  The 5k pass peaks at 48 MiB RSS here,
-# 55 MiB with 1 << 21 and t always reduced
+# Entries per block of the edge pass's Gram products, and so per unit of a
+# split pass: 1 << 18 float64 is 2 MiB, a core's L2 cache on the 2-core VM
+# of BENCH_edge_pass.json, and each block's elementwise passes run from
+# there.  Smaller blocks cost more BLAS tiles and more units.  Warm 25k
+# passes on two processes, medians of seven, 1 << 16 / 17 / 18 / 19 / 21:
+# 0.98 / 0.84 / 0.80 / 0.81 / 0.85 s (BENCH_edge_pass_parallel.json)
 _BLOCK_ENTRIES = 1 << 18
+
+# Multiply-adds per BLAS call of the Gram products, rows x cols x 9: this
+# numpy's OpenBLAS (0.3.31) runs a GEMM of fewer than 2^19 on the calling
+# thread and a larger one on two threads
+_TILE_MACS = 1 << 19
+
+# A pass over at least this many pairs splits over two processes.  Below
+# it, the fork costs about what the second core saves: on two CPUs, medians
+# of 15 passes, the split took 0.011 against 0.007 s at 300 vertices (18 k
+# pairs), 0.029 against 0.032 s at 2,000 (0.73 M) and 0.058 against
+# 0.084 s at 4,000 (2.9 M)
+SPLIT_PAIRS = 1 << 20
 
 
 def _transposed_flat(arr: np.ndarray, n: int) -> np.ndarray:
@@ -322,6 +343,24 @@ def _transposed_flat(arr: np.ndarray, n: int) -> np.ndarray:
 def _centred(x: np.ndarray) -> np.ndarray:
     h = _RESIDUE_PRIME // 2
     return (x + h) % _RESIDUE_PRIME - h
+
+
+def _gram(rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = rows @ cols.T, written by BLAS products of fewer than
+    _TILE_MACS multiply-adds each into views of `out`.  A tile spans every
+    column while that leaves it at least 32 rows, and otherwise every row:
+    thinner tiles cost more per entry (on a 52 x 5000 block, single-threaded,
+    11-row tiles took 1.5 times as long as one product, 1120-column ones
+    1.1 times)."""
+    h, m = out.shape
+    most = (_TILE_MACS - 1) // rows.shape[1]  # entries per tile
+    r = most // m if most // m >= 32 else min(h, most)
+    w = min(m, most // r)
+    for c in range(0, m, w):
+        tile = cols[c:c + w].T
+        for i in range(0, h, r):
+            np.matmul(rows[i:i + r], tile, out=out[i:i + r, c:c + w])
+    return out
 
 
 def _reduce_float(x: np.ndarray) -> np.ndarray:
@@ -348,7 +387,9 @@ def _edges_with_prefilter(entries: list[tuple], maxabs: int):
     reduces to an element a of order 3, and (aa)^4 = a^2 is not e; the
     table's diagonal is asserted empty.  On the evaluated pairs, residue
     Gram products mod p filter the traces and the survivors are decided
-    exactly in integer arithmetic."""
+    exactly in integer arithmetic.  The units of work are the blocks of one
+    class's rows, run by `_Shared`: here only, or also by one forked worker
+    when the pass evaluates at least SPLIT_PAIRS pairs."""
     n = len(entries)
     if n < 2:
         return 0, 0, 0, np.empty((0, 2), np.int64)
@@ -371,78 +412,85 @@ def _edges_with_prefilter(entries: list[tuple], maxabs: int):
     adj_f = adj.astype(np.float64)
     res_t = _transposed_flat(res_f, n)
     adj_t = _transposed_flat(adj_f, n)
-    # edges as keys i n + j with i < j, inverse pairs first.  The keys are
-    # Python ints: small arrays kept alive across blocks pin the heap above
-    # the freed block products (peak RSS after a fresh-process pass, int64
-    # key arrays against these: 25k 90 against 89 MiB, 100k 410 against
-    # 380 MiB; 5k 47.6 against 48.5 MiB)
-    inv_idx = _inverse_indices(entries)
-    first = np.arange(n)
-    keys = (first * n + inv_idx)[inv_idx > first].tolist()
     # |t| <= 9 M^2.  While that is at most p // 2 the centred residues are
     # the entries, t is the trace over Z and reducing it would change
     # nothing; the gathered s candidates are reduced either way
     reduce_t = 9 * maxabs ** 2 > _RESIDUE_PRIME // 2
-    evaluated = candidates = exact_checks = 0
     classes = np.arange(len(codes))
-    for a in classes:
-        # columns: every vertex of an adjacent class after a
-        cols = np.flatnonzero((adjacent[a] & (classes > a))[sorted_cls])
+    later = adjacent & (classes > classes[:, None])  # each class's columns: adjacent, after it
+    widths = later.astype(np.int64) @ np.diff(starts)
+    # units of work: (class, first row, end row), the rows of one block
+    units = [(a, lo, min(lo + rows, starts[a + 1]))
+             for a in classes if widths[a]
+             for rows in [max(1, min(1024, _BLOCK_ENTRIES // widths[a]))]
+             for lo in range(starts[a], starts[a + 1], rows)]
+
+    @lru_cache(maxsize=1)
+    def columns(a):
+        cols = np.flatnonzero(later[a][sorted_cls])
+        return cols, res_t[cols], adj_t[cols]
+
+    def run(u: int):
+        """(trace candidates, exact power checks, edge keys) of unit u."""
+        a, lo, hi = units[u]
+        cols, col_res, col_adj = columns(a)
         m = cols.size
-        if not m:
-            continue
-        col_res = res_t[cols]
-        col_adj = adj_t[cols]
-        block_size = max(1, min(1024, _BLOCK_ENTRIES // m))
-        for lo in range(starts[a], starts[a + 1], block_size):
-            hi = min(lo + block_size, starts[a + 1])
-            t = res_f[lo:hi] @ col_res.T
-            if reduce_t:
-                _reduce_float(t)
-            idx = np.flatnonzero((t == 1) | (t == -1) | (t == 3))
-            # an edge with t = 3 has AB = I: the inverse pairs, added above.
-            # The (1, 1) and (-1, -1) classes must also have s = t mod p
-            tr = t.ravel()[idx]
-            del t  # the adjugate product below can take its memory
-            s = _reduce_float((adj_f[lo:hi] @ col_adj.T).ravel()[idx])
-            gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], m)
-            gi += lo
-            gj = cols[gj]
-            P = mats[gi] @ mats[gj]
-            tp = P[:, 0, 0] + P[:, 1, 1] + P[:, 2, 2]
-            sp = (P[:, 1, 1] * P[:, 2, 2] - P[:, 1, 2] * P[:, 2, 1]
-                  + P[:, 0, 0] * P[:, 2, 2] - P[:, 0, 2] * P[:, 2, 0]
-                  + P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0])
-            # (1, 1): characteristic polynomial (x-1)(x^2+1), an edge outright;
-            # (-1, -1): an edge exactly when P^2 = I
-            edge = (tp == sp) & (tp == 1)
-            minus = np.flatnonzero((tp == sp) & (tp == -1))
-            Pm = P[minus]
-            edge[minus] = (Pm @ Pm == np.eye(3, dtype=np.int64)).all(axis=(1, 2))
-            evaluated += int(hi - lo) * m
-            candidates += int(idx.size)
-            exact_checks += int(minus.size)
-            vi = order[gi[edge]]
-            vj = order[gj[edge]]
-            keys.extend((np.minimum(vi, vj) * n + np.maximum(vi, vj)).tolist())
-            # drop every block array before the next block allocates its
-            # products: arrays left alive under them fragment the heap
-            # (peak RSS after a fresh-process pass without the dels: 5k 54
-            # against 48.5 MiB, 25k 90 against 89 MiB)
-            del idx, tr, s, gi, gj, P, tp, sp, edge, minus, Pm, vi, vj
-        del col_res, col_adj
-    edges = np.stack(np.divmod(np.sort(np.array(keys, dtype=np.int64)), n), axis=1)
-    return evaluated, candidates, exact_checks, edges
+        t = _gram(res_f[lo:hi], col_res, np.empty((hi - lo, m)))
+        if reduce_t:
+            _reduce_float(t)
+        keep = t == 1
+        keep |= t == -1
+        keep |= t == 3
+        idx = np.flatnonzero(keep)
+        # an edge with t = 3 has AB = I: the inverse pairs, added apart.
+        # The (1, 1) and (-1, -1) classes must also have s = t mod p
+        tr = t.ravel()[idx]
+        s = _reduce_float(_gram(adj_f[lo:hi], col_adj, t).ravel()[idx])
+        del t  # before the exact decision's arrays: the block is the largest
+        gi, gj = np.divmod(idx[(tr != 3) & (s == tr)], m)
+        gi += lo
+        gj = cols[gj]
+        P = mats[gi] @ mats[gj]
+        tp = P[:, 0, 0] + P[:, 1, 1] + P[:, 2, 2]
+        sp = (P[:, 1, 1] * P[:, 2, 2] - P[:, 1, 2] * P[:, 2, 1]
+              + P[:, 0, 0] * P[:, 2, 2] - P[:, 0, 2] * P[:, 2, 0]
+              + P[:, 0, 0] * P[:, 1, 1] - P[:, 0, 1] * P[:, 1, 0])
+        # (1, 1): characteristic polynomial (x-1)(x^2+1), an edge outright;
+        # (-1, -1): an edge exactly when P^2 = I
+        edge = (tp == sp) & (tp == 1)
+        minus = np.flatnonzero((tp == sp) & (tp == -1))
+        Pm = P[minus]
+        edge[minus] = (Pm @ Pm == np.eye(3, dtype=np.int64)).all(axis=(1, 2))
+        vi = order[gi[edge]]
+        vj = order[gj[edge]]
+        return idx.size, minus.size, np.minimum(vi, vj) * n + np.maximum(vi, vj)
+
+    def work(taken, send):
+        for u in taken:
+            send((u, *run(u)))
+
+    pairs = int(sum((hi - lo) * widths[a] for a, lo, hi in units))
+    with _Shared(len(units), work, fork=pairs >= SPLIT_PAIRS) as shared:
+        inverse_keys = _inverse_keys(entries)  # while the worker takes the first units
+        shared.run(run)
+    results = shared.results.values()
+    # edges as keys i n + j with i < j: the inverse pairs and each unit's
+    keys = np.concatenate([inverse_keys, *(r[2] for r in results)])
+    edges = np.stack(np.divmod(np.sort(keys), n), axis=1)
+    return (pairs, sum(int(r[0]) for r in results), sum(int(r[1]) for r in results), edges)
 
 
-def _inverse_indices(entries: list[tuple]) -> np.ndarray:
+def _inverse_keys(entries: list[tuple]) -> np.ndarray:
+    """The keys i n + j of the pairs i < j of mutually inverse vertices."""
+    n = len(entries)
     index = {row: i for i, row in enumerate(entries)}
-    inv = np.full(len(entries), -1, dtype=np.int64)
+    inv = np.full(n, -1, dtype=np.int64)
     for i, row in enumerate(entries):
         j = index.get(mat3_mul(row, row))
         if j is not None:
             inv[i] = j
-    return inv
+    first = np.arange(n)
+    return (first * n + inv)[inv > first]
 
 
 def generate_and_build(cfg: GenerationConfig) -> PortionGraph:

@@ -94,6 +94,15 @@ def label_from_wire(desc: dict, wire):
 
 
 def graph_to_json_dict(graph: TriangleGraph) -> dict:
+    """The graph file's document, its edges a list of [i, j] lists."""
+    doc = _graph_document(graph)
+    doc["edges"] = doc["edges"].tolist()
+    return doc
+
+
+def _graph_document(graph: TriangleGraph) -> dict:
+    """graph_to_json_dict's document with the edges as one (m, 2) int64
+    array, which canonical_json writes with no Python object per edge."""
     meta = dict(graph.meta)
     generation = meta.pop("generation", None)
     if graph.n:
@@ -102,7 +111,7 @@ def graph_to_json_dict(graph: TriangleGraph) -> dict:
         "meta": meta,
         "vertices": [{"id": k, "label": label_to_wire(lab)}
                      for k, lab in enumerate(graph.labels)],
-        "edges": list(graph.edges()),
+        "edges": np.stack(graph._edge_ends(), axis=1),
         "loops": sorted(graph.loops),
     }
     if generation is not None:
@@ -111,12 +120,13 @@ def graph_to_json_dict(graph: TriangleGraph) -> dict:
 
 
 def dumps_graph(graph: TriangleGraph) -> str:
-    return canonical_json(graph_to_json_dict(graph))
+    return canonical_json(_graph_document(graph))
 
 
 def canonical_json(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
-    with lists of ints and lists of equal-length int rows written in bulk."""
+    with lists of ints and lists of equal-length int rows written in bulk.
+    A 2-d integer numpy array is written as the list of its rows."""
     out: list[str] = []
     _write_json(doc, "\n", out)
     out.append("\n")
@@ -128,7 +138,12 @@ def _write_json(x, nl: str, out: list[str]) -> None:
     indent are `nl`.  Plain ints are tested by exact type, so bools still
     print as true and false.  Keys are sorted before they are converted to
     strings, as json does."""
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype.kind in "iu" and x.shape[1]:
+        if not len(x):
+            out.append("[]")
+        else:
+            _write_int_rows(tuple(x.ravel().tolist()), x.shape[1], nl, out)
+    elif isinstance(x, (list, tuple)):
         if not x:
             out.append("[]")
             return
@@ -142,9 +157,7 @@ def _write_json(x, nl: str, out: list[str]) -> None:
         if len(widths) == 1:
             flat = tuple(chain.from_iterable(x))
             if set(map(type, flat)) == {int}:
-                deeper = inner + "  "
-                row = "[" + deeper + ("," + deeper).join(["%d"] * widths.pop()) + inner + "]"
-                out.append("[" + inner + sep.join([row] * len(x)) % flat + nl + "]")
+                _write_int_rows(flat, widths.pop(), nl, out)
                 return
         out.append("[")
         for v in x:
@@ -172,6 +185,15 @@ def _write_json(x, nl: str, out: list[str]) -> None:
         out.append(int.__repr__(x))
     else:
         out.append(json.dumps(x))
+
+
+def _write_int_rows(flat: tuple, width: int, nl: str, out: list[str]) -> None:
+    """Append the rows of `width` ints that `flat` lists in row order, with
+    one `%` template."""
+    inner = nl + "  "
+    deeper = inner + "  "
+    row = "[" + deeper + ("," + deeper).join(["%d"] * width) + inner + "]"
+    out.append("[" + inner + ("," + inner).join([row] * (len(flat) // width)) % flat + nl + "]")
 
 
 def graph_from_json_dict(doc: dict) -> TriangleGraph:

@@ -266,24 +266,7 @@ def allow_split(mp, split_after, cpus=2):
     """Let a k-coloring search split after `split_after` nodes, as on a
     machine with `cpus` CPUs; the pids of the workers forked are returned."""
     mp.setattr(coloring, "SPLIT_AFTER_NODES", split_after)
-    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", fork)
-    return forked
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+    return toys.run_as_on_cpus(mp, cpus)
 
 
 def backtracking_sat_graph():
@@ -311,7 +294,7 @@ class TestSplitSearch:
         with pytest.MonkeyPatch.context() as mp:
             forked = allow_split(mp, split_after)
             assert_core_search_matches(graph, k, *core_and_clique(graph, k, peel, pin), budget)
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["two-cpus", "one-cpu"])
     @DEEP_TREES
@@ -336,7 +319,7 @@ class TestSplitSearch:
                                                   *core_and_clique(graph, k, False, pin), 20_000)
             assert cpus == 2 or sum(searched) <= nodes
         assert len(forked) == (2 if cpus == 2 else 0)
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     def test_sl32_proof_through_the_split(self, monkeypatch):
         # the default split point, on two CPUs whatever the machine has
@@ -347,7 +330,7 @@ class TestSplitSearch:
         digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
         assert digest[:16] == "89bbd549ce01c0f8"
         assert len(forked) == 1
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     @pytest.mark.parametrize("graph, k, budget, result", [
         (backtracking_sat_graph(), 7, 5000, ("sat", 303)),
@@ -365,7 +348,7 @@ class TestSplitSearch:
         assert assert_core_search_matches(graph, k, list(range(graph.n)), [], budget) == result
         assert time.monotonic() - start < 10
         assert len(forked) == 1
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     @DEEP_TREES
     def test_worker_killed_mid_search_changes_nothing(self, graph, k, monkeypatch):
@@ -382,7 +365,7 @@ class TestSplitSearch:
         monkeypatch.setattr(coloring, "_descend", killed_in_worker)
         assert_core_search_matches(graph, k, list(range(graph.n)), [], 20_000)
         assert len(forked) == 1
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     @DEEP_TREES
     def test_failed_fork_searches_every_piece_here(self, graph, k, monkeypatch):
@@ -404,7 +387,7 @@ class TestSplitSearch:
         assert status == "budget" and 1000 < nodes < 1_176_185
         assert colors == [-1] * SL32.n
         assert len(forked) == 1
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     def test_time_cut_reports_at_most_the_node_budget(self, monkeypatch):
         # this process takes one piece and starts it only after the deadline,
@@ -428,7 +411,7 @@ class TestSplitSearch:
                             600) == ("budget", 600)
         assert colors == [-1] * graph.n
         assert len(forked) == 1
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
     def test_exception_mid_search_reaps_the_worker(self, monkeypatch):
         forked = allow_split(monkeypatch, 1000)
@@ -445,7 +428,7 @@ class TestSplitSearch:
         with pytest.raises(RuntimeError, match="mid-search"):
             _core_search(SL32, 7, list(range(SL32.n)), [], [-1] * SL32.n, None, 2_000_000)
         assert len(forked) == 1
-        assert_reaped(forked)
+        toys.assert_reaped(forked)
 
 
 class TestHeuristics:

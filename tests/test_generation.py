@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import signal
 import time
 from dataclasses import asdict, replace
 
@@ -26,6 +28,7 @@ from delta334.generation import (
     verify_no_identity_reduction,
 )
 from delta334.graph import TriangleGraph, _core_order, _mod3_pairwise_edges
+from delta334.graphio import dumps_graph, graph_to_json_dict
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
 from delta334.cliques import verify_clique
@@ -58,6 +61,22 @@ def _literal_edges(labels):
 
 def _counters(stats):
     return stats.pairs_evaluated, stats.prefilter_candidates, stats.exact_checks
+
+
+def _parametric_portion(size):
+    """300 vertices seeded with members at |c| = size beside the |a|, |b|,
+    |c| <= 1 family."""
+    seeds = tuple(parametric_order3(a, b, s * size)
+                  for a in (0, 1) for b in (0, 1) for s in (1, -1))
+    verts, _ = generate_portion(GenerationConfig(
+        seeds=seeds, family_bound=1, conj_depth=2, target_vertices=300,
+        entry_bound=DEFAULT_ENTRY_LIMIT))
+    return verts
+
+
+# the unitriangular conjugator that puts the largest entry of 300 default
+# vertices at M = 1366, just past the bound below which t is not reduced
+M1366 = (1, 13, 13, 0, 1, 2, 0, 0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -200,11 +219,7 @@ class TestBuildEdges:
         # pair-by-pair oracle too: "default" (M = 49) never reduces t mod p
         verts = list(small_portion.graph.labels)[:500]
         if kind == "parametric":
-            seeds = tuple(parametric_order3(a, b, s * size)
-                          for a in (0, 1) for b in (0, 1) for s in (1, -1))
-            verts, _ = generate_portion(GenerationConfig(
-                seeds=seeds, family_bound=1, conj_depth=2, target_vertices=300,
-                entry_bound=DEFAULT_ENTRY_LIMIT))
+            verts = _parametric_portion(size)
         elif kind == "conjugated":
             verts = _conjugated(verts[:300], _e12(size))
         if size is not None:
@@ -217,7 +232,7 @@ class TestBuildEdges:
 
     @pytest.mark.parametrize("conj, maxabs, reduced", [
         ((1, -14, -11, 0, 1, 0, 0, 0, 1), 1365, False),
-        ((1, 13, 13, 0, 1, 2, 0, 0, 1), 1366, True)], ids=["M1365", "M1366"])
+        (M1366, 1366, True)], ids=["M1365", "M1366"])
     def test_t_is_reduced_only_above_the_entry_bound(self, conj, maxabs, reduced,
                                                      small_portion, monkeypatch):
         # |t| <= 9 M^2 <= p // 2 up to M = 1365, and there reducing t mod p
@@ -269,6 +284,164 @@ class TestBuildEdges:
             sizes[codomain.vertex_of(ModMatrix(tuple(e % 2 for e in v.entries), 2))] += 1
         assert stats.pairs_evaluated == sum(sizes[a] * sizes[b]
                                             for a, b in codomain.edges())
+
+
+# oracles.oracle_prefilter_counts on small_portion's vertices: (pairs
+# evaluated, trace candidates, exact checks), pinned because the pair-by-pair
+# run takes about 70 s
+SMALL_PORTION_ORACLE_COUNTS = (5_300_528, 498_097, 126_366)
+
+
+def _edge_pass(verts, mp):
+    """build_portion_edges on `verts`: the edge array its pass returned, the
+    stats as a dict, and the pass's Gram products run in this process."""
+    passes, grams = [], []
+    edges_with_prefilter, gram, parent = generation._edges_with_prefilter, generation._gram, os.getpid()
+
+    def recorded(*args):
+        passes.append(edges_with_prefilter(*args))
+        return passes[-1]
+
+    def counted(*args):
+        if os.getpid() == parent:
+            grams.append(1)
+        return gram(*args)
+
+    with mp.context() as m:
+        m.setattr(generation, "_edges_with_prefilter", recorded)
+        m.setattr(generation, "_gram", counted)
+        stats = asdict(build_portion_edges(verts).stats)
+    return passes[0][3], stats, len(grams)
+
+
+@pytest.fixture(scope="module")
+def split_inputs(small_portion):
+    """name: (vertices, the oracle's counters, the one-process pass's edge
+    array, stats and Gram products).  The one-process pass never splits,
+    whatever the machine."""
+    sets = {"small_portion": (list(small_portion.graph.labels), SMALL_PORTION_ORACLE_COUNTS),
+            "c1e9": (_parametric_portion(10 ** 9), None),
+            "M1366": (_conjugated(list(small_portion.graph.labels)[:300], M1366), None)}
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generation, "SPLIT_PAIRS", 1 << 62)
+        for name, (verts, counts) in sets.items():
+            counts = counts or oracles.oracle_prefilter_counts([v.entries for v in verts])
+            out[name] = (verts, counts, *_edge_pass(verts, mp))
+    return out
+
+
+def assert_same_pass(got, want, counts):
+    edges, stats, _ = got
+    want_edges, want_stats, _ = want
+    assert edges.dtype == want_edges.dtype and edges.shape == want_edges.shape
+    assert (edges == want_edges).all()
+    assert stats == want_stats
+    assert (stats["pairs_evaluated"], stats["prefilter_candidates"],
+            stats["exact_checks"]) == counts
+
+
+SPLIT_INPUTS = pytest.mark.parametrize("name", ["small_portion", "c1e9", "M1366"])
+
+
+class TestSplitPass:
+    """A pass split into units of class row blocks, run by this process and
+    one forked worker, returns the one-process pass's edge array and
+    counters, whatever ends the worker, and leaves no worker behind."""
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-cpus", "one-cpu"])
+    @SPLIT_INPUTS
+    def test_split_pass_matches_one_process(self, name, cpus, split_inputs, monkeypatch):
+        # on one CPU no worker is forked and this process runs every unit
+        verts, counts, *want = split_inputs[name]
+        monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
+        forked = toys.run_as_on_cpus(monkeypatch, cpus)
+        assert_same_pass(_edge_pass(verts, monkeypatch), want, counts)
+        assert len(forked) == (1 if cpus == 2 else 0)
+        toys.assert_reaped(forked)
+
+    def test_small_passes_stay_in_one_process(self, split_inputs, monkeypatch):
+        # the 300-vertex inputs evaluate ~45k pairs, far below SPLIT_PAIRS
+        forked = toys.run_as_on_cpus(monkeypatch)
+        verts, counts, *want = split_inputs["M1366"]
+        assert_same_pass(_edge_pass(verts, monkeypatch), want, counts)
+        assert not forked
+
+    @SPLIT_INPUTS
+    def test_failed_fork_runs_every_unit_here(self, name, split_inputs, monkeypatch):
+        verts, counts, *want = split_inputs[name]
+        monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
+        toys.run_as_on_cpus(monkeypatch)
+
+        def fork():
+            raise OSError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        got = _edge_pass(verts, monkeypatch)
+        assert_same_pass(got, want, counts)
+        assert got[2] == want[2]
+
+    @SPLIT_INPUTS
+    def test_worker_killed_after_its_first_unit_changes_nothing(self, name, split_inputs,
+                                                                 monkeypatch):
+        # the worker dies in the first Gram product of its second unit; this
+        # process runs every unit the worker did not report: all but the
+        # first, or all of them if the worker took none
+        verts, counts, *want = split_inputs[name]
+        monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
+        forked = toys.run_as_on_cpus(monkeypatch)
+        parent, gram, worker_grams = os.getpid(), generation._gram, []
+
+        def dies_in_second_unit(*args):
+            if os.getpid() != parent:
+                worker_grams.append(1)
+                if len(worker_grams) > 2:  # two Gram products per unit
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return gram(*args)
+
+        monkeypatch.setattr(generation, "_gram", dies_in_second_unit)
+        got = _edge_pass(verts, monkeypatch)
+        assert_same_pass(got, want, counts)
+        assert got[2] in (want[2] - 2, want[2])
+        assert len(forked) == 1
+        toys.assert_reaped(forked)
+
+    @pytest.mark.parametrize("budget", [None, 7, 1 << 21])
+    def test_every_gram_tile_runs_on_the_calling_thread(self, budget, small_portion,
+                                                         monkeypatch):
+        # OpenBLAS runs a GEMM of fewer than 2^19 multiply-adds on the
+        # calling thread; larger ones start BLAS threads, and in two
+        # processes at once those oversubscribe two cores (a 25k pass took
+        # 2.2-7.3 s so, against 0.8 s).  7 entries make most blocks a single
+        # row, and 1 << 21 puts each class's rows in one block.  On one CPU
+        # every product runs in this process, where the spy sees it
+        if budget:
+            monkeypatch.setattr(generation, "_BLOCK_ENTRIES", budget)
+        toys.run_as_on_cpus(monkeypatch, 1)
+        matmul, tiles = np.matmul, []
+
+        def spy(a, b, *args, **kwargs):
+            if a.dtype == np.float64:  # the BLAS products; the rest are int64 or object
+                tiles.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        stats = build_portion_edges(small_portion.graph.labels).stats
+        assert _counters(stats) == SMALL_PORTION_ORACLE_COUNTS
+        assert stats.edges_found == small_portion.stats.edges_found
+        assert all(rows * k * cols < 1 << 19 for rows, k, cols in tiles)
+        # the tiles cover the t and the s products of every evaluated pair
+        assert sum(rows * cols for rows, _, cols in tiles) == 2 * stats.pairs_evaluated
+
+
+class TestPortionFile:
+    def test_portion_file_matches_json_dumps(self, small_portion):
+        # dumps_graph writes the edges from the arc arrays, with no Python
+        # object per edge; graph_to_json_dict gives them as [i, j] lists
+        doc = graph_to_json_dict(small_portion.graph)
+        assert doc["edges"] == [list(e) for e in small_portion.graph.edges()]
+        text = dumps_graph(small_portion.graph)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class TestMod2Classes:

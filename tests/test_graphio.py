@@ -1,6 +1,7 @@
 import enum
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,23 @@ class TestCanonicalJson:
     ])
     def test_documents_match_json_dumps(self, doc):
         assert canonical_json(doc) == json_dumps(doc)
+
+    @pytest.mark.parametrize("rows", [
+        np.empty((0, 2), np.int64), np.array([[0, 1], [2, 3]]),
+        np.array([[-5, 2 ** 40, 7]], np.int64), np.array([[255]], np.uint8),
+    ], ids=["empty", "pairs", "wide", "uint8"])
+    def test_int_arrays_are_written_as_their_rows(self, rows):
+        assert canonical_json({"edges": rows, "n": 1}) == json_dumps({"edges": rows.tolist(),
+                                                                      "n": 1})
+
+    @pytest.mark.parametrize("array", [np.array([1, 2]), np.array([[0.5, 1.0]]),
+                                       np.array([[True, False]]), np.empty((2, 0), np.int64)],
+                             ids=["1-d", "float", "bool", "no-columns"])
+    def test_other_arrays_raise_like_json(self, array):
+        with pytest.raises(TypeError):
+            json_dumps([array])
+        with pytest.raises(TypeError):
+            canonical_json([array])
 
     @given(json_docs)
     @settings(max_examples=150, deadline=None)

@@ -1,11 +1,14 @@
 """Small ad hoc graphs for exercising the solvers, a clique-search spy, and
-the test process's children.
+the test process's CPUs and children.
 
 TriangleGraph does not care what the labels are, so plain integers do."""
 
 import glob
 import importlib
+import os
 import pkgutil
+
+import pytest
 
 import delta334
 from delta334 import cliques
@@ -39,6 +42,29 @@ def live_children() -> list[int]:
         with open(path) as f:
             pids += map(int, f.read().split())
     return pids
+
+
+def run_as_on_cpus(mp, cpus=2) -> list[int]:
+    """Let the library see `cpus` CPUs, whatever the machine has, and record
+    the pid of every worker it forks: the list returned."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def cycle_graph(n):
