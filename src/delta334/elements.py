@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import struct
 from itertools import chain, repeat
-from typing import Iterable, Union
+from operator import attrgetter
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 MAX_PERM_POINTS = 12
 
@@ -220,6 +223,64 @@ class IntMatrix3:
 
     def __hash__(self) -> int:
         return hash(self._key)
+
+
+def int_matrices(rows: np.ndarray) -> list[IntMatrix3]:
+    """The IntMatrix3 of each row of an (n, 9) int64 or object array of
+    integers, the rows' entry bound and determinants checked at once (in
+    int64 while 6 M^3 < 2^63 for the largest entry M, on Python ints
+    beyond), and no __init__ call per row.  A row that IntMatrix3 refuses
+    raises IntMatrix3's own error."""
+    n = len(rows)
+    if n == 0:
+        return []
+    if rows.ndim != 2 or rows.shape[1] != 9:
+        raise ValueError("IntMatrix3 needs 9 row-major entries or 3 rows")
+    bad = ((rows >= DEFAULT_ENTRY_LIMIT) | (rows <= -DEFAULT_ENTRY_LIMIT)).any(axis=1)
+    if not bad.any():
+        big = max(int(rows.max()), -int(rows.min()))
+        m = rows.astype(np.int64 if 6 * big ** 3 < 2 ** 63 else object).T
+        bad = mat3_det(m) != 1
+    if bad.any():
+        IntMatrix3(rows[np.argmax(bad)].tolist())  # raises
+    # the tag, then each entry as 8 little-endian signed bytes, as __init__
+    keys = np.empty((n, 73), np.uint8)
+    keys[:, 0] = _TAG_INT_MATRIX
+    keys[:, 1:] = rows.astype("<i8").view(np.uint8).reshape(n, 72)
+    new = IntMatrix3.__new__
+    out = []
+    for entries, key in zip(zip(*rows.T.tolist()), keys.view("V73").ravel().tolist()):
+        m = new(IntMatrix3)
+        m.entries = entries
+        m._key = key
+        out.append(m)
+    return out
+
+
+def key_order(rows: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts (n, 9) int64 entry rows by the
+    element_key of their IntMatrix3, whose entry bytes are little-endian and
+    compared as byte strings."""
+    return np.lexsort(key_words(rows).T[::-1])
+
+
+def key_words(rows: np.ndarray) -> np.ndarray:
+    """The entry rows as big-endian uint16 columns whose order is
+    element_key's.  With every entry inside w bytes (w = 2, 4 or 8), the
+    first w bytes of each entry decide the byte comparison and the others
+    only extend its sign; two bytes to a column, numpy's lexsort takes them
+    by radix sort.  Equal rows give equal words."""
+    big = int(np.abs(rows).max()) if rows.size else 0
+    width = next(w for w in (2, 4, 8) if big < 1 << (8 * w - 1))
+    return rows.astype(f"<i{width}").view(">u2")
+
+
+def entry_array(matrices: Sequence[IntMatrix3]) -> np.ndarray:
+    """The (n, 9) int64 array of n IntMatrix3 values' entries, row-major;
+    their entries are below 2^62, so every one fits."""
+    n = len(matrices)
+    flat = chain.from_iterable(map(attrgetter("entries"), matrices))
+    return np.fromiter(flat, np.int64, 9 * n).reshape(n, 9)
 
 
 class ModMatrix:

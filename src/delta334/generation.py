@@ -5,7 +5,9 @@ order three (the classic generator pairs' order-3 members plus a parametric
 family), repeatedly conjugate by the elementary matrices E_ij(+-1) and close
 under inverses, discarding anything whose entries leave the configured bound.
 Conjugation preserves order exactly, so every vertex has order three; the
-identity never appears.
+identity never appears.  Each layer of the BFS is one step on the (n, 9)
+int64 entry array of its candidates, which admits exactly what offering
+them one at a time would.
 
 Edges come from one exact kernel.  If (AB)^4 = I then AB has order
 dividing 4, its eigenvalues are a subset of {1, -1, i, -i} closed under
@@ -55,10 +57,9 @@ graph is proper, bounding the portion's chromatic number by eight.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -67,9 +68,9 @@ from .coloring import (Coloring, ChromaticResult, chromatic_bounds,
                        chromatic_number_exact, heuristic_chromatic_upper,
                        improve_coloring, lift_coloring, _Shared)
 from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
-                       MAT3_IDENTITY, element_key,
-                       has_order_dividing_3, is_prime, mat3_adjugate, mat3_mul,
-                       parametric_order3, serialize_element)
+                       MAT3_IDENTITY, element_key, entry_array,
+                       has_order_dividing_3, int_matrices, is_prime, key_order,
+                       key_words, mat3_adjugate, parametric_order3, serialize_element)
 from .graph import (MorphismReport, TriangleGraph,
                     _mod3_pairwise_edges, build_delta334, induced_morphism)
 from .groups import order3_vertices, parse_group_spec
@@ -92,14 +93,10 @@ DEFAULT_COLOR_TIME_BUDGET = 120.0  # seconds for a portion's own chi search
 
 VERIFICATION_PRIMES = (2, 3, 5)
 
-# E_ij(s) for i != j, s = +-1, as (matrix, inverse) entry tuples
+# the conjugators E_ij(s) = I + s e_ij, i != j, s = +-1, as (i, j, s) in
+# the BFS's order
 _ELEMENTARY_CONJUGATORS = tuple(
-    (tuple(1 if r == c else (s if (r, c) == (i, j) else 0)
-           for r in range(3) for c in range(3)),
-     tuple(1 if r == c else (-s if (r, c) == (i, j) else 0)
-           for r in range(3) for c in range(3)))
-    for i in range(3) for j in range(3) if i != j for s in (1, -1)
-)
+    (i, j, s) for i in range(3) for j in range(3) if i != j for s in (1, -1))
 
 
 def family_seeds(family_bound: int) -> list[IntMatrix3]:
@@ -213,67 +210,96 @@ def generate_portion(cfg: GenerationConfig) -> tuple[list[IntMatrix3], Generatio
     admitted only together with its inverse, and only when both fit the
     entry bound.  Deterministic: layers are expanded in key order with a
     fixed conjugator order, and the target cutoff applies at admission time.
+    The seeds are admitted the same way, with no cutoff.
+
+    Each layer is one array step (`_admit`) over the (n, 9) int64 entries.
     """
     seeds = cfg.resolved_seeds()
     if not seeds:
         raise ValueError("empty seed set: no intro members, no family, none supplied")
-    bound = cfg.entry_bound
     stats = GenerationStats()
-    admitted: dict[bytes, tuple] = {}
-
-    def admit(entries: tuple) -> bool:
-        try:
-            key = _entries_key(entries)
-        except struct.error:  # past int64, so past any entry bound
-            stats.entry_bound_rejects += 1
-            return False
-        if key in admitted:
-            stats.duplicate_hits += 1
-            return False
-        inv = mat3_mul(entries, entries)  # order 3: inverse is the square
-        hi = max(max(abs(e) for e in entries), max(abs(e) for e in inv))
-        if hi > bound:
-            stats.entry_bound_rejects += 1
-            return False
-        assert entries != MAT3_IDENTITY
-        assert mat3_mul(entries, inv) == MAT3_IDENTITY
-        admitted[key] = entries
-        ikey = _entries_key(inv)
-        if ikey not in admitted:
-            admitted[ikey] = inv
-        stats.max_abs_entry = max(stats.max_abs_entry, hi)
-        return True
-
-    before = len(admitted)
-    for m in seeds:
-        admit(m.entries)
-    frontier = sorted(admitted)
-    stats.frontier_sizes.append(len(admitted) - before)
-
-    for _ in range(cfg.conj_depth):
-        if len(admitted) >= cfg.target_vertices or not frontier:
+    admitted = np.empty((0, 9), np.int64)
+    frontier = entry_array(seeds)
+    for depth in range(cfg.conj_depth + 1):
+        if depth and (len(admitted) >= cfg.target_vertices or not len(frontier)):
             break
-        before = len(admitted)
-        for key in frontier:
-            v = admitted[key]
-            for conj, conj_inv in _ELEMENTARY_CONJUGATORS:
-                w = mat3_mul(conj, mat3_mul(v, conj_inv))
-                admit(w)
-                if len(admitted) >= cfg.target_vertices:
-                    break
-            if len(admitted) >= cfg.target_vertices:
-                break
-        # dict preserves admission order, so this layer's vertices (including
-        # inverses added alongside) are exactly the tail
-        frontier = sorted(list(admitted)[before:])
-        stats.frontier_sizes.append(len(admitted) - before)
-
-    vertices = sorted((IntMatrix3(e) for e in admitted.values()), key=element_key)
-    return vertices, stats
+        room = cfg.target_vertices - len(admitted) if depth else None
+        new = _admit(frontier, depth > 0, admitted, cfg.entry_bound, room, stats)
+        admitted = np.concatenate((admitted, new))
+        frontier = new[key_order(new)]
+        stats.frontier_sizes.append(len(new))
+    return int_matrices(admitted[key_order(admitted)]), stats
 
 
-def _entries_key(entries: tuple) -> bytes:
-    return struct.pack("<9q", *entries)
+def _first_positions(rows: np.ndarray) -> np.ndarray:
+    """For each int64 row, the position of the first row equal to it."""
+    words = key_words(rows)
+    order = np.lexsort(words.T[::-1])
+    words = words[order]
+    starts = np.ones(len(rows), bool)
+    starts[1:] = (words[1:] != words[:-1]).any(axis=1)
+    first = np.empty(len(rows), np.int64)
+    first[order] = order[starts][np.cumsum(starts) - 1]  # stable: the first is least
+    return first
+
+
+def _admit(source: np.ndarray, conjugate: bool, admitted: np.ndarray, bound: int,
+           room: int | None, stats: GenerationStats) -> np.ndarray:
+    """One layer: the candidates (the source rows, or each source row's
+    conjugates by the elementary matrices in order) offered in turn to the
+    admitted set, as the scalar rule takes them.  A candidate C_t whose
+    entries or whose square's (its inverse's) pass the bound is rejected.
+    Otherwise it is a duplicate exactly when it is among the rows admitted
+    before the layer or equals an earlier in-bound C_s or C_s^2, the rows
+    the layer has added by then, so the first position of each row among
+    the earlier rows, then C_0, C_0^2, C_1, C_1^2, ..., decides it.  Each
+    admission adds two rows; the layer stops after the admission that
+    brings the added rows to `room`.  Updates the stats over the candidates
+    taken and returns the rows added, each admitted C_t and its square."""
+    # a conjugate's entries are at most 4 M and its square's 48 M^2 for the
+    # source's largest entry M; past int64 the products run on Python ints
+    big = int(np.abs(source).max()) if len(source) else 0
+    if 48 * big * big >= 2 ** 63:
+        source = source.astype(object)
+    cand = source.reshape(-1, 3, 3)
+    if conjugate:
+        cand = np.repeat(cand[:, None], len(_ELEMENTARY_CONJUGATORS), axis=1)
+        for k, (i, j, s) in enumerate(_ELEMENTARY_CONJUGATORS):
+            # E_ij(s) A E_ij(-s): row i += s row j, then column j -= s column i
+            cand[:, k, i, :] += s * cand[:, k, j, :]
+            cand[:, k, :, j] -= s * cand[:, k, :, i]
+        cand = cand.reshape(-1, 3, 3)
+    square = cand @ cand
+    hi = np.maximum(np.abs(cand).max(axis=(1, 2)), np.abs(square).max(axis=(1, 2)))
+    inbound = np.flatnonzero(hi <= bound)
+    # the rows admitted before the layer, then C_t, C_t^2 for in-bound t
+    rows = np.empty((len(admitted) + 2 * len(inbound), 9), np.int64)
+    rows[:len(admitted)] = admitted
+    pairs = rows[len(admitted):].reshape(-1, 2, 9)
+    for k, arr in enumerate((cand, square)):
+        np.take(arr.reshape(-1, 9), inbound, axis=0, out=pairs[:, k], mode="clip")
+    del cand, square
+    at = len(admitted) + 2 * np.arange(len(inbound))  # C_t's position
+    admit = _first_positions(rows)[at] == at
+    taken = len(hi)
+    if room is not None:
+        added = 2 * np.cumsum(admit)
+        stop = np.searchsorted(added, room)  # the admission that reaches room
+        if stop < len(inbound):
+            taken = int(inbound[stop]) + 1
+            admit[stop + 1:] = False
+    kept = inbound < taken
+    stats.entry_bound_rejects += taken - int(kept.sum())
+    stats.duplicate_hits += int((kept & ~admit).sum())
+    if admit.any():
+        stats.max_abs_entry = max(stats.max_abs_entry, int(hi[inbound[admit]].max()))
+    new = pairs[admit]
+    # order three: no admitted C_t is I, and C_t C_t^2 = I (int64 products
+    # wrap mod 2^64, which leaves a true product of I as I)
+    assert not (new[:, 0] == MAT3_IDENTITY).all(axis=1).any()
+    mats = new.reshape(-1, 2, 3, 3)
+    assert (mats[:, 0] @ mats[:, 1] == np.eye(3, dtype=np.int64)).all()
+    return new.reshape(-1, 9)
 
 
 def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
@@ -291,8 +317,8 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
     n = len(verts)
     stats.pairs_total = n * (n - 1) // 2
 
-    entries = [v.entries for v in verts]
-    maxabs = max(map(abs, chain.from_iterable(entries)), default=0)
+    entries = entry_array(verts)
+    maxabs = int(np.abs(entries).max()) if n else 0
     evaluated, candidates_count, exact_checks, edges = _edges_with_prefilter(entries, maxabs)
     stats.pairs_evaluated = evaluated
     stats.prefilter_candidates = candidates_count
@@ -374,7 +400,7 @@ def _reduce_float(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _edges_with_prefilter(entries: list[tuple], maxabs: int):
+def _edges_with_prefilter(entries: np.ndarray, maxabs: int):
     """(pairs evaluated, trace candidates, exact power checks, edges), the
     edges an (m, 2) int64 array of (i, j), i < j, lexicographically sorted.
 
@@ -395,7 +421,7 @@ def _edges_with_prefilter(entries: list[tuple], maxabs: int):
         return 0, 0, 0, np.empty((0, 2), np.int64)
     # P = A_i A_j has entries up to 3 M^2 and principal-minor sum up to
     # 54 M^4; past int64 the same expressions run on Python ints
-    flat = np.array(entries, dtype=np.int64 if 54 * maxabs ** 4 < 2 ** 63 else object)
+    flat = entries if 54 * maxabs ** 4 < 2 ** 63 else entries.astype(object)
     codes, cls = np.unique((flat % 2).astype(np.int64) @ (1 << np.arange(9)),
                            return_inverse=True)
     adjacent = _mod3_pairwise_edges((codes[:, None] >> np.arange(9)) & 1, 2)
@@ -480,15 +506,21 @@ def _edges_with_prefilter(entries: list[tuple], maxabs: int):
     return (pairs, sum(int(r[0]) for r in results), sum(int(r[1]) for r in results), edges)
 
 
-def _inverse_keys(entries: list[tuple]) -> np.ndarray:
-    """The keys i n + j of the pairs i < j of mutually inverse vertices."""
+def _inverse_keys(entries: np.ndarray) -> np.ndarray:
+    """The keys i n + j of the pairs i < j of mutually inverse vertices: j
+    is the last vertex equal to the square of i (inverse, at order 3).
+    Squares run in int64 while 3 M^2 < 2^63, on Python ints beyond, where
+    a square past the entry bound is no vertex."""
     n = len(entries)
-    index = {row: i for i, row in enumerate(entries)}
+    big = int(np.abs(entries).max()) if n else 0
+    mats = entries.reshape(n, 3, 3)
+    square = (mats if 3 * big * big < 2 ** 63 else mats.astype(object)) @ mats
+    square = square.reshape(n, 9)
+    fits = np.flatnonzero((np.abs(square) < DEFAULT_ENTRY_LIMIT).all(axis=1))
+    where = _first_positions(np.concatenate((entries[::-1], square[fits].astype(np.int64))))
     inv = np.full(n, -1, dtype=np.int64)
-    for i, row in enumerate(entries):
-        j = index.get(mat3_mul(row, row))
-        if j is not None:
-            inv[i] = j
+    found = where[n:] < n
+    inv[fits[found]] = n - 1 - where[n:][found]
     first = np.arange(n)
     return (first * n + inv)[inv > first]
 
@@ -513,18 +545,15 @@ class IdentityReductionReport:
 
 def verify_no_identity_reduction(vertices, p: int) -> IdentityReductionReport:
     """Entrywise reduction of every IntMatrix3 vertex, compared with the
-    identity.  No ModMatrix is built: its det = 1 (mod p) check is implied
-    by the IntMatrix3 carrier's det = 1."""
+    identity, on the (n, 9) entry array.  No ModMatrix is built: its
+    det = 1 (mod p) check is implied by the IntMatrix3 carrier's det = 1."""
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    violations = []
     verts = list(vertices)
-    for i, v in enumerate(verts):
-        if not isinstance(v, IntMatrix3):
-            raise CarrierMismatchError("identity reduction expects IntMatrix3 vertices")
-        if tuple(e % p for e in v.entries) == MAT3_IDENTITY:
-            violations.append(i)
-    return IdentityReductionReport(p, len(verts), violations)
+    if not all(map(isinstance, verts, repeat(IntMatrix3))):
+        raise CarrierMismatchError("identity reduction expects IntMatrix3 vertices")
+    identity = (entry_array(verts) % p == MAT3_IDENTITY).all(axis=1)
+    return IdentityReductionReport(p, len(verts), np.flatnonzero(identity).tolist())
 
 
 def verify_edge_preservation(portion, p: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from operator import index
 from typing import Iterable, Sequence
 
@@ -23,6 +24,7 @@ from .elements import (
     ModMatrix,
     compose,
     element_key,
+    entry_array,
     has_order_dividing_3,
     is_prime,
     mat3_mul,
@@ -117,13 +119,22 @@ class TriangleGraph:
 
 
 def _edge_array(edges, n: int) -> np.ndarray:
-    """`edges` as an (m, 2) int64 array, one np.asarray conversion checked as
-    a whole: integer or bool ends, pairs of distinct vertices of range(n).
-    ValueError or TypeError names the first edge that is not."""
+    """`edges` as an (m, 2) int64 array, one conversion checked as a whole:
+    integer or bool ends, pairs of distinct vertices of range(n).
+    ValueError or TypeError names the first edge that is not.  A sequence
+    of 2-item lists or tuples is read as the flat run of its ends through
+    operator.index, which numpy takes faster than the nested lists."""
     pairs = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
     try:
-        ends = np.asarray(pairs) if len(pairs) else np.empty((0, 2), np.int64)
-    except ValueError:  # ragged
+        if not len(pairs):
+            ends = np.empty((0, 2), np.int64)
+        elif (not isinstance(pairs, np.ndarray) and set(map(type, pairs)) <= {list, tuple}
+              and set(map(len, pairs)) == {2}):
+            ends = np.fromiter(map(index, chain.from_iterable(pairs)), np.int64, 2 * len(pairs))
+            ends = ends.reshape(-1, 2)
+        else:
+            ends = np.asarray(pairs)
+    except (ValueError, TypeError, OverflowError):  # ragged, not ints, or past int64
         raise _edge_error(pairs, n) from None
     if (ends.dtype.kind not in "iub" or ends.ndim != 2 or ends.shape[1] != 2
             or ends.size and (ends.min() < 0 or ends.max() >= n)
@@ -349,16 +360,18 @@ def induced_morphism(domain: TriangleGraph, p: int, codomain: TriangleGraph) -> 
     """
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    index: dict[tuple, int] = {}
-    for i, lab in enumerate(codomain.labels):
+    for lab in codomain.labels:
         if not (isinstance(lab, ModMatrix) and lab.dim == 3 and lab.p == p):
             raise ValueError(f"induced_morphism codomain must have dim-3 mod-{p} labels")
-        index[lab.entries] = i
-    vmap: list[int] = []
-    for lab in domain.labels:
-        if not isinstance(lab, IntMatrix3):
-            raise ValueError("induced_morphism domain must have IntMatrix3 labels")
-        vmap.append(index.get(tuple(e % p for e in lab.entries), -1))
+    if not all(map(isinstance, domain.labels, repeat(IntMatrix3))):
+        raise ValueError("induced_morphism domain must have IntMatrix3 labels")
+    # each entry row mod p as the base-p number of its residues, in int64
+    # while p^9 fits; the codomain's last vertex with a number is its image
+    digits = np.array([p ** k for k in range(9)], np.int64 if p ** 9 < 2 ** 63 else object)
+    targets = np.array([lab.entries for lab in codomain.labels], np.int64).reshape(-1, 9)
+    index = dict(zip((targets @ digits).tolist(), range(codomain.n)))
+    vmap = list(map(index.get, ((entry_array(domain.labels) % p) @ digits).tolist(),
+                    repeat(-1)))
     images = np.array(vmap, dtype=np.int64)
     i, j = domain._edge_ends()
     mi, mj = images[i], images[j]

@@ -13,7 +13,9 @@ payloads alike, goes through `canonical_json`, which writes what
 ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` writes without that
 call's per-item generator (Python's json encoder leaves its C accelerator
 whenever `indent` is set): a list of plain ints is one join, and a list of
-equal-length int lists or tuples (the edges) one `%` template.  The loader
+equal-length int lists or tuples (the edges) one `%` template.  So is the
+vertex list of a graph file whose labels are all equal-length int lists
+on the wire (permutations, integer and mod-p matrices).  The loader
 converts and checks the edges once, by TriangleGraph's own conversion to
 an int64 array, adds the one rule of the file format (every edge is
 [i, j] with i < j) and hands that array to TriangleGraph.
@@ -22,7 +24,10 @@ Labels are group elements on the wire: image arrays for permutations,
 row-major entry arrays for matrices, [left, right] for direct sums.  A
 "labels" descriptor in meta says how to decode them; graphs whose labels
 are not group elements get an "opaque" descriptor and their labels pass
-through as plain JSON.
+through as plain JSON.  Image and entry arrays hold JSON integers only.
+Integer-matrix labels are read as one entry array in bulk; where that
+fails, the labels are read one at a time, and the first bad one raises a
+GraphFormatError naming its vertex.
 """
 
 from __future__ import annotations
@@ -30,12 +35,13 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
-                       element_label, serialize_element)
+                       element_label, int_matrices, serialize_element)
 from .graph import TriangleGraph, _edge_array
 
 
@@ -73,6 +79,9 @@ def label_to_wire(label):
 
 def label_from_wire(desc: dict, wire):
     kind = desc.get("kind")
+    if kind in _INT_LIST_KINDS and not (
+            isinstance(wire, list) and all(type(x) is int for x in wire)):
+        raise GraphFormatError(f"bad {kind} label {wire!r}: entries must be JSON integers")
     try:
         if kind == "permutation":
             return Permutation(wire)
@@ -88,29 +97,71 @@ def label_from_wire(desc: dict, wire):
                     label_from_wire(desc["right"], wire[1]))
         if kind == "opaque":
             return wire
-    except (TypeError, ValueError, KeyError, IndexError) as exc:
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
         raise GraphFormatError(f"bad {kind} label {wire!r}: {exc}") from exc
     raise GraphFormatError(f"unknown label kind {kind!r}")
+
+
+# the label kinds whose wire form is a flat list of ints
+_INT_LIST_KINDS = ("permutation", "int_matrix", "mod_matrix")
+
+# the carriers whose wire form is a flat list of ints: that list's source
+_WIRE_INTS = {Permutation: attrgetter("images"), IntMatrix3: attrgetter("entries"),
+              ModMatrix: attrgetter("entries")}
 
 
 def graph_to_json_dict(graph: TriangleGraph) -> dict:
     """The graph file's document, its edges a list of [i, j] lists."""
     doc = _graph_document(graph)
     doc["edges"] = doc["edges"].tolist()
+    doc["vertices"] = _vertex_dicts(graph.labels)
     return doc
+
+
+def _vertex_dicts(labels) -> list[dict]:
+    return [{"id": k, "label": label_to_wire(lab)} for k, lab in enumerate(labels)]
+
+
+class _VertexRows:
+    """The vertex list of a graph whose wire labels are all lists of
+    `width` plain ints, as `flat`: each vertex's id, then its label's ints,
+    in vertex order.  canonical_json writes it with one `%` template."""
+
+    __slots__ = ("flat", "width")
+
+    def __init__(self, flat: tuple, width: int):
+        self.flat = flat
+        self.width = width
+
+    @classmethod
+    def of(cls, labels) -> "_VertexRows | None":
+        """The rows of `labels`, or None when some label's wire form is not
+        a list of as many plain ints as the others' (and at least one)."""
+        kinds = set(map(type, labels))
+        wire = _WIRE_INTS.get(kinds.pop()) if len(kinds) == 1 else None
+        if wire is None:
+            return None
+        wires = list(map(wire, labels))
+        widths = set(map(len, wires))
+        if len(widths) != 1 or not min(widths):
+            return None
+        flat = tuple(chain.from_iterable(zip(range(len(wires)), *zip(*wires))))
+        if set(map(type, flat)) != {int}:
+            return None
+        return cls(flat, widths.pop())
 
 
 def _graph_document(graph: TriangleGraph) -> dict:
     """graph_to_json_dict's document with the edges as one (m, 2) int64
-    array, which canonical_json writes with no Python object per edge."""
+    array and, where the labels allow, the vertices as _VertexRows, which
+    canonical_json writes with no Python object per edge or vertex."""
     meta = dict(graph.meta)
     generation = meta.pop("generation", None)
     if graph.n:
         meta["labels"] = label_descriptor(graph.labels[0])
     doc = {
         "meta": meta,
-        "vertices": [{"id": k, "label": label_to_wire(lab)}
-                     for k, lab in enumerate(graph.labels)],
+        "vertices": _VertexRows.of(graph.labels) or _vertex_dicts(graph.labels),
         "edges": np.stack(graph._edge_ends(), axis=1),
         "loops": sorted(graph.loops),
     }
@@ -126,7 +177,8 @@ def dumps_graph(graph: TriangleGraph) -> str:
 def canonical_json(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, byte for byte,
     with lists of ints and lists of equal-length int rows written in bulk.
-    A 2-d integer numpy array is written as the list of its rows."""
+    A 2-d integer numpy array is written as the list of its rows, and a
+    _VertexRows as the list of its {"id": ..., "label": [...]} objects."""
     out: list[str] = []
     _write_json(doc, "\n", out)
     out.append("\n")
@@ -143,6 +195,8 @@ def _write_json(x, nl: str, out: list[str]) -> None:
             out.append("[]")
         else:
             _write_int_rows(tuple(x.ravel().tolist()), x.shape[1], nl, out)
+    elif isinstance(x, _VertexRows):
+        _write_vertex_rows(x, nl, out)
     elif isinstance(x, (list, tuple)):
         if not x:
             out.append("[]")
@@ -196,6 +250,18 @@ def _write_int_rows(flat: tuple, width: int, nl: str, out: list[str]) -> None:
     out.append("[" + inner + ("," + inner).join([row] * (len(flat) // width)) % flat + nl + "]")
 
 
+def _write_vertex_rows(rows: _VertexRows, nl: str, out: list[str]) -> None:
+    """Append the vertex objects as json.dumps writes them, with one `%`
+    template: "id" sorts before "label"."""
+    inner = nl + "  "
+    key = inner + "  "
+    entry = key + "  "
+    vertex = ("{" + key + '"id": %d,' + key + '"label": [' + entry
+              + ("," + entry).join(["%d"] * rows.width) + key + "]" + inner + "}")
+    n = len(rows.flat) // (rows.width + 1)
+    out.append("[" + inner + ("," + inner).join([vertex] * n) % rows.flat + nl + "]")
+
+
 def graph_from_json_dict(doc: dict) -> TriangleGraph:
     if not isinstance(doc, dict):
         raise GraphFormatError("graph file must be a JSON object")
@@ -204,11 +270,19 @@ def graph_from_json_dict(doc: dict) -> TriangleGraph:
             raise GraphFormatError(f"missing {key!r}")
     meta = dict(doc.get("meta") or {})
     desc = meta.get("labels", {"kind": "opaque"})
-    labels = []
+    wires = []
     for k, entry in enumerate(doc["vertices"]):
         if not isinstance(entry, dict) or entry.get("id") != k:
             raise GraphFormatError(f"vertex {k} must be {{'id': {k}, 'label': ...}}")
-        labels.append(label_from_wire(desc, entry["label"]))
+        wires.append(entry["label"])
+    labels = desc.get("kind") == "int_matrix" and _int_matrix_labels(wires)
+    if not labels:
+        labels = []
+        for k, wire in enumerate(wires):
+            try:
+                labels.append(label_from_wire(desc, wire))
+            except GraphFormatError as exc:
+                raise GraphFormatError(f"vertex {k}: {exc}") from exc
     n = len(labels)
     edges = doc["edges"]
     if not isinstance(edges, list):
@@ -229,6 +303,20 @@ def graph_from_json_dict(doc: dict) -> TriangleGraph:
     if "generation" in doc:
         meta["generation"] = doc["generation"]
     return TriangleGraph(labels, ends, loops, meta)
+
+
+def _int_matrix_labels(wires: list) -> list[IntMatrix3] | None:
+    """The IntMatrix3 labels of int_matrix wires in bulk, or None when
+    some wire is not 9 JSON integers of an IntMatrix3: the per-label path
+    then names the first such vertex with its own error."""
+    if (set(map(type, wires)) != {list} or set(map(len, wires)) != {9}
+            or set(map(type, chain.from_iterable(wires))) != {int}):
+        return None
+    try:
+        rows = np.fromiter(chain.from_iterable(wires), np.int64, 9 * len(wires))
+        return int_matrices(rows.reshape(-1, 9))
+    except (ValueError, OverflowError):
+        return None
 
 
 def load_graph(path) -> TriangleGraph:

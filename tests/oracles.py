@@ -4,15 +4,21 @@ Everything here trades speed for obviousness: exhaustive enumeration,
 literal fourth powers on plain tuples, no bitsets, no pruning beyond
 discarding assignments that are already improper.  Feasible only on tiny
 inputs, which is the point: the fast package code is checked against
-these on every graph small enough to afford it.  The two exceptions are
+these on every graph small enough to afford it.  The exceptions are
 oracle_core_search and oracle_clique_search, earlier, slower loops of the
 exact chi search and of the clique search: they pin the search tree, not
-just the answer, so they keep those loops' bitsets.
+just the answer, so they keep those loops' bitsets; and
+oracle_generate_portion, the conjugation BFS as a loop over one candidate
+at a time, which pins the vertices, their order and every counter.
 """
 
 import random
+import struct
 import time
 from itertools import combinations, permutations
+
+from delta334.elements import MAT3_IDENTITY, IntMatrix3, element_key, mat3_mul
+from delta334.generation import GenerationStats
 
 
 def oracle_chromatic(graph):
@@ -489,3 +495,79 @@ def oracle_clique_search(graph, node_budget=None):
             break
     return CliqueResult(len(best), tuple(sorted(best)), nodes < node_budget,
                         min(nodes, node_budget))
+
+
+# E_ij(s) for i != j, s = +-1, as (matrix, inverse) entry tuples
+_ELEMENTARY_CONJUGATORS = tuple(
+    (tuple(1 if r == c else (s if (r, c) == (i, j) else 0)
+           for r in range(3) for c in range(3)),
+     tuple(1 if r == c else (-s if (r, c) == (i, j) else 0)
+           for r in range(3) for c in range(3)))
+    for i in range(3) for j in range(3) if i != j for s in (1, -1)
+)
+
+
+def _entries_key(entries: tuple) -> bytes:
+    return struct.pack("<9q", *entries)
+
+
+def oracle_generate_portion(cfg):
+    """The conjugation-closure BFS as the library first ran it, one
+    candidate at a time against a dict of byte keys: (key-sorted vertices,
+    stats) for a GenerationConfig."""
+    seeds = cfg.resolved_seeds()
+    if not seeds:
+        raise ValueError("empty seed set: no intro members, no family, none supplied")
+    bound = cfg.entry_bound
+    stats = GenerationStats()
+    admitted: dict[bytes, tuple] = {}
+
+    def admit(entries: tuple) -> bool:
+        try:
+            key = _entries_key(entries)
+        except struct.error:  # past int64, so past any entry bound
+            stats.entry_bound_rejects += 1
+            return False
+        if key in admitted:
+            stats.duplicate_hits += 1
+            return False
+        inv = mat3_mul(entries, entries)  # order 3: inverse is the square
+        hi = max(max(abs(e) for e in entries), max(abs(e) for e in inv))
+        if hi > bound:
+            stats.entry_bound_rejects += 1
+            return False
+        assert entries != MAT3_IDENTITY
+        assert mat3_mul(entries, inv) == MAT3_IDENTITY
+        admitted[key] = entries
+        ikey = _entries_key(inv)
+        if ikey not in admitted:
+            admitted[ikey] = inv
+        stats.max_abs_entry = max(stats.max_abs_entry, hi)
+        return True
+
+    before = len(admitted)
+    for m in seeds:
+        admit(m.entries)
+    frontier = sorted(admitted)
+    stats.frontier_sizes.append(len(admitted) - before)
+
+    for _ in range(cfg.conj_depth):
+        if len(admitted) >= cfg.target_vertices or not frontier:
+            break
+        before = len(admitted)
+        for key in frontier:
+            v = admitted[key]
+            for conj, conj_inv in _ELEMENTARY_CONJUGATORS:
+                w = mat3_mul(conj, mat3_mul(v, conj_inv))
+                admit(w)
+                if len(admitted) >= cfg.target_vertices:
+                    break
+            if len(admitted) >= cfg.target_vertices:
+                break
+        # dict preserves admission order, so this layer's vertices (including
+        # inverses added alongside) are exactly the tail
+        frontier = sorted(list(admitted)[before:])
+        stats.frontier_sizes.append(len(admitted) - before)
+
+    vertices = sorted((IntMatrix3(e) for e in admitted.values()), key=element_key)
+    return vertices, stats

@@ -1,3 +1,6 @@
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +17,12 @@ from delta334.elements import (
     compose,
     element_key,
     element_label,
+    entry_array,
     has_order_dividing_3,
     identity_like,
+    int_matrices,
     inverse,
+    key_order,
     mat3_adjugate,
     mat3_det,
     mat3_mul,
@@ -119,6 +125,54 @@ class TestIntMatrix3:
     def test_identity_constant(self):
         assert IntMatrix3.identity().is_identity()
         assert mat3_det(MAT3_IDENTITY) == 1
+
+
+class TestIntMatricesInBulk:
+    # the largest entries, where int64 determinants would overflow and the
+    # check runs on Python ints
+    ROWS = [(1, 0, 0, 0, 1, 0, 0, 0, 1), (1, (1 << 62) - 1, 0, 0, 1, 0, 0, 0, 1),
+            (1, 0, 0, -((1 << 62) - 1), 1, 0, (1 << 62) - 1, 0, 1),
+            parametric_order3(-3, 7, 11).entries]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_equal_to_one_at_a_time(self, dtype):
+        got = int_matrices(np.array(self.ROWS, dtype=dtype))
+        want = [IntMatrix3(r) for r in self.ROWS]
+        assert got == want
+        assert [element_key(m) for m in got] == [element_key(m) for m in want]
+        assert all(type(m.entries) is tuple and set(map(type, m.entries)) == {int}
+                   for m in got)
+        assert entry_array(got).tolist() == [list(r) for r in self.ROWS]
+
+    @pytest.mark.parametrize("row, error, message", [
+        ((1, 0, 0, 0, 1, 0, 0, 0, 2), ValueError, "determinant must be 1, got 2"),
+        ((1, 1 << 62, 0, 0, 1, 0, 0, 0, 1), OverflowBoundError,
+         f"entry {1 << 62} exceeds bound"),
+        ((1, 0, 0, 0, 1, 0, 0, 0, -(1 << 62)), OverflowBoundError,
+         f"entry {-(1 << 62)} exceeds bound"),
+    ], ids=["det", "bound", "negative-bound"])
+    def test_refused_rows_raise_intmatrix3_errors(self, row, error, message):
+        with pytest.raises(error, match=message):
+            IntMatrix3(row)
+        with pytest.raises(error, match=message):
+            int_matrices(np.array(self.ROWS + [row], dtype=object))
+
+    def test_empty(self):
+        assert int_matrices(np.empty((0, 9), np.int64)) == []
+        assert entry_array([]).shape == (0, 9)
+
+    @pytest.mark.parametrize("big", [300, (1 << 15) - 1, 1 << 15, (1 << 31) - 1, 1 << 31,
+                                     (1 << 62) - 1])
+    def test_key_order_is_element_key_order(self, big):
+        # rows of each byte width, with byte-boundary values and repeats;
+        # both sorts are stable
+        rng = np.random.default_rng(big % 997)
+        rows = rng.integers(-big, big, (400, 9), endpoint=True)
+        rows[rng.random((400, 9)) < 0.3] = 0
+        rows[::9, 0] = [255, 256, -256, -257, big, -big, 1, -1, 0, 127, -128] * 4 + [0]
+        rows[1::11] = rows[2::11][:len(rows[1::11])]
+        keys = [struct.pack("<9q", *r) for r in rows.tolist()]
+        assert key_order(rows).tolist() == sorted(range(len(rows)), key=keys.__getitem__)
 
 
 class TestParametricFamily:

@@ -180,6 +180,46 @@ class TestGeneratePortion:
         verts, _ = generate_portion(cfg)
         assert len(verts) == 100  # vertices are admitted in inverse pairs
 
+    @pytest.mark.parametrize("cfg", [
+        GenerationConfig(target_vertices=300),
+        GenerationConfig(target_vertices=2_000),
+        GenerationConfig(target_vertices=5_000),
+        GenerationConfig(target_vertices=25_000),
+        GenerationConfig(target_vertices=1_001),  # cut mid-layer, one past the target
+        GenerationConfig(conj_depth=4, entry_bound=20, target_vertices=5_000),
+        GenerationConfig(family_bound=1, conj_depth=0),
+        GenerationConfig(seeds=INTRO_ORDER3_SEEDS[1:3], family_bound=0, conj_depth=3),
+        GenerationConfig(seeds=(parametric_order3(1, 2, 3),), family_bound=1,
+                         target_vertices=3_000),
+        GenerationConfig(seeds=tuple(parametric_order3(a, b, s * 10 ** 9)
+                                     for a in (0, 1) for b in (0, 1) for s in (1, -1)),
+                         family_bound=1, conj_depth=2, target_vertices=300,
+                         entry_bound=DEFAULT_ENTRY_LIMIT),
+    ], ids=["300", "2000", "5000", "25000", "mid-layer", "bound20", "family-depth0",
+            "explicit-seeds", "one-seed-family", "parametric-1e9"])
+    def test_matches_the_scalar_oracle(self, cfg):
+        verts, stats = generate_portion(cfg)
+        want_verts, want_stats = oracles.oracle_generate_portion(cfg)
+        assert [v.entries for v in verts] == [v.entries for v in want_verts]
+        assert [element_key(v) for v in verts] == [element_key(v) for v in want_verts]
+        assert asdict(stats) == asdict(want_stats)
+        assert {k: type(v) for k, v in asdict(stats).items()} == {
+            k: type(v) for k, v in asdict(want_stats).items()}
+
+    def test_oracle_configs_reach_their_branches(self):
+        # mid-layer: 1,001 falls inside the third layer, and the inverse
+        # pairs overshoot it by one; bound 20 rejects; the 10^9 seeds'
+        # products pass int64 (48 M^2 >= 2^63), so that layer runs on
+        # Python ints
+        _, stats = generate_portion(GenerationConfig(target_vertices=1_001))
+        assert stats.frontier_sizes == [62, 624, 316]
+        _, stats = generate_portion(GenerationConfig(conj_depth=4, entry_bound=20,
+                                                     target_vertices=5_000))
+        assert stats.entry_bound_rejects > 0
+        big = max(abs(e) for a in (0, 1) for b in (0, 1)
+                  for e in parametric_order3(a, b, 10 ** 9).entries)
+        assert 48 * big ** 2 >= 2 ** 63
+
 
 class TestBuildEdges:
     def test_intro_pairs_are_adjacent(self):

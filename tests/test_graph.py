@@ -129,6 +129,23 @@ class TestTriangleGraph:
         with pytest.raises(ValueError, match=message):
             TriangleGraph(range(3), iter(edges))
 
+    @pytest.mark.parametrize("edges, error, message", [
+        ([[0, 1], [2]], ValueError, r"^edge \[2\] is not a pair$"),
+        ([[0, 1], [0, 1, 2]], ValueError, r"^edge \[0, 1, 2\] is not a pair$"),
+        ([[0, 1], [0.5, 1]], TypeError,
+         r"^'float' object cannot be interpreted as an integer$"),
+        ([[0, 1], ["0", 1]], TypeError, r"^'str' object cannot be interpreted as an integer$"),
+        ([[0, 1], [0, 9]], ValueError, r"^edge \(0,9\) out of range for 3 vertices$"),
+        ([[0, 1], [2, 2]], ValueError, r"^self-edge \(2,2\) must be passed via loops$"),
+        ([[0, 1], {0: 1, 2: 0}], TypeError, r"^edge ends must have an integer dtype$"),
+    ], ids=["ragged", "3-wide", "float", "str", "out-of-range", "self-edge", "dict"])
+    def test_edge_list_messages(self, edges, error, message):
+        # lists of 2-item lists, as a graph file holds them, take the flat
+        # conversion; every message is the one the nested conversion gives
+        for form in (edges, tuple(edges), iter(edges)):
+            with pytest.raises(error, match=message):
+                TriangleGraph(range(3), form)
+
     @pytest.mark.parametrize("edges", [
         [(0, 1), (0.0, 1)], [(0, 1), ("0", 1)], np.array([(0.0, 1.0)]),
     ])

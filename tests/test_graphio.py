@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta334 import cli
-from delta334.elements import DirectSumElement, Permutation, parametric_order3
+from delta334.elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
+                               parametric_order3)
+from delta334.generation import GenerationConfig, generate_and_build
 from delta334.graph import TriangleGraph, build_delta334, kronecker_product
 from delta334.graphio import (
     GraphFormatError,
@@ -65,6 +68,9 @@ class TestJsonRoundTrip:
         assert load_graph(path).meta["generation"] == {"conj_depth": 2}
 
 
+LARGEST = (1 << 62) - 1  # the largest IntMatrix3 entry
+
+
 def json_dumps(doc):
     """The layout canonical_json must reproduce byte for byte."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -93,10 +99,25 @@ class TestCanonicalJson:
         delta("A4", include_identity=True),  # the identity vertex has a loop
         TriangleGraph(['say "hi"', "\u00fcber \u2192 \U0001d4b3", "back\\slash\ttab", None],
                       [(0, 1), (2, 1)], meta={"source": "caf\u00e9"}),
+        TriangleGraph([IntMatrix3.identity()], []),
+        TriangleGraph([IntMatrix3((1, s * LARGEST, 0, 0, 1, 0, 0, 0, 1)) for s in (1, -1)],
+                      [(0, 1)]),
+        TriangleGraph([Permutation((True, False)), Permutation((0, 1))], []),
+        TriangleGraph([Permutation((1, 0)), Permutation((0, 2, 1))], [(0, 1)]),
+        TriangleGraph([Permutation(())], []),
     ], ids=["perm", "intmat", "modmat", "pair", "kron", "opaque", "empty", "loops",
-            "quoted-unicode"])
+            "quoted-unicode", "one-vertex", "largest-entries", "bool-images",
+            "mixed-widths", "no-points"])
     def test_graph_files_match_json_dumps(self, graph):
         assert dumps_graph(graph) == json_dumps(graph_to_json_dict(graph))
+
+    def test_5k_portion_bytes_pinned(self):
+        # the 5,000-vertex default portion's file, as written before the
+        # vertex list had its bulk form
+        text = dumps_graph(generate_and_build(GenerationConfig(target_vertices=5_000)).graph)
+        assert len(text) == 1_328_474
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7ad3c15d1636eaeaa42875920d04b40173175c6f951417a3fdc253ada9c06cf8")
 
     @pytest.mark.parametrize("doc", [
         {3: "three", 10: "ten", -1: [1, 2]},  # int keys sort as ints: -1, 3, 10
@@ -216,6 +237,38 @@ class TestMalformed:
         doc["edges"] = [[0, 1], [1, 2], [0, 1], [0, 2], [1, 2]]
         g = graph_from_json_dict(doc)
         assert g.edges() == ((0, 1), (0, 2), (1, 2))
+
+    @pytest.mark.parametrize("labels, wire", [
+        ([Permutation((1, 0, 2))] * 2, [1, 0.0, 2]),
+        ([IntMatrix3.identity()] * 2, [1, 0, 0, 0, 1.9, 0, 0, 0, 1]),
+        ([ModMatrix.identity(3)] * 2, [1, 0, 0, 0, "1", 0, 0, 0, 1]),
+        ([DirectSumElement(Permutation((0,)), ModMatrix.identity(2, dim=2))] * 2,
+         [[0], [True, 0, 0, 1]]),
+    ], ids=["permutation", "int_matrix", "mod_matrix", "direct_sum"])
+    def test_label_entries_must_be_json_integers(self, labels, wire):
+        # int() would read 1.9 as 1, "1" as 1 and true as 1
+        doc = graph_to_json_dict(TriangleGraph(labels, []))
+        doc["vertices"][1]["label"] = wire
+        with pytest.raises(GraphFormatError,
+                           match=r"^vertex 1: bad \w+ label .*: entries must be JSON integers$"):
+            graph_from_json_dict(doc)
+
+    @pytest.mark.parametrize("wire, message", [
+        ([1, 0, 0, 0, 1, 0, 0, 0, 2], r"^vertex 1: bad int_matrix label .*: "
+                                      r"determinant must be 1, got 2$"),
+        ([1, 0, 0, 0, 1, 0, 0, 0], r"^vertex 1: bad int_matrix label .*: IntMatrix3 needs 9 "),
+        ([1, 2 ** 62, 0, 0, 1, 0, 0, 0, 1], r"^vertex 1: bad int_matrix label .*: entry "
+                                            r"4611686018427387904 exceeds bound"),
+        ([1, 2 ** 64, 0, 0, 1, 0, 0, 0, 1], r"^vertex 1: bad int_matrix label .*: entry "
+                                            r"18446744073709551616 exceeds bound"),
+        ("identity", r"^vertex 1: bad int_matrix label 'identity': entries must be JSON"),
+    ], ids=["det", "short", "bound", "past-int64", "not-a-list"])
+    def test_bad_int_matrix_label_named(self, wire, message):
+        # the bulk path gives way to the per-label one, which names the vertex
+        doc = graph_to_json_dict(TriangleGraph([IntMatrix3.identity()] * 3, []))
+        doc["vertices"][1]["label"] = wire
+        with pytest.raises(GraphFormatError, match=message):
+            graph_from_json_dict(doc)
 
     def test_loop_range_enforced(self):
         doc = self.make_doc()
