@@ -3,9 +3,12 @@
 DSATUR (Brélaz, CACM 1979) colors the uncolored vertex with the most
 distinct neighbor colors next (then highest degree, then lowest index) with
 its smallest free color, popping vertices from a heap.  Culberson's iterated
-greedy then recolors whole color classes first-fit, one numpy step per
-class, since each class of a proper coloring is an independent set and its
-vertices' colors depend only on the classes recolored before it.  The exact
+greedy then recolors whole color classes first-fit, since each class of a
+proper coloring is an independent set and its vertices' colors depend only
+on the classes recolored before it: on graphs of at most 256 vertices or
+of edge density at least 1/64 with int masks of vertices
+(`_bitset_rounds`), on the others with one numpy step per class
+(`_array_rounds`).  The exact
 solver tests k-colorability downward from the iterated-greedy bound to one
 clique of the whole graph, each k on the k-core of one core decomposition
 per component (the rest is colored first-fit in reverse degeneracy order);
@@ -278,27 +281,120 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
     reversed, shuffled).  Never increases the color count and often sharpens
     DSATUR by a color or two, which saves the exact solver whole
     k-colorability searches.  `rounds` defaults to 2000 on graphs of at most
-    200 vertices and 300 beyond; no round starts after `deadline`.
-    Deterministic: fixed RNG seed.
+    200 vertices and 300 beyond; no round starts after `deadline` or once
+    the best coloring has at most `stop_at` colors.  Returns the first
+    coloring with the fewest colors.  Deterministic: fixed RNG seed.
 
-    Each old class is recolored in one numpy step.  The input coloring is
-    proper, so every class is an independent set: a vertex's first-fit color
-    depends only on the classes recolored before its own, never on its
-    classmates, so a whole class takes its colors at once, exactly as the
-    one-vertex-at-a-time loop would give them.  The j-th class recolored
-    gets a color <= j (at most j colors occur before it), so colors stay
-    below k, the number of class ids.
+    The input coloring is proper, so every class is an independent set: a
+    vertex's first-fit color depends only on the classes recolored before
+    its own, never on its classmates, so a whole class takes its colors at
+    once, exactly as the one-vertex-at-a-time loop would give them.  The
+    j-th class recolored gets a color <= j (at most j colors occur before
+    it), so colors stay below k, the number of class ids.
+
+    Two kernels run the rounds with the same result: `_bitset_rounds` on
+    graphs of at most 256 vertices or of edge density m / (n (n - 1) / 2)
+    at least 1/64, `_array_rounds` on the others.  A bitset round costs a
+    few int operations per vertex, each over n bits; a numpy round, array
+    calls per class and arithmetic per arc.  On G(n, p) graphs the bitset
+    round was faster at nearly every density measured up to 250 vertices,
+    and from 500 to 8,000 vertices the two break even at densities
+    0.01-0.03 (BENCH_iterated_greedy.json).
     """
     n = graph.n
     if rounds is None:
         rounds = 2000 if n <= 200 else 300
-    best = list(colors)
-    best_k = max(best) + 1
+    dense = n <= 256 or 128 * graph.edge_count >= n * (n - 1)
+    return (_bitset_rounds if dense else _array_rounds)(graph, colors, stop_at, rounds, deadline)
+
+
+def _class_order(it: int, sizes: list[int], rng: random.Random) -> list[int]:
+    """The class ids in the order round `it` recolors them: largest first
+    (stable), reversed, or shuffled by `rng`, by turns."""
+    k = len(sizes)
+    if it % 3 == 0:
+        return sorted(range(k), key=lambda c: -sizes[c])
+    if it % 3 == 1:
+        return list(range(k - 1, -1, -1))
+    order = list(range(k))
+    rng.shuffle(order)
+    return order
+
+
+def _bitset_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds: int,
+                   deadline: float | None) -> list[int]:
+    """`_iterated_greedy`'s rounds for small or dense graphs.  Each adjacency
+    row and each class is an int mask of vertices.  A class takes color c where it
+    misses near[c], the union of the rows of the vertices given c so far,
+    and the rest of it goes on to c + 1."""
+    best, best_k = list(colors), max(colors) + 1
     rng = random.Random(ITERATED_GREEDY_SEED)
     for it in range(rounds):
-        if best_k <= stop_at:
+        if best_k <= stop_at or deadline is not None and time.monotonic() > deadline:
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if it == 0:
+            rows = _bit_rows(graph)
+            classes = [0] * best_k
+            for v, c in enumerate(best):
+                classes[c] |= 1 << v
+        new, near = [], []
+        for c in _class_order(it, [m.bit_count() for m in classes], rng):
+            rest = classes[c]
+            for j, blocked in enumerate(near):
+                if not rest:
+                    break
+                take = rest & ~blocked
+                if take:
+                    rest ^= take
+                    new[j] |= take
+                    near[j] = blocked | _union(rows, take)
+            if rest:
+                new.append(rest)
+                near.append(_union(rows, rest))
+        classes = new
+        if len(new) < best_k:
+            best, best_k = [0] * len(best), len(new)
+            for c, m in enumerate(new):
+                while m:
+                    v = m.bit_length() - 1
+                    best[v] = c
+                    m ^= 1 << v
+    return best
+
+
+def _bit_rows(graph: TriangleGraph) -> list[int]:
+    """Each vertex's adjacency row as an int mask, bit w for neighbor w."""
+    n = graph.n
+    words = (n + 63) >> 6
+    tail = np.repeat(np.arange(n), np.diff(graph._indptr))
+    heads = graph._heads
+    row_words = np.zeros(n * words, np.uint64)
+    np.bitwise_or.at(row_words, tail * words + (heads >> 6),
+                     np.uint64(1) << (heads & 63).astype(np.uint64))
+    raw, size = row_words.astype("<u8").tobytes(), 8 * words
+    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+
+
+def _union(rows: list[int], mask: int) -> int:
+    """The union of the rows of the vertices in `mask`."""
+    out = 0
+    while mask:
+        v = mask.bit_length() - 1
+        out |= rows[v]
+        mask ^= 1 << v
+    return out
+
+
+def _array_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds: int,
+                  deadline: float | None) -> list[int]:
+    """`_iterated_greedy`'s rounds in numpy, for the other graphs: each round
+    lays the vertices out class by class and recolors each class in one
+    array step over its vertices' arcs."""
+    n = graph.n
+    best, best_k = list(colors), max(colors) + 1
+    rng = random.Random(ITERATED_GREEDY_SEED)
+    for it in range(rounds):
+        if best_k <= stop_at or deadline is not None and time.monotonic() > deadline:
             break
         if it == 0:  # the graph's adjacency rows (CSR), read once a round runs
             indptr, indices = graph._indptr, graph._heads
@@ -308,31 +404,27 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
             cur = np.array(best, np.intp)
             k = best_k
         sizes = np.bincount(cur, minlength=k)
-        mode = it % 3
-        if mode == 0:
-            order = np.argsort(-sizes, kind="stable")
-        elif mode == 1:
-            order = np.arange(k - 1, -1, -1)
-        else:
-            shuffled = list(range(k))
-            rng.shuffle(shuffled)
-            order = np.array(shuffled)
-        # lay the vertices out in slots class by class in `order`, and gather
-        # the slots of each one's neighbors (edges estart[s]:estart[s+1])
-        at = np.argsort(np.argsort(order)[cur], kind="stable")
+        order = np.array(_class_order(it, sizes.tolist(), rng), np.intp)
+        # lay the vertices out in slots class by class in `order` (a uint16
+        # place key sorts by radix), and gather the slots of each one's
+        # neighbors (edges estart[s]:estart[s+1])
+        place = np.empty(k, np.uint16 if k <= 1 << 16 else np.intp)
+        place[order] = np.arange(k)
+        at = np.argsort(place[cur], kind="stable")
         slot_of[at] = slots
         d = deg[at]
         np.cumsum(d, out=estart[1:])
         nb = slot_of[indices[edge_ids + np.repeat(indptr[at] - estart[:-1], d)]]
-        owner = np.repeat(slots, d)
+        owner = np.repeat(slots * (k + 1), d)  # each edge's row in `seen`
         cstart = np.concatenate(([0], np.cumsum(sizes[order])))
         vb, eb = cstart.tolist(), estart[cstart].tolist()
         new = np.full(n, k, np.intp)  # by slot; color k: not yet recolored
         seen = np.zeros((n, k + 1), bool)  # by slot: colors of its neighbors
+        flat = seen.reshape(-1)
         for j in range(k):
             if vb[j] < vb[j + 1]:
                 e = slice(eb[j], eb[j + 1])
-                seen[owner[e], new[nb[e]]] = True
+                flat[owner[e] + new[nb[e]]] = True
                 seen[vb[j]:vb[j + 1], :k].argmin(1, out=new[vb[j]:vb[j + 1]])
         cur = new[slot_of]
         k = int(cur.max()) + 1

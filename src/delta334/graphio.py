@@ -36,7 +36,6 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -351,7 +350,9 @@ def graph_to_graphml(graph: TriangleGraph) -> str:
     ]
     for v in range(graph.n):
         out.append(f'    <node id="n{v}">')
-        out.append(f'      <data key="label">{escape(_label_text(graph.labels[v]))}</data>')
+        text = _label_text(graph.labels[v])
+        text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(f'      <data key="label">{text}</data>')
         out.append("    </node>")
     eid = 0
     for i, j in graph.edges():

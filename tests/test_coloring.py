@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from delta334 import cliques, coloring
 from delta334.coloring import (
     Coloring,
+    _array_rounds,
+    _bitset_rounds,
     _core_search,
     _iterated_greedy,
     chromatic_number_exact,
@@ -20,7 +22,7 @@ from delta334.coloring import (
     lift_coloring,
 )
 from delta334.graph import TriangleGraph, _core_order, build_delta334, induced_morphism
-from delta334.generation import mod_p_codomain
+from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.groups import ElementSet, order3_vertices, parse_group_spec
 from delta334.elements import inverse, parametric_order3
 
@@ -52,6 +54,17 @@ DEEP_TREES = pytest.mark.parametrize("graph, k", [
     (toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2)))), 4),
     (SL32, 7),
 ], ids=["mycielski-23", "SL3(2)"])
+KERNELS = pytest.mark.parametrize("kernel", [_bitset_rounds, _array_rounds],
+                                  ids=["bitset", "array"])
+
+
+def largest_component(graph):
+    """The induced subgraph on the largest component, vertices relabelled
+    in order."""
+    comp = max(coloring.components(graph), key=len)
+    local = {v: i for i, v in enumerate(comp)}
+    return TriangleGraph(range(len(comp)), [(local[v], local[w]) for v in comp
+                                            for w in graph.neighbors(v) if w > v])
 
 
 def core_and_clique(graph, k, peel, pin):
@@ -467,9 +480,54 @@ class TestHeuristics:
     @settings(max_examples=80, deadline=None)
     def test_iterated_greedy_matches_oracle(self, graph, rounds, stop_at, start):
         colors = self.start_coloring(graph, start)
-        got = _iterated_greedy(graph, list(colors), stop_at, rounds)
-        assert got == oracles.oracle_iterated_greedy(graph, colors, stop_at, rounds)
-        assert all(type(c) is int for c in got)
+        want = oracles.oracle_iterated_greedy(graph, colors, stop_at, rounds)
+        for run in (_iterated_greedy, _bitset_rounds, _array_rounds):
+            got = run(graph, list(colors), stop_at, rounds, None)
+            assert got == want, run.__name__
+            assert all(type(c) is int for c in got)
+
+    @KERNELS
+    @pytest.mark.parametrize("graph, start, rounds", [
+        ("SL3(2)", "dsatur", 2000),
+        ("SL3(3)", "singletons", 30),
+        ("portion-2000", "dsatur", 30),
+        ("portion-2000", "singletons", 30),
+    ])
+    def test_kernels_match_oracle_on_larger_graphs(self, kernel, graph, start, rounds):
+        # DSATUR's 10 colors on SL3(2) fall to 8 only after many rounds,
+        # and the portion's component is sparse, so each kernel also meets
+        # the other's kind of graph
+        if graph == "portion-2000":
+            g = largest_component(generate_and_build(GenerationConfig(target_vertices=2000)).graph)
+        else:
+            g = build_delta334(order3_vertices(parse_group_spec(graph)))
+        colors = self.start_coloring(g, start)
+        want = oracles.oracle_iterated_greedy(g, colors, 1, rounds)
+        assert kernel(g, list(colors), 1, rounds, None) == want
+        if graph == "SL3(2)":
+            assert (max(colors) + 1, max(want) + 1) == (10, 8)
+
+    def test_dense_and_small_graphs_take_the_bitset_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wrong kernel")
+
+        def first_pairs(n, m):
+            return TriangleGraph(range(n), [(i, j) for i in range(n)
+                                            for j in range(i + 1, n)][:m])
+
+        bitset = [SL32, build_delta334(order3_vertices(parse_group_spec("SL3(3)"))),
+                  toys.cycle_graph(256), first_pairs(300, 701)]  # 128 m >= n (n - 1)
+        array = [generate_and_build(GenerationConfig(target_vertices=2000)).graph,
+                 toys.cycle_graph(257), first_pairs(300, 700)]
+        for kernel, takes, refused in (("_array_rounds", bitset, array),
+                                       ("_bitset_rounds", array, bitset)):
+            monkeypatch.setattr(coloring, kernel, refuse)
+            for g in takes:
+                _iterated_greedy(g, list(range(g.n)), 1, 3)
+            for g in refused:
+                with pytest.raises(AssertionError, match="wrong kernel"):
+                    _iterated_greedy(g, list(range(g.n)), 1, 3)
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("start", ["dsatur", "singletons"])
     def test_iterated_greedy_matches_oracle_on_sl33(self, start):

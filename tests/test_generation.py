@@ -74,6 +74,10 @@ def _parametric_portion(size):
     return verts
 
 
+# an order-3 seed within the entry limit whose square is past it, while the
+# square's int64 products wrap back inside it
+WRAPPED_SQUARE_SEED = parametric_order3(22, 0, 2 ** 28)
+
 # the unitriangular conjugator that puts the largest entry of 300 default
 # vertices at M = 1366, just past the bound below which t is not reduced
 M1366 = (1, 13, 13, 0, 1, 2, 0, 0, 1)
@@ -195,8 +199,10 @@ class TestGeneratePortion:
                                      for a in (0, 1) for b in (0, 1) for s in (1, -1)),
                          family_bound=1, conj_depth=2, target_vertices=300,
                          entry_bound=DEFAULT_ENTRY_LIMIT),
+        GenerationConfig(seeds=(WRAPPED_SQUARE_SEED, parametric_order3(1, 2, 3)),
+                         family_bound=1, conj_depth=1, entry_bound=DEFAULT_ENTRY_LIMIT),
     ], ids=["300", "2000", "5000", "25000", "mid-layer", "bound20", "family-depth0",
-            "explicit-seeds", "one-seed-family", "parametric-1e9"])
+            "explicit-seeds", "one-seed-family", "parametric-1e9", "wrapped-square"])
     def test_matches_the_scalar_oracle(self, cfg):
         verts, stats = generate_portion(cfg)
         want_verts, want_stats = oracles.oracle_generate_portion(cfg)
@@ -219,6 +225,11 @@ class TestGeneratePortion:
         big = max(abs(e) for a in (0, 1) for b in (0, 1)
                   for e in parametric_order3(a, b, 10 ** 9).entries)
         assert 48 * big ** 2 >= 2 ** 63
+        # WRAPPED_SQUARE_SEED's square leaves the bound, but wrapped to
+        # int64 it lands back inside: only the Python-int products reject it
+        a = np.array(WRAPPED_SQUARE_SEED.entries, np.int64).reshape(3, 3)
+        assert np.abs(a @ a).max() <= DEFAULT_ENTRY_LIMIT
+        assert np.abs(a.astype(object) @ a.astype(object)).max() > DEFAULT_ENTRY_LIMIT
 
 
 class TestBuildEdges:

@@ -1,6 +1,10 @@
 import enum
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -303,3 +307,20 @@ class TestGraphml:
         g = TriangleGraph(["a<b&c"], [])
         text = graph_to_graphml(g)
         assert "a&lt;b&amp;c" in text
+
+    def test_escape_matches_saxutils(self):
+        labels = ["a<b&c", "x > y", "&amp;", "<<&>>", 'say "hi"', "it's", "plain"]
+        text = graph_to_graphml(TriangleGraph(labels, [(0, 1)]))
+        for label in labels:
+            assert f'<data key="label">{escape(label)}</data>' in text
+
+    def test_import_leaves_network_and_xml_modules_unloaded(self):
+        # the package needs none of these; xml.sax alone would pull in
+        # urllib.request, http.client, email, ssl and socket
+        import delta334
+        src = str(Path(delta334.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import delta334; "
+                "print(*[m for m in ('urllib.request', 'ssl', 'xml.sax', 'networkx') "
+                "if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert out.returncode == 0 and out.stdout.split() == []
