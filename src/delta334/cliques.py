@@ -173,9 +173,9 @@ def _later_rows(graph: TriangleGraph, order: list[int]
 
 
 def verify_clique(graph: TriangleGraph, vertices: tuple[int, ...]) -> bool:
-    """Every pair in the witness must be an edge."""
+    """The witness must list distinct vertices, every pair an edge."""
     vs = list(vertices)
-    if not all(0 <= v < graph.n for v in vs):
+    if not all(0 <= v < graph.n for v in vs) or len(set(vs)) < len(vs):
         return False
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):

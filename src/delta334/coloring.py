@@ -10,8 +10,8 @@ of edge density at least 1/64 with int masks of vertices
 (`_bitset_rounds`), on the others with one numpy step per class
 (`_array_rounds`).  The exact
 solver tests k-colorability downward from the iterated-greedy bound to one
-clique of the whole graph, each k on the k-core of one core decomposition
-per component (the rest is colored first-fit in reverse degeneracy order);
+clique of the whole graph, each k on a component's k-core, from one core
+decomposition of the graph (the rest first-fit in reverse degeneracy order);
 the core search adds that clique's pre-coloring for symmetry breaking,
 forward checking on bitboards (after San Segundo, Comput. Oper. Res. 2012:
 a mask per color of the vertices that may still take it, and a mask per
@@ -140,11 +140,13 @@ def chromatic_number_exact(graph: TriangleGraph,
     not a clique of `graph`), or else one clique_number search under
     node_budget, counted apart from the chi nodes that `nodes` reports.
     time_budget's clock starts before that search, which stops only at its
-    node budget.  Components are solved in turn and share the node budget;
-    within one, each k-colorability search runs on the k-core.
-    node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
+    node budget; a time_budget of 0 leaves the chi search no node.
+    Components share the node budget, one DSATUR and at most one core
+    decomposition of the whole graph: restricted to a component, each is the
+    component's own, as a pop in one component moves no degree or saturation
+    in another.  node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
     _reject_loops(graph)
-    deadline = time.monotonic() + time_budget if time_budget else None
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
     if clique is None:
@@ -152,28 +154,50 @@ def chromatic_number_exact(graph: TriangleGraph,
     elif not verify_clique(graph, clique.witness):
         raise ValueError(f"{clique.witness} is not a clique of the graph")
 
-    colors = [0] * graph.n
+    colors = _dsatur(graph)
+    floor = max(len(clique.witness), 2)  # a cut clique search may stop before its first edge
     lower_all = upper_all = min(graph.n, 1)
-    total_nodes = 0
+    nodes = 0
     certificate: dict = {}
+    position = core = None
 
     for comp in components(graph):
-        res = _component_chromatic(graph, comp, clique.witness, deadline,
-                                   node_budget - total_nodes)
-        total_nodes += res.nodes
-        for v, c in zip(comp, res.coloring.colors):
-            colors[v] = c
-        lower_all = max(lower_all, res.lower)
-        upper_all = max(upper_all, res.upper)
-        if res.certificate.get("infeasible_k", -1) > certificate.get("infeasible_k", -1):
-            certificate = res.certificate
+        upper = max(colors[v] for v in comp) + 1
+        if upper > floor:
+            greedy = _iterated_greedy(*_component_csr(graph, comp), [colors[v] for v in comp],
+                                      stop_at=floor, deadline=deadline)
+            for v, c in zip(comp, greedy):
+                colors[v] = c
+            upper = max(greedy) + 1
+        lower = min(floor, upper)  # chi of the graph is at least the clique's size
+        if lower < upper:
+            if core is None:  # one decomposition serves every component's descent
+                order, core = _core_order(graph)
+                position = np.argsort(order).tolist()  # position[v]: v's place in order
+            comp = sorted(comp, key=position.__getitem__)
+            pinned = [v for v in clique.witness if v in comp]  # all of it or none
+        while lower < upper:
+            k = upper - 1
+            status, used = _k_colorable(graph, k, comp, pinned, core, colors, deadline,
+                                        node_budget - nodes)
+            nodes += used
+            if status == "sat":
+                upper = k
+            elif status == "unsat":
+                lower = upper
+                if k > certificate.get("infeasible_k", -1):
+                    certificate = {"infeasible_k": k, "nodes": used, "exhausted": True}
+            else:
+                break
+        lower_all = max(lower_all, lower)
+        upper_all = max(upper_all, upper)
     # chi is the largest component chi, so lower == upper proves it even when
     # a later component was cut by the shared node budget
     witness = Coloring.checked(graph, colors)
     exact = witness.proper and lower_all == upper_all
     return ChromaticResult(lower_all, upper_all, witness if witness.proper else None,
                            exact, {**certificate, "lower_bound_clique": clique.witness},
-                           total_nodes)
+                           nodes)
 
 
 def _reject_loops(graph: TriangleGraph):
@@ -204,46 +228,16 @@ def components(graph: TriangleGraph) -> list[list[int]]:
     return comps
 
 
-def _component_chromatic(graph: TriangleGraph, comp: list[int], clique: tuple[int, ...],
-                         deadline: float | None, node_budget: int) -> ChromaticResult:
-    """The component's coloring and upper bound, and a lower bound on chi of
-    the graph: the clique's size clamped to the greedy bound, as no component
-    needs fewer colors, or upper once the search below it exhausts.  The
-    clique is pinned only in the component that holds it.  A component of
-    one or two vertices is a clique, chi = its size, and needs no subgraph."""
-    if len(comp) <= 2:
-        n = len(comp)
-        return ChromaticResult(n, n, Coloring(tuple(range(n)), n, True), True)
-    local = {v: i for i, v in enumerate(comp)}  # the induced subgraph's labels
-    sub = TriangleGraph(comp, [(i, local[w]) for i, v in enumerate(comp)
-                               for w in graph.neighbors(v) if w > v and w in local])
-    pinned = tuple(local[v] for v in clique if v in local)  # all of it or none
-
-    floor = max(len(clique), 2)  # a cut clique search may stop before its first edge
-    greedy = _iterated_greedy(sub, _dsatur(sub), stop_at=floor, deadline=deadline)
-    upper = max(greedy) + 1
-    lower = min(floor, upper)
-    upper_colors = list(greedy)
-
-    nodes_used = 0
-    certificate: dict = {}
-    if lower < upper:
-        order, core = _core_order(sub)  # serves every k of the descent
-    while lower < upper:
-        k = upper - 1
-        status, kcolors, used = _k_colorable(sub, k, pinned, order, core, deadline,
-                                             node_budget - nodes_used)
-        nodes_used += used
-        if status == "sat":
-            upper, upper_colors = k, kcolors
-        elif status == "unsat":
-            lower = upper
-            certificate = {"infeasible_k": k, "nodes": used, "exhausted": True}
-        else:
-            break
-    # proper by construction; chromatic_number_exact checks the joined coloring
-    witness = Coloring(tuple(upper_colors), len(set(upper_colors)), True)
-    return ChromaticResult(lower, upper, witness, lower == upper, certificate, nodes_used)
+def _component_csr(graph: TriangleGraph, comp: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR (indptr, heads) of the component `comp`, ascending vertices
+    relabelled 0, 1, ...: one gather of their rows, every head inside."""
+    comp = np.asarray(comp)
+    starts = graph._indptr[comp]
+    deg = graph._indptr[comp + 1] - starts
+    indptr = np.zeros(len(comp) + 1, np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    arcs = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], deg)
+    return indptr, np.searchsorted(comp, graph._heads[arcs])
 
 
 def _dsatur(graph: TriangleGraph) -> list[int]:
@@ -273,7 +267,7 @@ def _dsatur(graph: TriangleGraph) -> list[int]:
     return colors
 
 
-def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
+def _iterated_greedy(indptr: np.ndarray, heads: np.ndarray, colors: list[int], stop_at: int,
                      rounds: int | None = None,
                      deadline: float | None = None) -> list[int]:
     """Culberson iterated greedy (Culberson and Luo, DIMACS 1996): first-fit
@@ -301,11 +295,12 @@ def _iterated_greedy(graph: TriangleGraph, colors: list[int], stop_at: int,
     and from 500 to 8,000 vertices the two break even at densities
     0.01-0.03 (BENCH_iterated_greedy.json).
     """
-    n = graph.n
+    n = len(indptr) - 1
     if rounds is None:
         rounds = 2000 if n <= 200 else 300
-    dense = n <= 256 or 128 * graph.edge_count >= n * (n - 1)
-    return (_bitset_rounds if dense else _array_rounds)(graph, colors, stop_at, rounds, deadline)
+    dense = n <= 256 or 64 * len(heads) >= n * (n - 1)  # 128 m, as heads holds both arcs
+    return (_bitset_rounds if dense else _array_rounds)(indptr, heads, colors, stop_at, rounds,
+                                                        deadline)
 
 
 def _class_order(it: int, sizes: list[int], rng: random.Random) -> list[int]:
@@ -321,8 +316,8 @@ def _class_order(it: int, sizes: list[int], rng: random.Random) -> list[int]:
     return order
 
 
-def _bitset_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds: int,
-                   deadline: float | None) -> list[int]:
+def _bitset_rounds(indptr: np.ndarray, heads: np.ndarray, colors: list[int], stop_at: int,
+                   rounds: int, deadline: float | None) -> list[int]:
     """`_iterated_greedy`'s rounds for small or dense graphs.  Each adjacency
     row and each class is an int mask of vertices.  A class takes color c where it
     misses near[c], the union of the rows of the vertices given c so far,
@@ -333,7 +328,7 @@ def _bitset_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds
         if best_k <= stop_at or deadline is not None and time.monotonic() > deadline:
             break
         if it == 0:
-            rows = _bit_rows(graph)
+            rows = _bit_rows(indptr, heads)
             classes = [0] * best_k
             for v, c in enumerate(best):
                 classes[c] |= 1 << v
@@ -362,12 +357,11 @@ def _bitset_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds
     return best
 
 
-def _bit_rows(graph: TriangleGraph) -> list[int]:
+def _bit_rows(indptr: np.ndarray, heads: np.ndarray) -> list[int]:
     """Each vertex's adjacency row as an int mask, bit w for neighbor w."""
-    n = graph.n
+    n = len(indptr) - 1
     words = (n + 63) >> 6
-    tail = np.repeat(np.arange(n), np.diff(graph._indptr))
-    heads = graph._heads
+    tail = np.repeat(np.arange(n), np.diff(indptr))
     row_words = np.zeros(n * words, np.uint64)
     np.bitwise_or.at(row_words, tail * words + (heads >> 6),
                      np.uint64(1) << (heads & 63).astype(np.uint64))
@@ -385,19 +379,18 @@ def _union(rows: list[int], mask: int) -> int:
     return out
 
 
-def _array_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds: int,
-                  deadline: float | None) -> list[int]:
+def _array_rounds(indptr: np.ndarray, heads: np.ndarray, colors: list[int], stop_at: int,
+                  rounds: int, deadline: float | None) -> list[int]:
     """`_iterated_greedy`'s rounds in numpy, for the other graphs: each round
     lays the vertices out class by class and recolors each class in one
     array step over its vertices' arcs."""
-    n = graph.n
+    n = len(indptr) - 1
     best, best_k = list(colors), max(colors) + 1
     rng = random.Random(ITERATED_GREEDY_SEED)
     for it in range(rounds):
         if best_k <= stop_at or deadline is not None and time.monotonic() > deadline:
             break
-        if it == 0:  # the graph's adjacency rows (CSR), read once a round runs
-            indptr, indices = graph._indptr, graph._heads
+        if it == 0:  # set up once a round runs
             deg = np.diff(indptr)
             slots, edge_ids = np.arange(n), np.arange(indptr[-1])
             slot_of, estart = np.empty(n, np.intp), np.zeros(n + 1, np.intp)
@@ -414,7 +407,7 @@ def _array_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds:
         slot_of[at] = slots
         d = deg[at]
         np.cumsum(d, out=estart[1:])
-        nb = slot_of[indices[edge_ids + np.repeat(indptr[at] - estart[:-1], d)]]
+        nb = slot_of[heads[edge_ids + np.repeat(indptr[at] - estart[:-1], d)]]
         owner = np.repeat(slots * (k + 1), d)  # each edge's row in `seen`
         cstart = np.concatenate(([0], np.cumsum(sizes[order])))
         vb, eb = cstart.tolist(), estart[cstart].tolist()
@@ -433,25 +426,26 @@ def _array_rounds(graph: TriangleGraph, colors: list[int], stop_at: int, rounds:
     return best
 
 
-def _k_colorable(graph: TriangleGraph, k: int, clique: tuple[int, ...], order: list[int],
-                 core: list[int], deadline: float | None, node_budget: int):
-    """('sat', colors, nodes) | ('unsat', None, nodes) | ('budget', None, nodes).
-
-    `order, core` is graph._core_order(graph).  The search runs on the
-    k-core, core[v] >= k.  The rest, a prefix of `order`, each have fewer than
-    k neighbors after them, so first-fit colors them in reverse order last.
+def _k_colorable(graph: TriangleGraph, k: int, comp: list[int], clique: list[int],
+                 core: list[int], colors: list[int], deadline: float | None, node_budget: int):
+    """('sat' | 'unsat' | 'budget', nodes) for k colors on the component
+    `comp`, listed in the order of _core_order(graph), `core` its core
+    numbers and `clique` the part of the pinned clique in it.  The search
+    runs on the k-core, core[v] >= k.  The rest, a prefix of `comp`, each
+    have fewer than k neighbors after them, so first-fit colors them in
+    reverse order last.  Only 'sat' writes the coloring into `colors`.
     """
-    n = graph.n
-    kcore = [v for v in range(n) if core[v] >= k]
-    colors = [-1] * n
+    kcore = [v for v in comp if core[v] >= k]
     nodes = 0
     if kcore:
-        clique_core = [v for v in clique if core[v] >= k]
-        status, nodes = _core_search(graph, k, kcore, clique_core, colors,
-                                     deadline, node_budget)
+        status, nodes = _core_search(graph, k, kcore, [v for v in clique if core[v] >= k],
+                                     colors, deadline, node_budget)
         if status != "sat":
-            return (status, None, nodes)
-    for v in reversed(order[:n - len(kcore)]):
+            return (status, nodes)
+    peel = comp[:len(comp) - len(kcore)]
+    for v in peel:  # first-fit below must not read the previous coloring
+        colors[v] = -1
+    for v in reversed(peel):
         used = {colors[w] for w in graph.neighbors(v) if colors[w] >= 0}
         c = 0
         while c in used:
@@ -459,7 +453,7 @@ def _k_colorable(graph: TriangleGraph, k: int, clique: tuple[int, ...], order: l
         if c >= k:
             raise AssertionError("peeled vertex ran out of colors")
         colors[v] = c
-    return ("sat", colors, nodes)
+    return ("sat", nodes)
 
 
 def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int],
@@ -894,7 +888,8 @@ def heuristic_chromatic_upper(graph: TriangleGraph, rounds: int | None = None) -
     _reject_loops(graph)
     if graph.n == 0:
         return Coloring((), 0, True)
-    colors = _iterated_greedy(graph, _dsatur(graph), stop_at=1, rounds=rounds)
+    colors = _iterated_greedy(graph._indptr, graph._heads, _dsatur(graph), stop_at=1,
+                              rounds=rounds)
     return Coloring.checked(graph, colors)
 
 
@@ -910,7 +905,8 @@ def improve_coloring(graph: TriangleGraph, coloring: Coloring,
         raise ValueError("refusing to refine an improper coloring")
     if graph.n == 0:
         return coloring
-    colors = _iterated_greedy(graph, list(coloring.colors), stop_at=1, rounds=rounds)
+    colors = _iterated_greedy(graph._indptr, graph._heads, list(coloring.colors), stop_at=1,
+                              rounds=rounds)
     return Coloring.checked(graph, colors)
 
 

@@ -19,6 +19,7 @@ from itertools import combinations, permutations
 
 from delta334.elements import MAT3_IDENTITY, IntMatrix3, element_key, mat3_mul
 from delta334.generation import GenerationStats
+from delta334.graph import TriangleGraph
 
 
 def oracle_chromatic(graph):
@@ -62,6 +63,14 @@ def oracle_clique(graph):
             if all(graph.has_edge(i, j) for i, j in combinations(subset, 2)):
                 return size, subset
     return 0, ()
+
+
+def oracle_induced_subgraph(graph, comp):
+    """The subgraph induced on the ascending vertices `comp`, relabelled 0,
+    1, ... in that order, edge by edge from their neighbor lists."""
+    local = {v: i for i, v in enumerate(comp)}
+    return TriangleGraph(range(len(comp)), [(i, local[w]) for i, v in enumerate(comp)
+                                            for w in graph.neighbors(v) if w > v and w in local])
 
 
 def oracle_dsatur(graph):

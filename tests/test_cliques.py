@@ -178,6 +178,12 @@ class TestVerifyClique:
         g = toys.complete_graph(4)
         assert not verify_clique(g, [0, 0, 1])
 
+    def test_rejects_a_repeated_looped_vertex(self):
+        # Z3 with the identity: vertex 0 carries a loop
+        g = build_delta334(order3_vertices(parse_group_spec("Z3"), include_identity=True))
+        assert g.loops == {0}
+        assert not verify_clique(g, (0, 0)) and not verify_clique(g, (0, 0, 0))
+
     def test_accepts_real_clique(self):
         g = toys.complete_graph(4)
         assert verify_clique(g, [0, 1, 2, 3])

@@ -61,10 +61,43 @@ KERNELS = pytest.mark.parametrize("kernel", [_bitset_rounds, _array_rounds],
 def largest_component(graph):
     """The induced subgraph on the largest component, vertices relabelled
     in order."""
-    comp = max(coloring.components(graph), key=len)
-    local = {v: i for i, v in enumerate(comp)}
-    return TriangleGraph(range(len(comp)), [(local[v], local[w]) for v in comp
-                                            for w in graph.neighbors(v) if w > v])
+    return oracles.oracle_induced_subgraph(graph, max(coloring.components(graph), key=len))
+
+
+def csr(graph):
+    """The CSR pair that the iterated-greedy kernels read."""
+    return graph._indptr, graph._heads
+
+
+def spy_calls(monkeypatch, *names):
+    """Record the graph of every call to each named coloring function."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def spy(graph, *args, _real=getattr(coloring, name), _name=name):
+            calls[_name].append(graph)
+            return _real(graph, *args)
+
+        monkeypatch.setattr(coloring, name, spy)
+    return calls
+
+
+def assert_whole_graph_passes_restrict(graph):
+    """DSATUR and the core decomposition of the whole graph, restricted to
+    a component, must give what they give on the component's induced
+    subgraph: the same colors, core numbers and order; and _component_csr
+    must build that subgraph's CSR."""
+    colors = coloring._dsatur(graph)
+    order, core = _core_order(graph)
+    position = {v: i for i, v in enumerate(order)}
+    for comp in coloring.components(graph):
+        sub = oracles.oracle_induced_subgraph(graph, comp)
+        indptr, heads = coloring._component_csr(graph, comp)
+        assert indptr.tolist() == sub._indptr.tolist()
+        assert heads.tolist() == sub._heads.tolist()
+        assert [colors[v] for v in comp] == coloring._dsatur(sub)
+        sub_order, sub_core = _core_order(sub)
+        assert [core[v] for v in comp] == sub_core
+        assert sorted(comp, key=position.__getitem__) == [comp[v] for v in sub_order]
 
 
 def core_and_clique(graph, k, peel, pin):
@@ -190,15 +223,18 @@ class TestExact:
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the
         # second 37: it is cut, but its greedy 5-coloring still meets the
         # first copy's lower bound, so chi of the union is proved; one
-        # clique search serves both copies
+        # clique search, one DSATUR and one core decomposition serve both
+        # copies
         m5 = toys.complete_graph(2)
         for _ in range(3):
             m5 = toys.mycielski(m5)
         g = toys.disjoint_union(m5, m5)
         clique_nodes = toys.spy_clique_nodes(monkeypatch)
+        calls = spy_calls(monkeypatch, "_dsatur", "_core_order")
         res = chromatic_number_exact(g, node_budget=700)
         assert res.nodes == 700
         assert len(clique_nodes) == 1 and sum(clique_nodes) <= 700
+        assert calls == {"_dsatur": [g], "_core_order": [g]}
         assert res.exact and res.chi == 5
         assert res.certificate["infeasible_k"] == 4
         assert find_coloring_violation(g, res.coloring.colors) is None
@@ -215,21 +251,20 @@ class TestExact:
         assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_components_of_one_or_two_vertices_build_no_subgraph(self, monkeypatch):
-        # an edge, a lone vertex, C5 and an edge: only C5 is built and
-        # searched (k = 2 refuted in 4 nodes); the others are cliques, colored
-        # 0 and 0, 1 as DSATUR on their own subgraphs colored them
+        # an edge, a lone vertex, C5 and an edge: no graph is built, only C5
+        # is searched (k = 2 refuted in 4 nodes); the others are cliques,
+        # colored 0 and 0, 1 as DSATUR on their own subgraphs would color them
         g = toys.disjoint_union(toys.disjoint_union(toys.path_graph(2), toys.path_graph(1)),
                                 toys.disjoint_union(toys.cycle_graph(5), toys.path_graph(2)))
-        built = []
-        real = coloring.TriangleGraph
+        built, init = [], TriangleGraph.__init__
 
-        def spy(*args, **kwargs):
-            built.append(real(*args, **kwargs))
-            return built[-1]
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(coloring, "TriangleGraph", spy)
+        monkeypatch.setattr(TriangleGraph, "__init__", spy)
         res = chromatic_number_exact(g)
-        assert [sub.n for sub in built] == [5]
+        assert built == []
         assert (res.lower, res.upper, res.exact, res.nodes) == (3, 3, True, 4)
         assert res.coloring == Coloring((0, 1, 0, 0, 1, 0, 1, 2, 0, 1), 3, True)
         assert res.certificate == {"infeasible_k": 2, "nodes": 4, "exhausted": True,
@@ -253,6 +288,13 @@ class TestExact:
         res = chromatic_number_exact(g)
         assert res.exact and res.chi == 3
 
+    def test_zero_time_budget_runs_no_node(self):
+        # unbudgeted, chi(M5) = 5 is proved in 663 nodes
+        g = toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2))))
+        res = chromatic_number_exact(g, time_budget=0)
+        assert res.nodes == 0 and res.exact is False
+        assert (res.lower, res.upper) == (2, 5)
+
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_matches_exhaustive_oracle(self, graph):
@@ -273,6 +315,24 @@ class TestExact:
         # and a 20,000-node cut of the 1,176,185), with and without the clique
         for pin in (True, False):
             assert_core_search_matches(graph, k, *core_and_clique(graph, k, False, pin), 20_000)
+
+
+class TestWholeGraphPasses:
+    """chromatic_number_exact runs DSATUR and the core decomposition once on
+    the whole graph and reads each component's slice of them."""
+
+    @given(st.lists(small_graphs(), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_restrict_to_components_of_disjoint_unions(self, parts):
+        graph = parts[0]
+        for part in parts[1:]:
+            graph = toys.disjoint_union(graph, part)
+        assert_whole_graph_passes_restrict(graph)
+
+    def test_restrict_to_every_component_of_a_portion(self):
+        # the 5,476-vertex depth-2 portion: 521 components
+        assert_whole_graph_passes_restrict(
+            generate_and_build(GenerationConfig(conj_depth=2)).graph)
 
 
 def allow_split(mp, split_after, cpus=2):
@@ -482,7 +542,7 @@ class TestHeuristics:
         colors = self.start_coloring(graph, start)
         want = oracles.oracle_iterated_greedy(graph, colors, stop_at, rounds)
         for run in (_iterated_greedy, _bitset_rounds, _array_rounds):
-            got = run(graph, list(colors), stop_at, rounds, None)
+            got = run(*csr(graph), list(colors), stop_at, rounds, None)
             assert got == want, run.__name__
             assert all(type(c) is int for c in got)
 
@@ -503,7 +563,7 @@ class TestHeuristics:
             g = build_delta334(order3_vertices(parse_group_spec(graph)))
         colors = self.start_coloring(g, start)
         want = oracles.oracle_iterated_greedy(g, colors, 1, rounds)
-        assert kernel(g, list(colors), 1, rounds, None) == want
+        assert kernel(*csr(g), list(colors), 1, rounds, None) == want
         if graph == "SL3(2)":
             assert (max(colors) + 1, max(want) + 1) == (10, 8)
 
@@ -523,10 +583,10 @@ class TestHeuristics:
                                        ("_bitset_rounds", array, bitset)):
             monkeypatch.setattr(coloring, kernel, refuse)
             for g in takes:
-                _iterated_greedy(g, list(range(g.n)), 1, 3)
+                _iterated_greedy(*csr(g), list(range(g.n)), 1, 3)
             for g in refused:
                 with pytest.raises(AssertionError, match="wrong kernel"):
-                    _iterated_greedy(g, list(range(g.n)), 1, 3)
+                    _iterated_greedy(*csr(g), list(range(g.n)), 1, 3)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("start", ["dsatur", "singletons"])
@@ -535,7 +595,7 @@ class TestHeuristics:
         # after two shuffled rounds, so the RNG stream must match too
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         colors = self.start_coloring(g, start)
-        assert (_iterated_greedy(g, list(colors), 1, 30)
+        assert (_iterated_greedy(*csr(g), list(colors), 1, 30)
                 == oracles.oracle_iterated_greedy(g, colors, 1, 30))
 
     @pytest.mark.parametrize("stop_at, rounds, deadline", [
@@ -549,11 +609,11 @@ class TestHeuristics:
         assert max(colors) + 1 == 6
         if deadline is not None:
             deadline += time.monotonic()
-        assert _iterated_greedy(g, list(colors), stop_at, rounds, deadline) == colors
+        assert _iterated_greedy(*csr(g), list(colors), stop_at, rounds, deadline) == colors
 
     def test_iterated_greedy_isolated_vertices_take_color_0(self):
         g = TriangleGraph(range(5), [(0, 1), (1, 2)])
-        assert _iterated_greedy(g, [0, 1, 0, 2, 3], 1, 1) == [0, 1, 0, 0, 0]
+        assert _iterated_greedy(*csr(g), [0, 1, 0, 2, 3], 1, 1) == [0, 1, 0, 0, 0]
 
     def test_improve_never_increases(self):
         g = toys.petersen_graph()
