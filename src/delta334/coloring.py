@@ -19,7 +19,10 @@ count of colors left as the vertex queue), and an ascending-color symmetry
 cap (a vertex may only open one new color).  A color that would take a
 neighbor's last color is refused before any mask moves, and a vertex's
 color loop ends at its last candidate.  Chi is certified when a coloring
-meets the clique or the (chi-1)-coloring search exhausts.
+meets the clique or, on a graph that conjugation by its labels makes
+vertex-transitive, n / alpha (alpha from a search pinned at one vertex;
+Godsil and Royle, Algebraic Graph Theory, 7.5), or when the
+(chi-1)-coloring search exhausts.
 A k-colorability search still running after SPLIT_AFTER_NODES nodes
 searches the rest of its tree as ordered pieces ("Embarrassingly Parallel
 Search", Regin, Rezgui and Malapert, CP 2013): each untried color of each
@@ -48,11 +51,13 @@ import signal
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .cliques import CliqueResult, clique_number, verify_clique
+from .elements import CarrierMismatchError, GroupElement, compose, element_key, inverse
 from .graph import TriangleGraph, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
@@ -83,15 +88,16 @@ def find_coloring_violation(graph: TriangleGraph, colors) -> tuple[int, int] | N
         raise ValueError(f"coloring covers {len(colors)} of {graph.n} vertices")
     for v in graph.loops:
         return (v, v)
-    i, j = graph._edge_ends()
-    colors = np.asarray(colors)
-    bad = np.flatnonzero(colors[i] == colors[j])
-    return (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
+    colors = np.asarray(colors)  # arcs run by tail, so the first bad one has t < h
+    bad = np.flatnonzero(np.repeat(colors, np.diff(graph._indptr)) == colors[graph._heads])
+    return (int(np.searchsorted(graph._indptr, bad[0], "right")) - 1,
+            int(graph._heads[bad[0]])) if bad.size else None
 
 
 @dataclass
 class ChromaticResult:
-    """Exact chi when lower == upper with an exhaustion certificate."""
+    """Exact chi when lower == upper, with an exhaustion or independence certificate
+    (infeasible_k, exhausted, nodes; independent_set, automorphisms: label ids)."""
 
     lower: int
     upper: int
@@ -144,12 +150,14 @@ def chromatic_number_exact(graph: TriangleGraph,
     Components share the node budget, one DSATUR and at most one core
     decomposition of the whole graph: restricted to a component, each is the
     component's own, as a pop in one component moves no degree or saturation
-    in another.  node_budget None means DEFAULT_COLOR_NODE_BUDGET."""
+    in another.  node_budget None means DEFAULT_COLOR_NODE_BUDGET.  An alpha
+    search gets what that clique search left, the descent what remains."""
     _reject_loops(graph)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
-    if clique is None:
+    own_clique = clique is None  # its nodes are not the alpha search's to spend
+    if own_clique:
         clique = clique_number(graph, node_budget=node_budget)
     elif not verify_clique(graph, clique.witness):
         raise ValueError(f"{clique.witness} is not a clique of the graph")
@@ -160,6 +168,14 @@ def chromatic_number_exact(graph: TriangleGraph,
     nodes = 0
     certificate: dict = {}
     position = core = None
+    if (max(colors, default=0) + 1 > floor and (deadline is None or time.monotonic() < deadline)
+            and (maps := _conjugation_transitive(graph)) is not None):
+        alpha = _pinned_alpha(graph, 0, max(node_budget - clique.nodes * own_clique, 0))
+        nodes, bound = alpha.nodes, -(-graph.n // alpha.size)  # chi >= n / alpha, as transitive
+        if alpha.exact and bound > floor:
+            floor = bound
+            certificate = {"infeasible_k": bound - 1, "nodes": nodes, "exhausted": True,
+                           "independent_set": alpha.witness, "automorphisms": maps}
 
     for comp in components(graph):
         upper = max(colors[v] for v in comp) + 1
@@ -169,7 +185,7 @@ def chromatic_number_exact(graph: TriangleGraph,
             for v, c in zip(comp, greedy):
                 colors[v] = c
             upper = max(greedy) + 1
-        lower = min(floor, upper)  # chi of the graph is at least the clique's size
+        lower = min(floor, upper)  # chi of the graph is at least floor
         if lower < upper:
             if core is None:  # one decomposition serves every component's descent
                 order, core = _core_order(graph)
@@ -198,6 +214,57 @@ def chromatic_number_exact(graph: TriangleGraph,
     return ChromaticResult(lower_all, upper_all, witness if witness.proper else None,
                            exact, {**certificate, "lower_bound_clique": clique.witness},
                            nodes)
+
+
+def _conjugation_transitive(graph: TriangleGraph) -> list[int] | None:
+    """The first label ids x whose conjugations v -> x v x^-1, each checked
+    to be a bijection mapping the arcs onto the arcs, leave one vertex
+    orbit; None if the graph is not regular, a label is not a group
+    element, a conjugate is not a label, or a map fails or merges nothing."""
+    n, deg = graph.n, np.diff(graph._indptr)
+    if (deg != deg[:1]).any() or not all(isinstance(x, GroupElement) for x in graph.labels):
+        return None
+    index = {element_key(x): i for i, x in enumerate(graph.labels)}
+    arcs = np.repeat(np.arange(n), deg) * n + graph._heads  # sorted, as the rows are
+    orbit, maps = {v: {v} for v in range(n)}, []  # vertex -> its orbit, a shared set
+    for i, x in enumerate(graph.labels):
+        try:
+            x_inv = inverse(x)
+            image = [index.get(element_key(compose(compose(x, y), x_inv))) for y in graph.labels]
+        except CarrierMismatchError:
+            return None
+        if None in image or len(set(image)) < n:
+            return None
+        perm = np.array(image)
+        if not np.array_equal(np.sort(np.repeat(perm, deg) * n + perm[graph._heads]), arcs):
+            return None
+        merged = False
+        for v, w in enumerate(image):
+            small, big = sorted((orbit[v], orbit[w]), key=len)
+            if small is not big:
+                big |= small
+                orbit.update(dict.fromkeys(small, big))
+                merged = True
+        if not merged:
+            return None
+        maps.append(i)
+        if len(orbit[0]) == n:
+            return maps
+    return None
+
+
+def _pinned_alpha(graph: TriangleGraph, v: int, node_budget: int | None = None) -> CliqueResult:
+    """v and a maximum clique of the complement of G - N[v] by clique_number
+    under node_budget (exact False when cut): the largest independent set
+    through v, as a CliqueResult whose witness is re-checked."""
+    far = [w for w in range(graph.n) if w != v and not graph.has_edge(v, w)]
+    pairs = [(a, b) for a, b in combinations(range(len(far)), 2)
+             if not graph.has_edge(far[a], far[b])]
+    omega = clique_number(TriangleGraph(range(len(far)), pairs), node_budget)
+    witness = tuple(sorted([v, *(far[a] for a in omega.witness)]))
+    if v not in witness or any(graph.has_edge(a, b) for a, b in combinations(witness, 2)):
+        raise AssertionError("pinned independent set has an edge")
+    return CliqueResult(len(witness), witness, omega.exact, omega.nodes)
 
 
 def _reject_loops(graph: TriangleGraph):
@@ -400,14 +467,16 @@ def _array_rounds(indptr: np.ndarray, heads: np.ndarray, colors: list[int], stop
         order = np.array(_class_order(it, sizes.tolist(), rng), np.intp)
         # lay the vertices out in slots class by class in `order` (a uint16
         # place key sorts by radix), and gather the slots of each one's
-        # neighbors (edges estart[s]:estart[s+1])
+        # neighbors (edges estart[s]:estart[s+1]), their arc ids summed in place
         place = np.empty(k, np.uint16 if k <= 1 << 16 else np.intp)
         place[order] = np.arange(k)
         at = np.argsort(place[cur], kind="stable")
         slot_of[at] = slots
         d = deg[at]
         np.cumsum(d, out=estart[1:])
-        nb = slot_of[heads[edge_ids + np.repeat(indptr[at] - estart[:-1], d)]]
+        nb = np.repeat(indptr[at] - estart[:-1], d)
+        nb += edge_ids
+        nb = slot_of[heads[nb]]
         owner = np.repeat(slots * (k + 1), d)  # each edge's row in `seen`
         cstart = np.concatenate(([0], np.cumsum(sizes[order])))
         vb, eb = cstart.tolist(), estart[cstart].tolist()
@@ -420,6 +489,7 @@ def _array_rounds(indptr: np.ndarray, heads: np.ndarray, colors: list[int], stop
                 flat[owner[e] + new[nb[e]]] = True
                 seen[vb[j]:vb[j + 1], :k].argmin(1, out=new[vb[j]:vb[j + 1]])
         cur = new[slot_of]
+        del nb, owner  # the next round's arc arrays need not stack on these
         k = int(cur.max()) + 1
         if k < best_k:
             best, best_k = cur.tolist(), k

@@ -55,6 +55,16 @@ def oracle_chromatic(graph):
     raise AssertionError("unreachable: n colors always suffice")
 
 
+def oracle_independence_number(graph):
+    """The size of a largest independent set: every vertex subset, the
+    largest first."""
+    for size in range(graph.n, 0, -1):
+        for subset in combinations(range(graph.n), size):
+            if not any(graph.has_edge(a, b) for a, b in combinations(subset, 2)):
+                return size
+    return 0
+
+
 def oracle_clique(graph):
     """Largest complete subgraph, by checking every subset, biggest first."""
     n = graph.n

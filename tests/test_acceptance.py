@@ -205,9 +205,10 @@ def test_criterion_4_sl32(criterion, sl32_graph, sl32_chi):
 
 
 def test_sl32_chi_8_from_independence_number(sl32_graph, sl32_chi):
-    """A second certificate of chi(SL3(2)) = 8, independent of the k = 7
-    exhaustion: alpha = 7 from a clique search on the complement, so chi >=
-    ceil(56 / 7) = 8, and the eight classes of any 8-coloring are 7-sets."""
+    """The independence certificate of chi(SL3(2)) = 8 without the
+    symmetry that pins its search: alpha = 7 from a clique search on the
+    whole complement, so chi >= ceil(56 / 7) = 8, and the eight classes of
+    any 8-coloring are 7-sets."""
     g = sl32_graph
     complement = TriangleGraph(range(g.n), [(i, j) for i, j in
                                             itertools.combinations(range(g.n), 2)
@@ -227,11 +228,16 @@ SL32_CHI_COLORS = (3, 1, 6, 0, 6, 1, 3, 5, 5, 4, 2, 2, 7, 5, 0, 6, 3, 2, 6, 1, 6
 
 
 def test_sl32_chi_search_is_pinned(sl32_chi):
-    """The k = 7 exhaustion visits the same nodes and the chi coloring is
-    the same as before the search's forward checking moved to bitboards,
-    and as before its loop refused a dead color before moving a mask and
-    stopped at a vertex's last candidate."""
-    assert sl32_chi.nodes == sl32_chi.certificate["nodes"] == 1_176_185
+    """chi = 8 from the symmetry bound: conjugation by labels 0, 1 and 2
+    leaves one vertex orbit, and the independent-set search pinned at
+    vertex 0 proves alpha = 7 in 1,820 nodes, so chi >= ceil(56 / 7).  The
+    chi coloring is the iterated greedy's, the same as when a 1,176,185-node
+    k = 7 exhaustion proved the bound."""
+    cert = sl32_chi.certificate
+    assert sl32_chi.nodes == cert["nodes"] == 1_820
+    assert (cert["infeasible_k"], cert["exhausted"]) == (7, True)
+    assert cert["independent_set"] == (0, 5, 9, 11, 22, 25, 48)
+    assert cert["automorphisms"] == [0, 1, 2]
     assert sl32_chi.coloring.colors == SL32_CHI_COLORS
 
 

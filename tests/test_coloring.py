@@ -24,7 +24,7 @@ from delta334.coloring import (
 from delta334.graph import TriangleGraph, _core_order, build_delta334, induced_morphism
 from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.groups import ElementSet, order3_vertices, parse_group_spec
-from delta334.elements import inverse, parametric_order3
+from delta334.elements import compose, inverse, parametric_order3
 
 import oracles
 import toys
@@ -168,16 +168,19 @@ class TestExact:
                                            res.coloring.colors) is None
 
     # the clique search finds omega = 5 in 687 nodes; cut before its first
-    # edge, it leaves the trivial lower bound 2
-    @pytest.mark.parametrize("budget, lower", [pytest.param(0, 2, id="0"),
-                                               pytest.param(1, 2, id="1"),
-                                               pytest.param(5000, 5, id="5000")])
-    def test_node_budget_is_a_hard_cap(self, budget, lower, monkeypatch):
+    # edge, it leaves the trivial lower bound 2.  The pinned alpha search
+    # gets what the clique search leaves: it proves alpha = 7, so chi = 8, in
+    # 1,820 nodes, and a cut one adds nothing
+    @pytest.mark.parametrize("budget, bounds", [pytest.param(0, (2, 8, False), id="0"),
+                                                pytest.param(1, (2, 8, False), id="1"),
+                                                pytest.param(2000, (5, 8, False), id="2000"),
+                                                pytest.param(5000, (8, 8, True), id="5000")])
+    def test_node_budget_is_a_hard_cap(self, budget, bounds, monkeypatch):
         g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
         clique_nodes = toys.spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=budget)
         assert res.nodes <= budget and sum(clique_nodes) <= budget
-        assert (res.lower, res.upper) == (lower, 8) and not res.exact
+        assert (res.lower, res.upper, res.exact) == bounds
 
     def test_node_budget_caps_the_clique_search(self, monkeypatch):
         # unbudgeted, SL3(3)'s clique search proves omega = 6 in 228,076 nodes
@@ -294,6 +297,9 @@ class TestExact:
         res = chromatic_number_exact(g, time_budget=0)
         assert res.nodes == 0 and res.exact is False
         assert (res.lower, res.upper) == (2, 5)
+        # nor the alpha search that proves chi(SL3(2)) = 8, nor the greedy
+        res = chromatic_number_exact(SL32, time_budget=0)
+        assert res.nodes == 0 and (res.lower, res.upper, res.exact) == (5, 10, False)
 
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
@@ -395,13 +401,17 @@ class TestSplitSearch:
         toys.assert_reaped(forked)
 
     def test_sl32_proof_through_the_split(self, monkeypatch):
-        # the default split point, on two CPUs whatever the machine has
+        # the k = 7 exhaustion that chromatic_number_exact ran before the
+        # symmetry bound made it unneeded, at the default split point, on
+        # two CPUs whatever the machine has; 'unsat' leaves the chi
+        # coloring it starts from as it is
         forked = allow_split(monkeypatch, coloring.SPLIT_AFTER_NODES)
-        res = chromatic_number_exact(SL32)
-        assert res.exact and res.chi == 8 and res.nodes == 1_176_185
-        assert res.certificate["infeasible_k"] == 7 and res.certificate["exhausted"]
-        digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
-        assert digest[:16] == "89bbd549ce01c0f8"
+        colors = list(chromatic_number_exact(SL32).coloring.colors)
+        clique = list(cliques.clique_number(SL32).witness)
+        result = _core_search(SL32, 7, list(range(SL32.n)), clique, colors, None,
+                              coloring.DEFAULT_COLOR_NODE_BUDGET)
+        assert result == ("unsat", 1_176_185)
+        assert hashlib.sha256(bytes(colors)).hexdigest()[:16] == "89bbd549ce01c0f8"
         assert len(forked) == 1
         toys.assert_reaped(forked)
 
@@ -629,6 +639,55 @@ class TestHeuristics:
             improve_coloring(g, bad)
 
 
+class TestSymmetryBound:
+    """On a vertex-transitive graph chi >= n / alpha, and alpha is the
+    largest independent set through any one vertex."""
+
+    @pytest.mark.parametrize("graph", [*(toys.cycle_graph(n) for n in range(5, 10)),
+                                       toys.petersen_graph(), toys.complete_bipartite(3, 3),
+                                       toys.octahedron(), toys.complete_graph(5)],
+                             ids=[*(f"C{n}" for n in range(5, 10)), "petersen", "K3,3",
+                                  "octahedron", "K5"])
+    def test_pinned_alpha_matches_brute_force(self, graph):
+        res = coloring._pinned_alpha(graph, 0)
+        assert res.exact and res.size == oracles.oracle_independence_number(graph)
+        assert 0 in res.witness and len(res.witness) == res.size
+        assert not any(graph.has_edge(a, b) for a in res.witness for b in res.witness)
+
+    def test_sl32_maps_are_verified_automorphisms(self):
+        maps = coloring._conjugation_transitive(SL32)
+        assert maps == [0, 1, 2]
+        edges = set(SL32.edges())
+        for i in maps:
+            x, x_inv = SL32.labels[i], inverse(SL32.labels[i])
+            image = [SL32.vertex_of(compose(compose(x, y), x_inv)) for y in SL32.labels]
+            assert {tuple(sorted((image[a], image[b]))) for a, b in edges} == edges
+
+    @pytest.mark.parametrize("name", ["portion-5k", "SL3(3)", "SL3(2)-swapped"])
+    def test_not_transitive(self, name):
+        if name == "portion-5k":  # not regular
+            graph = generate_and_build(GenerationConfig(target_vertices=5000)).graph
+        elif name == "SL3(3)":  # degrees 118 and 136
+            graph = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+        else:  # edges a b, c d swapped for a c, b d: still 19-regular, but
+            # conjugation by label 0 no longer maps the arcs onto the arcs
+            a, b = SL32.edges()[0]
+            c, d = next((c, d) for c, d in SL32.edges() if len({a, b, c, d}) == 4
+                        and not SL32.has_edge(a, c) and not SL32.has_edge(b, d))
+            graph = TriangleGraph(SL32.labels,
+                                  set(SL32.edges()) - {(a, b), (c, d)} | {(a, c), (b, d)})
+            assert graph.degree_histogram() == {19: 56}
+        assert coloring._conjugation_transitive(graph) is None
+
+    def test_sl32_chi_needs_no_descent(self, monkeypatch):
+        # the greedy coloring meets n / alpha, so no core decomposition and
+        # no k-colorability search run
+        calls = spy_calls(monkeypatch, "_core_order")
+        res = chromatic_number_exact(SL32)
+        assert calls == {"_core_order": []}
+        assert res.exact and res.chi == 8 and res.nodes == 1820
+
+
 class TestViolationDetection:
     def test_reports_first_bad_edge(self):
         g = toys.cycle_graph(4)
@@ -653,6 +712,17 @@ class TestViolationDetection:
         for g in (graph, looped):
             want = oracles.oracle_coloring_violation(g, colors)
             assert find_coloring_violation(g, colors) == want
+
+    @given(st.integers(0, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_oracle_on_sl32(self, changes, rng):
+        # DSATUR's proper coloring with a few vertices recolored: no bad
+        # edge, one, or several
+        colors = coloring._dsatur(SL32)
+        for v in rng.sample(range(SL32.n), changes):
+            colors[v] = rng.randrange(10)
+        want = oracles.oracle_coloring_violation(SL32, colors)
+        assert find_coloring_violation(SL32, colors) == want
 
 
 class TestLift:
