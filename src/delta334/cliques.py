@@ -27,6 +27,22 @@ two cuts (an empty P records a clique; a clique that cannot outgrow the
 best one is cut) before it recurses, so a leaf costs no call.  The search
 is exact unless the node budget runs out, in which case the best clique
 found so far is returned flagged as a lower bound only.
+
+A graph whose labels are group elements that conjugation maps onto one
+another is searched one vertex orbit at a time (graph._conjugation_orbits:
+orbits of the maps v -> x v x^-1 by its first labels, each map checked to
+be a bijection taking the arcs onto the arcs; labels are tried until the
+orbits are as few as the distinct degrees, or n.bit_length() + 1 labels
+are spent).  With the orbits O_1, O_2, ... in order of their least
+vertices r_i, omega is the largest of 1 + omega(G[N(r_i) - O_1 - ... -
+O_(i-1)]).  It is sound under any set of verified automorphisms: take a
+maximum clique and the earliest orbit O_i that it meets, at u; a product
+of the maps takes u to r_i, keeps every orbit onto itself, so the image
+is a maximum clique through r_i that misses O_1, ..., O_(i-1).  Each
+neighborhood goes to the search above under what the earlier ones left of
+the budget, the result is exact only if every one ran to its end, and its
+witness is re-checked on the graph.  On SL3(3) (orbits of 104 and 624
+vertices) that is 1,754 nodes against 228,076 for the whole graph.
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import TriangleGraph, _core_order
+from .graph import TriangleGraph, _conjugation_orbits, _core_order
 
 DEFAULT_CLIQUE_BUDGET = 20_000_000
 _PAIR_BLOCK = 1 << 18  # forward-arc pairs looked up per numpy block
@@ -52,9 +68,60 @@ class CliqueResult:
 def clique_number(graph: TriangleGraph, node_budget: int | None = None) -> CliqueResult:
     """Exact maximum clique (loops ignored); budget exhaustion degrades the
     result to a certified lower bound.  node_budget None means
-    DEFAULT_CLIQUE_BUDGET."""
+    DEFAULT_CLIQUE_BUDGET.  A graph that conjugation by its labels splits
+    into vertex orbits is searched one orbit at a time, pinned at the
+    orbit's least vertex; nodes counts the pinned searches."""
     if node_budget is None:
         node_budget = DEFAULT_CLIQUE_BUDGET
+    found = _conjugation_orbits(graph)
+    if found is None:
+        return _search(graph, node_budget)
+    return _orbit_search(graph, found[1], node_budget)
+
+
+def _orbit_search(graph: TriangleGraph, orbits: list[list[int]], node_budget: int
+                  ) -> CliqueResult:
+    """The largest of r + a maximum clique of G[N(r) - earlier orbits] over
+    the orbits in order, r each orbit's least vertex, by _search under what
+    the earlier ones left of node_budget: exact only if every search ran
+    to its end.  The witness is re-checked on the graph."""
+    n = graph.n
+    tail = np.repeat(np.arange(n), np.diff(graph._indptr))
+    heads = graph._heads
+    fresh = np.ones(n, bool)  # in no earlier orbit
+    best: list[int] = []
+    nodes, exact = 0, True
+    for orbit in orbits:
+        r = orbit[0]
+        near = np.zeros(n, bool)
+        near[list(graph.neighbors(r))] = True
+        near &= fresh
+        fresh[orbit] = False
+        if np.count_nonzero(near) < len(best):  # r and all of them cannot beat best
+            continue
+        if nodes >= node_budget:
+            exact = False
+            break
+        vs = np.flatnonzero(near)
+        local = np.cumsum(near) - 1
+        arc = near[tail] & near[heads] & (tail < heads)
+        sub = TriangleGraph(range(len(vs)),
+                            np.stack((local[tail[arc]], local[heads[arc]]), axis=1))
+        res = _search(sub, node_budget - nodes)
+        nodes += res.nodes
+        if res.size >= len(best):
+            best = [r, *vs[list(res.witness)].tolist()]
+        if not res.exact:
+            exact = False
+            break
+    witness = tuple(sorted(best))
+    if not verify_clique(graph, witness):
+        raise AssertionError(f"orbit-pinned clique {witness} is not a clique")
+    return CliqueResult(len(witness), witness, exact, nodes)
+
+
+def _search(graph: TriangleGraph, node_budget: int) -> CliqueResult:
+    """The branch and bound of the module docstring on the whole graph."""
     n = graph.n
     if n == 0:
         return CliqueResult(0, (), True, 0)

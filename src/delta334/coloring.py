@@ -57,8 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cliques import CliqueResult, clique_number, verify_clique
-from .elements import CarrierMismatchError, GroupElement, compose, element_key, inverse
-from .graph import TriangleGraph, _core_order
+from .graph import TriangleGraph, _conjugation_orbits, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
 ITERATED_GREEDY_SEED = 0x334  # recorded in every CLI manifest
@@ -168,8 +167,11 @@ def chromatic_number_exact(graph: TriangleGraph,
     nodes = 0
     certificate: dict = {}
     position = core = None
+    deg = np.diff(graph._indptr)
     if (max(colors, default=0) + 1 > floor and (deadline is None or time.monotonic() < deadline)
-            and (maps := _conjugation_transitive(graph)) is not None):
+            and not (deg != deg[:1]).any() and (found := _conjugation_orbits(graph)) is not None
+            and len(found[1]) == 1):  # regular, one orbit: vertex-transitive
+        maps = found[0]
         alpha = _pinned_alpha(graph, 0, max(node_budget - clique.nodes * own_clique, 0))
         nodes, bound = alpha.nodes, -(-graph.n // alpha.size)  # chi >= n / alpha, as transitive
         if alpha.exact and bound > floor:
@@ -214,43 +216,6 @@ def chromatic_number_exact(graph: TriangleGraph,
     return ChromaticResult(lower_all, upper_all, witness if witness.proper else None,
                            exact, {**certificate, "lower_bound_clique": clique.witness},
                            nodes)
-
-
-def _conjugation_transitive(graph: TriangleGraph) -> list[int] | None:
-    """The first label ids x whose conjugations v -> x v x^-1, each checked
-    to be a bijection mapping the arcs onto the arcs, leave one vertex
-    orbit; None if the graph is not regular, a label is not a group
-    element, a conjugate is not a label, or a map fails or merges nothing."""
-    n, deg = graph.n, np.diff(graph._indptr)
-    if (deg != deg[:1]).any() or not all(isinstance(x, GroupElement) for x in graph.labels):
-        return None
-    index = {element_key(x): i for i, x in enumerate(graph.labels)}
-    arcs = np.repeat(np.arange(n), deg) * n + graph._heads  # sorted, as the rows are
-    orbit, maps = {v: {v} for v in range(n)}, []  # vertex -> its orbit, a shared set
-    for i, x in enumerate(graph.labels):
-        try:
-            x_inv = inverse(x)
-            image = [index.get(element_key(compose(compose(x, y), x_inv))) for y in graph.labels]
-        except CarrierMismatchError:
-            return None
-        if None in image or len(set(image)) < n:
-            return None
-        perm = np.array(image)
-        if not np.array_equal(np.sort(np.repeat(perm, deg) * n + perm[graph._heads]), arcs):
-            return None
-        merged = False
-        for v, w in enumerate(image):
-            small, big = sorted((orbit[v], orbit[w]), key=len)
-            if small is not big:
-                big |= small
-                orbit.update(dict.fromkeys(small, big))
-                merged = True
-        if not merged:
-            return None
-        maps.append(i)
-        if len(orbit[0]) == n:
-            return maps
-    return None
 
 
 def _pinned_alpha(graph: TriangleGraph, v: int, node_budget: int | None = None) -> CliqueResult:

@@ -1,8 +1,9 @@
 """The 334-triangle graph: vertices are order-dividing-3 group elements,
 with an edge between a and b exactly when (ab)^4 = e.
 
-Also here: the core decomposition, Kronecker (tensor) products, graph
-morphisms induced by mod-p reduction, and a small-graph isomorphism test by
+Also here: the core decomposition, the vertex orbits under conjugation by
+the graph's own labels, Kronecker (tensor) products, graph morphisms
+induced by mod-p reduction, and a small-graph isomorphism test by
 networkx's VF2++ search.
 """
 
@@ -13,23 +14,28 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain, repeat
 from operator import index
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_args
 
 import numpy as np
 
 from .elements import (
+    CarrierMismatchError,
     DirectSumElement,
     GroupElement,
     IntMatrix3,
     ModMatrix,
+    OverflowBoundError,
     compose,
     element_key,
     entry_array,
     has_order_dividing_3,
+    inverse,
     is_prime,
     mat3_mul,
 )
 from .groups import ElementSet
+
+_CARRIERS = get_args(GroupElement)  # the element classes, for a fast isinstance
 
 
 class TriangleGraph:
@@ -190,6 +196,96 @@ def _core_order(graph: TriangleGraph) -> tuple[list[int], list[int]]:
                 heappush(heaps[deg[w]], w)
         d = max(d - 1, 0)  # no remaining degree fell below d - 1
     return order, core
+
+
+def _conjugation_orbits(graph: TriangleGraph) -> tuple[list[int], list[list[int]]] | None:
+    """(maps, orbits): the vertex orbits of the automorphisms that
+    conjugation by the graph's own labels induces, each ascending and in
+    order of its least vertex, and the ids of the labels whose maps merged
+    them; None when no map merges two vertices.  Each map v -> x v x^-1 must be a bijection of the
+    labels that takes the sorted arcs onto themselves, so the orbits hold
+    whether or not the maps act transitively.  A label that is not a group
+    element, a missing conjugate or a failed check ends the attempt with
+    None; a map that merges nothing is skipped.  Labels 0, 1, ... are tried
+    until the orbits are as few as the distinct degrees (no automorphism
+    joins two degrees) or n.bit_length() + 1 labels are spent.  A map fixes
+    its own label's vertex, so the first one must take that vertex's
+    neighbors onto themselves: tested before all labels are indexed, this
+    ends a portion, whose conjugates leave it, within a few conjugates.
+    Nothing is kept on the graph."""
+    n, labels = graph.n, graph.labels
+    deg = np.diff(graph._indptr)
+    count, maps, index = n, [], None
+    degrees = 0  # counted with the index: no two or more vertices have n degrees
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, x in enumerate(labels[:n.bit_length() + 1]):
+        if count == degrees:
+            break
+        try:
+            x_inv = inverse(x)
+            if index is None:
+                near = list(graph.neighbors(i))
+                if not all(isinstance(labels[w], _CARRIERS) for w in near):
+                    return None
+                keys, conjugates = _conjugate_keys(labels)
+                near_keys = set(keys(near))
+                if not all(key in near_keys for key in conjugates(x, x_inv, near)):
+                    return None
+                if not all(isinstance(y, _CARRIERS) for y in labels):
+                    return None
+                index = dict(zip(keys(range(n)), range(n)))
+                degrees = np.count_nonzero(np.bincount(deg))  # np.unique would import numpy.ma
+                parent = list(range(n))  # union-find; a root is its orbit's least vertex
+                arcs = np.repeat(np.arange(n), deg) * n + graph._heads  # sorted
+            image = [index.get(key) for key in conjugates(x, x_inv, range(n))]
+        except (CarrierMismatchError, OverflowBoundError):
+            return None
+        if None in image or len(set(image)) < n:
+            return None
+        perm = np.array(image)
+        if not np.array_equal(np.sort(np.repeat(perm, deg) * n + perm[graph._heads]), arcs):
+            return None
+        merged = count
+        for v, w in enumerate(image):
+            a, b = find(v), find(w)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                count -= 1
+        if count < merged:
+            maps.append(i)
+    if not maps:
+        return None
+    orbits: dict[int, list[int]] = {}
+    for v in range(n):
+        orbits.setdefault(find(v), []).append(v)
+    return maps, list(orbits.values())
+
+
+def _conjugate_keys(labels: Sequence[GroupElement]) -> tuple[Callable, Callable]:
+    """Two functions of vertex ids: the keys of their labels, and, given x
+    and x^-1, the keys of x y x^-1 over their labels y (lazily, so a check
+    can stop at the first miss).  Element keys; for dim-3 matrices mod one
+    prime p, their entries as base-p numbers, conjugated in one numpy step."""
+    p = getattr(labels[0], "p", 0)
+    if p ** 9 < 2 ** 63 and all(isinstance(y, ModMatrix) and y.dim == 3 and y.p == p
+                                 for y in labels):
+        res = np.array([y.entries for y in labels]).reshape(-1, 3, 3)
+        weights = p ** np.arange(9)
+
+        def code(mats: np.ndarray) -> list[int]:
+            return (mats.reshape(-1, 9) % p @ weights).tolist()
+
+        return (lambda vs: code(res[vs]),
+                lambda x, x_inv, vs: code(np.reshape(x.entries, (3, 3)) @ res[vs] % p
+                                          @ np.reshape(x_inv.entries, (3, 3))))
+    return (lambda vs: [element_key(labels[v]) for v in vs],
+            lambda x, x_inv, vs: (element_key(compose(compose(x, labels[v]), x_inv))
+                                  for v in vs))
 
 
 def _product_order_divides_4(x: GroupElement, y: GroupElement) -> bool:

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta334 import cliques
+from delta334 import graph as graph_module
 from delta334.cliques import CliqueResult, clique_number, verify_clique
+from delta334.elements import compose, inverse
 from delta334.generation import GenerationConfig, generate_and_build
-from delta334.graph import TriangleGraph, _core_order, build_delta334
-from delta334.groups import order3_vertices, parse_group_spec
+from delta334.graph import TriangleGraph, _conjugation_orbits, _core_order, build_delta334
+from delta334.groups import conjugacy_classes, order3_vertices, parse_group_spec
 
 import oracles
 import toys
@@ -95,8 +97,10 @@ class TestSameTreeAsTheOracle:
         for budget in (top, 0, 1, 2, 3, 7, 50, 400):
             assert clique_number(graph, budget) == oracles.oracle_clique_search(graph, budget)
 
+    # the group graphs integer-labelled, so the whole graph is searched; as
+    # labelled, their conjugation orbits pin the search (TestOrbitSearch)
     def test_sl32(self):
-        g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
+        g = toys.integer_labelled(build_delta334(order3_vertices(parse_group_spec("SL3(2)"))))
         want = CliqueResult(5, (0, 3, 8, 26, 42), True, 687)
         assert clique_number(g) == oracles.oracle_clique_search(g) == want
 
@@ -106,7 +110,8 @@ class TestSameTreeAsTheOracle:
         (None, CliqueResult(6, (1, 17, 29, 53, 391, 722), True, 228_076)),
     ])
     def test_sl33(self, sl33, budget, want):
-        assert clique_number(sl33, budget) == oracles.oracle_clique_search(sl33, budget) == want
+        g = toys.integer_labelled(sl33)
+        assert clique_number(g, budget) == oracles.oracle_clique_search(g, budget) == want
 
     def test_portion_5k(self, portion_5k):
         res = clique_number(portion_5k)
@@ -125,6 +130,103 @@ class TestSameTreeAsTheOracle:
         res = clique_number(g)
         assert res == oracles.oracle_clique_search(g)
         assert (res.size, res.witness, res.exact) == (3, (0, 1, 2), True)
+
+
+def group_graph(spec, include_identity=False):
+    return build_delta334(order3_vertices(parse_group_spec(spec), include_identity))
+
+
+ORBIT_GRAPHS = ["Z3", "A4", "S4", "SL2(3)", "S5", "A5", "SL2(5)", "A6", "SL3(2)",
+                "sum(Z3,Z3)", "A4+e"]
+
+
+class TestConjugationOrbits:
+    """Orbits of verified conjugation maps, against the group's conjugacy
+    classes found by conjugating with its generators."""
+
+    def test_sl33_orbits_are_the_conjugacy_classes(self, sl33):
+        spec = parse_group_spec("SL3(3)")
+        classes = conjugacy_classes(spec, order3_vertices(spec))
+        want = sorted(sorted(sl33.vertex_of(x) for x in part) for part in classes)
+        maps, orbits = _conjugation_orbits(sl33)
+        assert orbits == want and [len(o) for o in orbits] == [104, 624]
+        assert maps == [0, 1, 3]  # label 2's map merges nothing and is skipped
+
+    def test_sl32_is_one_orbit(self):
+        assert _conjugation_orbits(group_graph("SL3(2)")) == ([0, 1, 2], [list(range(56))])
+
+    def test_a6_orbits_keep_the_cycle_type(self):
+        # inner conjugation never joins the 3-cycles to the double
+        # 3-cycles: 40 of each, however many labels are spent
+        g = group_graph("A6")
+        maps, orbits = _conjugation_orbits(g)
+        assert maps == [0, 2] and sum(map(len, orbits)) == 80
+        for orbit in orbits:
+            assert len({g.labels[v].cycles().count("(") for v in orbit}) == 1
+
+    @pytest.mark.parametrize("spec", ["SL3(2)", "SL3(3)", "A6"])
+    def test_conjugate_keys_are_the_group_conjugates(self, spec):
+        # SL3(p) labels conjugate in one numpy step, A6's by compose
+        g = group_graph(spec)
+        keys, conjugates = graph_module._conjugate_keys(g.labels)
+        index = dict(zip(keys(range(g.n)), range(g.n)))
+        for i in (0, 1, 5, g.n - 1):
+            x, x_inv = g.labels[i], inverse(g.labels[i])
+            assert [index[key] for key in conjugates(x, x_inv, range(g.n))] == [
+                g.vertex_of(compose(compose(x, y), x_inv)) for y in g.labels]
+
+    @pytest.mark.parametrize("spec", ["Z3", "sum(Z3,Z3)"])
+    def test_abelian_groups_have_no_orbits(self, spec):
+        assert _conjugation_orbits(group_graph(spec)) is None
+
+    def test_integer_labels_have_no_orbits(self):
+        assert _conjugation_orbits(toys.petersen_graph()) is None
+
+    def test_a_portion_ends_at_its_first_neighbors(self, portion_5k, monkeypatch):
+        # label 0's neighbors conjugate out of the portion, so no index of
+        # all its labels is built, and nothing is kept on the graph
+        seen = []
+        real = graph_module.element_key
+        monkeypatch.setattr(graph_module, "element_key", lambda x: seen.append(x) or real(x))
+        assert _conjugation_orbits(portion_5k) is None
+        assert len(seen) <= 2 * portion_5k.degree(0)
+        assert portion_5k._key_index is None
+
+
+class TestOrbitSearch:
+    """One pinned search per conjugation orbit: at every budget the result
+    stays within it, its witness is a clique, and an exact size is the
+    whole-graph search's on an integer-labelled copy."""
+
+    @pytest.mark.parametrize("spec", ORBIT_GRAPHS)
+    def test_matches_the_oracle_at_every_budget(self, spec):
+        g = group_graph("A4", True) if spec == "A4+e" else group_graph(spec)
+        want = oracles.oracle_clique_search(toys.integer_labelled(g)).size
+        for budget in (None, 0, 1, 2, 3, 7, 50, 400):
+            res = clique_number(g, budget)
+            assert res.nodes <= (cliques.DEFAULT_CLIQUE_BUDGET if budget is None else budget)
+            assert len(res.witness) == res.size and verify_clique(g, res.witness)
+            assert res.size == want if res.exact else res.size <= want
+        assert clique_number(g).exact
+
+    def test_identity_vertex_is_its_own_orbit(self):
+        g = group_graph("A4", True)
+        maps, orbits = _conjugation_orbits(g)
+        assert g.loops == {0} and [0] in orbits
+
+    def test_sl32(self):
+        g = group_graph("SL3(2)")
+        assert clique_number(g) == CliqueResult(5, (0, 10, 14, 28, 37), True, 39)
+
+    @pytest.mark.parametrize("budget, want", [
+        (5, CliqueResult(4, (0, 5, 6, 27), False, 5)),
+        (1_754, CliqueResult(6, (1, 18, 28, 34, 448, 625), False, 1_754)),
+        (None, CliqueResult(6, (1, 18, 28, 34, 448, 625), True, 1_754)),
+    ])
+    def test_sl33(self, sl33, budget, want):
+        # 762 nodes pinned at vertex 0 (the 104-class) find omega >= 5, and
+        # 992 pinned at vertex 1 (the 624-class, without the 104) find 6
+        assert clique_number(sl33, budget) == want
 
 
 class TestPairBlocks:

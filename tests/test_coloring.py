@@ -21,7 +21,13 @@ from delta334.coloring import (
     improve_coloring,
     lift_coloring,
 )
-from delta334.graph import TriangleGraph, _core_order, build_delta334, induced_morphism
+from delta334.graph import (
+    TriangleGraph,
+    _conjugation_orbits,
+    _core_order,
+    build_delta334,
+    induced_morphism,
+)
 from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.groups import ElementSet, order3_vertices, parse_group_spec
 from delta334.elements import compose, inverse, parametric_order3
@@ -167,13 +173,16 @@ class TestExact:
             assert find_coloring_violation(toys.petersen_graph(),
                                            res.coloring.colors) is None
 
-    # the clique search finds omega = 5 in 687 nodes; cut before its first
-    # edge, it leaves the trivial lower bound 2.  The pinned alpha search
-    # gets what the clique search leaves: it proves alpha = 7, so chi = 8, in
-    # 1,820 nodes, and a cut one adds nothing
+    # the clique search, pinned in the one conjugation orbit, finds omega = 5
+    # in 39 nodes; cut before its first edge, it leaves the trivial lower
+    # bound 2.  The pinned alpha search gets what the clique search leaves:
+    # it proves alpha = 7, so chi = 8, in 1,820 nodes, so 39 + 1,820 is one
+    # node short, and a cut one adds nothing
     @pytest.mark.parametrize("budget, bounds", [pytest.param(0, (2, 8, False), id="0"),
                                                 pytest.param(1, (2, 8, False), id="1"),
-                                                pytest.param(2000, (5, 8, False), id="2000"),
+                                                pytest.param(1859, (5, 8, False), id="1859"),
+                                                pytest.param(1860, (8, 8, True), id="1860"),
+                                                pytest.param(2000, (8, 8, True), id="2000"),
                                                 pytest.param(5000, (8, 8, True), id="5000")])
     def test_node_budget_is_a_hard_cap(self, budget, bounds, monkeypatch):
         g = build_delta334(order3_vertices(parse_group_spec("SL3(2)")))
@@ -183,7 +192,8 @@ class TestExact:
         assert (res.lower, res.upper, res.exact) == bounds
 
     def test_node_budget_caps_the_clique_search(self, monkeypatch):
-        # unbudgeted, SL3(3)'s clique search proves omega = 6 in 228,076 nodes
+        # unbudgeted, SL3(3)'s orbit-pinned clique search proves omega = 6 in
+        # 1,754 nodes
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         clique_nodes = toys.spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=5)
@@ -192,7 +202,7 @@ class TestExact:
         assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_time_budget_covers_the_clique_search(self):
-        # SL3(3)'s clique search (228,076 nodes, ~0.3 s) runs inside the budget
+        # SL3(3)'s clique search (1,754 nodes, ~0.05 s) runs inside the budget
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         start = time.monotonic()
         res = chromatic_number_exact(g, time_budget=1.0)
@@ -213,14 +223,20 @@ class TestExact:
         # the nodes and coloring of the search, from before its forward
         # checking moved to bitboards, and kept since by the loop that refuses
         # a dead color before moving a mask and stops at a vertex's last
-        # candidate: the search order must not change, and passing the clique
-        # it would find itself changes nothing
+        # candidate: the search order must not change.  With the clique of
+        # the whole-graph search pinned, k = 29 is colored within the budget;
+        # with the orbit-pinned search's clique it is not, and passing the
+        # clique it would find itself changes nothing
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
-        for clique in (None, cliques.clique_number(g, node_budget=50_000)):
+        whole = cliques.clique_number(toys.integer_labelled(g), node_budget=50_000)
+        assert whole.witness == (1, 17, 29, 53, 391, 722)
+        for clique, upper, want in [(whole, 29, "5bca5e1c1511086c"),
+                                    (None, 30, "918cd3d5d2c883b0"),
+                                    (cliques.clique_number(g, node_budget=50_000), 30,
+                                     "918cd3d5d2c883b0")]:
             res = chromatic_number_exact(g, node_budget=50_000, clique=clique)
-            assert (res.lower, res.upper, res.nodes, res.exact) == (6, 29, 50_000, False)
-            digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
-            assert digest[:16] == "5bca5e1c1511086c"
+            assert (res.lower, res.upper, res.nodes, res.exact) == (6, upper, 50_000, False)
+            assert hashlib.sha256(bytes(res.coloring.colors)).hexdigest()[:16] == want
 
     def test_components_share_the_node_budget(self, monkeypatch):
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the
@@ -407,7 +423,7 @@ class TestSplitSearch:
         # coloring it starts from as it is
         forked = allow_split(monkeypatch, coloring.SPLIT_AFTER_NODES)
         colors = list(chromatic_number_exact(SL32).coloring.colors)
-        clique = list(cliques.clique_number(SL32).witness)
+        clique = list(cliques.clique_number(toys.integer_labelled(SL32)).witness)
         result = _core_search(SL32, 7, list(range(SL32.n)), clique, colors, None,
                               coloring.DEFAULT_COLOR_NODE_BUDGET)
         assert result == ("unsat", 1_176_185)
@@ -655,8 +671,8 @@ class TestSymmetryBound:
         assert not any(graph.has_edge(a, b) for a in res.witness for b in res.witness)
 
     def test_sl32_maps_are_verified_automorphisms(self):
-        maps = coloring._conjugation_transitive(SL32)
-        assert maps == [0, 1, 2]
+        maps, orbits = _conjugation_orbits(SL32)
+        assert maps == [0, 1, 2] and orbits == [list(range(56))]
         edges = set(SL32.edges())
         for i in maps:
             x, x_inv = SL32.labels[i], inverse(SL32.labels[i])
@@ -665,19 +681,38 @@ class TestSymmetryBound:
 
     @pytest.mark.parametrize("name", ["portion-5k", "SL3(3)", "SL3(2)-swapped"])
     def test_not_transitive(self, name):
-        if name == "portion-5k":  # not regular
+        if name == "portion-5k":  # conjugates leave the portion: no orbits
             graph = generate_and_build(GenerationConfig(target_vertices=5000)).graph
-        elif name == "SL3(3)":  # degrees 118 and 136
+            assert _conjugation_orbits(graph) is None
+        elif name == "SL3(3)":  # two orbits, of degrees 136 and 118
             graph = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
+            assert [len(orbit) for orbit in _conjugation_orbits(graph)[1]] == [104, 624]
         else:  # edges a b, c d swapped for a c, b d: still 19-regular, but
-            # conjugation by label 0 no longer maps the arcs onto the arcs
-            a, b = SL32.edges()[0]
-            c, d = next((c, d) for c, d in SL32.edges() if len({a, b, c, d}) == 4
+            # conjugation by label 0 no longer maps the arcs onto the arcs.
+            # All four lie outside N[0], so the map still takes label 0's
+            # neighbors onto themselves and only the arc check can fail
+            far = {v for v in range(1, SL32.n) if not SL32.has_edge(0, v)}
+            a, b = next((a, b) for a, b in SL32.edges() if {a, b} <= far)
+            c, d = next((c, d) for c, d in SL32.edges() if {c, d} <= far
+                        and len({a, b, c, d}) == 4
                         and not SL32.has_edge(a, c) and not SL32.has_edge(b, d))
             graph = TriangleGraph(SL32.labels,
                                   set(SL32.edges()) - {(a, b), (c, d)} | {(a, c), (b, d)})
             assert graph.degree_histogram() == {19: 56}
-        assert coloring._conjugation_transitive(graph) is None
+            assert graph.neighbors(0) == SL32.neighbors(0)
+            assert _conjugation_orbits(graph) is None
+
+    def test_a6_is_not_certified_by_independence(self, monkeypatch):
+        # A6 is 28-regular, but conjugation keeps the 40 3-cycles apart from
+        # the 40 double 3-cycles, so alpha through one vertex bounds nothing:
+        # no alpha search runs, and chi = 9 is never reported from one
+        g = build_delta334(order3_vertices(parse_group_spec("A6")))
+        calls = spy_calls(monkeypatch, "_pinned_alpha")
+        for budget in (0, 1_000, 20_000):
+            res = chromatic_number_exact(g, node_budget=budget)
+            assert "independent_set" not in res.certificate
+            assert not (res.exact and res.chi == 9)
+        assert calls == {"_pinned_alpha": []}
 
     def test_sl32_chi_needs_no_descent(self, monkeypatch):
         # the greedy coloring meets n / alpha, so no core decomposition and

@@ -122,3 +122,9 @@ def mycielski(g):
     n = g.n
     edges = list(g.edges()) + [(n + v, w) for v in range(n) for w in g.neighbors(v)]
     return TriangleGraph(range(2 * n + 1), edges + [(n + v, 2 * n) for v in range(n)])
+
+
+def integer_labelled(g):
+    """g's vertices, edges and loops labelled 0, 1, ...: no labels to
+    conjugate, so clique_number searches the whole graph at once."""
+    return TriangleGraph(range(g.n), g.edges(), g.loops)
