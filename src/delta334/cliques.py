@@ -30,19 +30,23 @@ found so far is returned flagged as a lower bound only.
 
 A graph whose labels are group elements that conjugation maps onto one
 another is searched one vertex orbit at a time (graph._conjugation_orbits:
-orbits of the maps v -> x v x^-1 by its first labels, each map checked to
-be a bijection taking the arcs onto the arcs; labels are tried until the
-orbits are as few as the distinct degrees, or n.bit_length() + 1 labels
-are spent).  With the orbits O_1, O_2, ... in order of their least
-vertices r_i, omega is the largest of 1 + omega(G[N(r_i) - O_1 - ... -
-O_(i-1)]).  It is sound under any set of verified automorphisms: take a
-maximum clique and the earliest orbit O_i that it meets, at u; a product
-of the maps takes u to r_i, keeps every orbit onto itself, so the image
-is a maximum clique through r_i that misses O_1, ..., O_(i-1).  Each
-neighborhood goes to the search above under what the earlier ones left of
-the budget, the result is exact only if every one ran to its end, and its
-witness is re-checked on the graph.  On SL3(3) (orbits of 104 and 624
-vertices) that is 1,754 nodes against 228,076 for the whole graph.
+orbits of the maps v -> x v x^-1 by its labels, each map checked to be a
+bijection taking the arcs onto the arcs; a label is tried only while its
+orbit holds no tried one, until the orbits are as few as the distinct
+degrees or n.bit_length() + 1 labels are spent).  With the orbits O_1,
+O_2, ... in order of degree and then of least vertex r_i, omega is the
+largest of 1 + omega(G[N(r_i) - O_1 - ... - O_(i-1)]).  It is sound under
+any set of verified automorphisms: take a maximum clique and the earliest
+orbit O_i that it meets, at u; a product of the maps takes u to r_i and
+keeps every orbit onto itself, so the image is a maximum clique through
+r_i that misses O_1, ..., O_(i-1).  Each r_i is one outer step of the
+search above, with that neighborhood as P, and the best clique so far
+bounds every step; the result is exact only if every step ran to its end,
+and its witness is re-checked on the graph.  The first step is the whole
+search's first too, as its vertex, the least of least degree, has every
+neighbor after it in the degeneracy order, so both find the same first
+clique.  On SL3(3) (orbits of 104 and 624 vertices) that is 1,267 nodes
+against 228,076 for the whole graph, and the same witness.
 """
 
 from __future__ import annotations
@@ -71,62 +75,60 @@ def clique_number(graph: TriangleGraph, node_budget: int | None = None) -> Cliqu
     DEFAULT_CLIQUE_BUDGET.  A graph that conjugation by its labels splits
     into vertex orbits is searched one orbit at a time, pinned at the
     orbit's least vertex; nodes counts the pinned searches."""
+    return _clique_search(graph, node_budget, _conjugation_orbits(graph))
+
+
+def _clique_search(graph: TriangleGraph, node_budget: int | None,
+                   found: tuple[list[int], list[list[int]]] | None) -> CliqueResult:
+    """clique_number with the graph's conjugation orbits already found:
+    graph._conjugation_orbits(graph), None for the plain search."""
     if node_budget is None:
         node_budget = DEFAULT_CLIQUE_BUDGET
-    found = _conjugation_orbits(graph)
+    if graph.n == 0:
+        return CliqueResult(0, (), True, 0)
     if found is None:
-        return _search(graph, node_budget)
-    return _orbit_search(graph, found[1], node_budget)
+        order, _ = _core_order(graph)
+        start, heads, rows = _later_rows(graph, order)
+        return _branch_and_bound(((v, heads, rows, start[v], start[v + 1]) for v in order),
+                                 node_budget)
+    res = _branch_and_bound(_orbit_steps(graph, found[1]), node_budget)
+    if not verify_clique(graph, res.witness):
+        raise AssertionError(f"orbit-pinned clique {res.witness} is not a clique")
+    return res
 
 
-def _orbit_search(graph: TriangleGraph, orbits: list[list[int]], node_budget: int
-                  ) -> CliqueResult:
-    """The largest of r + a maximum clique of G[N(r) - earlier orbits] over
-    the orbits in order, r each orbit's least vertex, by _search under what
-    the earlier ones left of node_budget: exact only if every search ran
-    to its end.  The witness is re-checked on the graph."""
-    n = graph.n
-    tail = np.repeat(np.arange(n), np.diff(graph._indptr))
-    heads = graph._heads
+def _orbit_steps(graph: TriangleGraph, orbits: list[list[int]]):
+    """One step of _branch_and_bound per orbit, in order of degree and
+    then of least vertex: the orbit's least vertex r, the list P of the
+    neighbors of r in no earlier orbit and their rows, sliced whole.  The
+    first step is the plain search's first, whose vertex has every
+    neighbor after it."""
+    n, indptr, heads = graph.n, graph._indptr, graph._heads
+    deg = np.diff(indptr)
+    tail = np.repeat(np.arange(n), deg)
     fresh = np.ones(n, bool)  # in no earlier orbit
-    best: list[int] = []
-    nodes, exact = 0, True
-    for orbit in orbits:
+    for orbit in sorted(orbits, key=lambda o: (deg[o[0]], o[0])):
         r = orbit[0]
         near = np.zeros(n, bool)
-        near[list(graph.neighbors(r))] = True
+        near[heads[indptr[r]:indptr[r + 1]]] = True
         near &= fresh
         fresh[orbit] = False
-        if np.count_nonzero(near) < len(best):  # r and all of them cannot beat best
-            continue
-        if nodes >= node_budget:
-            exact = False
-            break
-        vs = np.flatnonzero(near)
         local = np.cumsum(near) - 1
-        arc = near[tail] & near[heads] & (tail < heads)
-        sub = TriangleGraph(range(len(vs)),
-                            np.stack((local[tail[arc]], local[heads[arc]]), axis=1))
-        res = _search(sub, node_budget - nodes)
-        nodes += res.nodes
-        if res.size >= len(best):
-            best = [r, *vs[list(res.witness)].tolist()]
-        if not res.exact:
-            exact = False
-            break
-    witness = tuple(sorted(best))
-    if not verify_clique(graph, witness):
-        raise AssertionError(f"orbit-pinned clique {witness} is not a clique")
-    return CliqueResult(len(witness), witness, exact, nodes)
+        arc = near[tail] & near[heads]
+        width = int(local[-1]) + 1
+        words = (width + 63) >> 6
+        row_words = np.zeros(width * words, np.uint64)
+        bit = local[heads[arc]]
+        np.bitwise_or.at(row_words, local[tail[arc]] * words + (bit >> 6),
+                         np.uint64(1) << (bit & 63).astype(np.uint64))
+        yield r, np.flatnonzero(near).tolist(), _row_ints(row_words, words), 0, width
 
 
-def _search(graph: TriangleGraph, node_budget: int) -> CliqueResult:
-    """The branch and bound of the module docstring on the whole graph."""
-    n = graph.n
-    if n == 0:
-        return CliqueResult(0, (), True, 0)
-    order, _ = _core_order(graph)
-    start, heads, arc_rows = _later_rows(graph, order)
+def _branch_and_bound(steps, node_budget: int) -> CliqueResult:
+    """The branch and bound of the module docstring over `steps`, each a
+    vertex v, lists of vertices and of rows, and the slice [a, z) of both
+    that holds the vertices P that v's cliques may add and their rows:
+    mask j of row i is set when P[i] and P[j] are adjacent."""
     best: list[int] = []
     nodes = 0
     later: list[int] = []   # local bit -> vertex, for the current outer vertex
@@ -165,8 +167,7 @@ def _search(graph: TriangleGraph, node_budget: int) -> CliqueResult:
                 r.pop()  # a spent budget returns at the next count
             p ^= b
 
-    for v in order:
-        a, z = start[v], start[v + 1]
+    for v, heads, arc_rows, a, z in steps:
         if z - a + 1 <= len(best):
             continue
         nodes += 1
@@ -229,14 +230,16 @@ def _later_rows(graph: TriangleGraph, order: list[int]
         np.bitwise_or.at(row_words, arc * words + (bit >> 6),
                          np.uint64(1) << (bit & 63).astype(np.uint64))
 
+    return start.tolist(), fhead.tolist(), _row_ints(row_words, words)
+
+
+def _row_ints(row_words: np.ndarray, words: int) -> list[int]:
+    """Each run of `words` uint64 words, low word first, as one Python int."""
     if words <= 1:  # none when there is no forward arc
-        rows = row_words.tolist()
-    else:
-        raw = row_words.astype("<u8").tobytes()
-        size = 8 * words
-        rows = [int.from_bytes(raw[k:k + size], "little")
-                for k in range(0, len(raw), size)]
-    return start.tolist(), fhead.tolist(), rows
+        return row_words.tolist()
+    raw = row_words.astype("<u8").tobytes()
+    size = 8 * words
+    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
 
 
 def verify_clique(graph: TriangleGraph, vertices: tuple[int, ...]) -> bool:

@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliques import CliqueResult, clique_number, verify_clique
+from .cliques import CliqueResult, _clique_search, clique_number, verify_clique
 from .graph import TriangleGraph, _conjugation_orbits, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
@@ -156,8 +156,9 @@ def chromatic_number_exact(graph: TriangleGraph,
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
     own_clique = clique is None  # its nodes are not the alpha search's to spend
+    found = _conjugation_orbits(graph)  # for the clique search and the alpha bound
     if own_clique:
-        clique = clique_number(graph, node_budget=node_budget)
+        clique = _clique_search(graph, node_budget, found)
     elif not verify_clique(graph, clique.witness):
         raise ValueError(f"{clique.witness} is not a clique of the graph")
 
@@ -167,17 +168,14 @@ def chromatic_number_exact(graph: TriangleGraph,
     nodes = 0
     certificate: dict = {}
     position = core = None
-    deg = np.diff(graph._indptr)
     if (max(colors, default=0) + 1 > floor and (deadline is None or time.monotonic() < deadline)
-            and not (deg != deg[:1]).any() and (found := _conjugation_orbits(graph)) is not None
-            and len(found[1]) == 1):  # regular, one orbit: vertex-transitive
-        maps = found[0]
+            and found is not None and len(found[1]) == 1):  # one orbit: vertex-transitive
         alpha = _pinned_alpha(graph, 0, max(node_budget - clique.nodes * own_clique, 0))
         nodes, bound = alpha.nodes, -(-graph.n // alpha.size)  # chi >= n / alpha, as transitive
         if alpha.exact and bound > floor:
             floor = bound
             certificate = {"infeasible_k": bound - 1, "nodes": nodes, "exhausted": True,
-                           "independent_set": alpha.witness, "automorphisms": maps}
+                           "independent_set": alpha.witness, "automorphisms": found[0]}
 
     for comp in components(graph):
         upper = max(colors[v] for v in comp) + 1

@@ -25,6 +25,7 @@ from .elements import (
     IntMatrix3,
     ModMatrix,
     OverflowBoundError,
+    Permutation,
     compose,
     element_key,
     entry_array,
@@ -202,30 +203,40 @@ def _conjugation_orbits(graph: TriangleGraph) -> tuple[list[int], list[list[int]
     """(maps, orbits): the vertex orbits of the automorphisms that
     conjugation by the graph's own labels induces, each ascending and in
     order of its least vertex, and the ids of the labels whose maps merged
-    them; None when no map merges two vertices.  Each map v -> x v x^-1 must be a bijection of the
-    labels that takes the sorted arcs onto themselves, so the orbits hold
-    whether or not the maps act transitively.  A label that is not a group
-    element, a missing conjugate or a failed check ends the attempt with
-    None; a map that merges nothing is skipped.  Labels 0, 1, ... are tried
-    until the orbits are as few as the distinct degrees (no automorphism
-    joins two degrees) or n.bit_length() + 1 labels are spent.  A map fixes
-    its own label's vertex, so the first one must take that vertex's
-    neighbors onto themselves: tested before all labels are indexed, this
-    ends a portion, whose conjugates leave it, within a few conjugates.
-    Nothing is kept on the graph."""
+    them; None when no map merges two vertices.  Each map v -> x v x^-1
+    must be a bijection of the labels that takes the sorted arcs onto
+    themselves, so the orbits hold whether or not the maps act
+    transitively.  A label that is not a group element, a missing
+    conjugate or a failed check ends the attempt with None; a map that
+    merges nothing is skipped.
+
+    The label tried next is the least vertex whose orbit holds no label
+    tried so far.  A label y = g x g^-1 in the orbit of a tried x, with g a
+    product of tried labels, adds nothing: its map is the tried maps'
+    g-conjugate of x's.  So the orbits are closed under every label's map
+    once each holds a tried label, and the attempt stops there, when the
+    orbits are as few as the distinct degrees (no automorphism joins two
+    degrees), or after n.bit_length() + 1 labels.  A map fixes its own
+    label's vertex, so the first one must take that vertex's neighbors onto
+    themselves: tested before all labels are indexed, this ends a portion,
+    whose conjugates leave it, within a few conjugates.  Nothing is kept on
+    the graph."""
     n, labels = graph.n, graph.labels
     deg = np.diff(graph._indptr)
     count, maps, index = n, [], None
-    degrees = 0  # counted with the index: no two or more vertices have n degrees
+    degrees, i = 0, 0  # degrees is counted with the index; no orbit count is 0
 
     def find(v: int) -> int:
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         return v
 
-    for i, x in enumerate(labels[:n.bit_length() + 1]):
-        if count == degrees:
+    for _ in range(n.bit_length() + 1):
+        while index is not None and i < n and tried[find(i)]:
+            i += 1
+        if i == n or count == degrees:
             break
+        x = labels[i]
         try:
             x_inv = inverse(x)
             if index is None:
@@ -240,8 +251,9 @@ def _conjugation_orbits(graph: TriangleGraph) -> tuple[list[int], list[list[int]
                     return None
                 index = dict(zip(keys(range(n)), range(n)))
                 degrees = np.count_nonzero(np.bincount(deg))  # np.unique would import numpy.ma
-                parent = list(range(n))  # union-find; a root is its orbit's least vertex
                 arcs = np.repeat(np.arange(n), deg) * n + graph._heads  # sorted
+                parent = list(range(n))  # union-find; a root is its orbit's least vertex
+                tried = [False] * n      # at a root: its orbit holds a tried label
             image = [index.get(key) for key in conjugates(x, x_inv, range(n))]
         except (CarrierMismatchError, OverflowBoundError):
             return None
@@ -256,6 +268,7 @@ def _conjugation_orbits(graph: TriangleGraph) -> tuple[list[int], list[list[int]
             if a != b:
                 parent[max(a, b)] = min(a, b)
                 count -= 1
+        tried[find(i)] = True
         if count < merged:
             maps.append(i)
     if not maps:
@@ -269,23 +282,34 @@ def _conjugation_orbits(graph: TriangleGraph) -> tuple[list[int], list[list[int]
 def _conjugate_keys(labels: Sequence[GroupElement]) -> tuple[Callable, Callable]:
     """Two functions of vertex ids: the keys of their labels, and, given x
     and x^-1, the keys of x y x^-1 over their labels y (lazily, so a check
-    can stop at the first miss).  Element keys; for dim-3 matrices mod one
-    prime p, their entries as base-p numbers, conjugated in one numpy step."""
-    p = getattr(labels[0], "p", 0)
-    if p ** 9 < 2 ** 63 and all(isinstance(y, ModMatrix) and y.dim == 3 and y.p == p
-                                 for y in labels):
-        res = np.array([y.entries for y in labels]).reshape(-1, 3, 3)
-        weights = p ** np.arange(9)
+    can stop at the first miss).  Element keys; for permutations of one
+    size n, and for dim-3 matrices mod one prime p, their images or entries
+    as base-n or base-p numbers, conjugated in one numpy step."""
+    first = labels[0]
+    if isinstance(first, Permutation) and all(
+            isinstance(y, Permutation) and y.n == first.n for y in labels):
+        res, base = np.array([y.images for y in labels]), first.n  # n^n < 2^63 for n <= 12
 
-        def code(mats: np.ndarray) -> list[int]:
-            return (mats.reshape(-1, 9) % p @ weights).tolist()
+        def conjugate(x, x_inv, ys: np.ndarray) -> np.ndarray:  # i -> x(y(x^-1(i)))
+            return np.array(x.images)[ys[:, x_inv.images]]
+    elif (isinstance(first, ModMatrix) and first.dim == 3 and first.p ** 9 < 2 ** 63
+          and all(isinstance(y, ModMatrix) and y.dim == 3 and y.p == first.p for y in labels)):
+        res, base = np.array([y.entries for y in labels]).reshape(-1, 3, 3), first.p
 
-        return (lambda vs: code(res[vs]),
-                lambda x, x_inv, vs: code(np.reshape(x.entries, (3, 3)) @ res[vs] % p
-                                          @ np.reshape(x_inv.entries, (3, 3))))
-    return (lambda vs: [element_key(labels[v]) for v in vs],
-            lambda x, x_inv, vs: (element_key(compose(compose(x, labels[v]), x_inv))
-                                  for v in vs))
+        def conjugate(x, x_inv, ys: np.ndarray) -> np.ndarray:
+            return (np.reshape(x.entries, (3, 3)) @ ys % base
+                    @ np.reshape(x_inv.entries, (3, 3)) % base)
+    else:
+        return (lambda vs: [element_key(labels[v]) for v in vs],
+                lambda x, x_inv, vs: (element_key(compose(compose(x, labels[v]), x_inv))
+                                      for v in vs))
+    weights = base ** np.arange(res[0].size)
+
+    def code(ys: np.ndarray) -> list[int]:
+        return (ys.reshape(-1, len(weights)) @ weights).tolist()
+
+    return (lambda vs: code(res[vs]),
+            lambda x, x_inv, vs: code(conjugate(x, x_inv, res[vs])))
 
 
 def _product_order_divides_4(x: GroupElement, y: GroupElement) -> bool:

@@ -155,19 +155,38 @@ class TestConjugationOrbits:
     def test_sl32_is_one_orbit(self):
         assert _conjugation_orbits(group_graph("SL3(2)")) == ([0, 1, 2], [list(range(56))])
 
-    def test_a6_orbits_keep_the_cycle_type(self):
+    def test_a6_orbits_keep_the_cycle_type(self, monkeypatch):
         # inner conjugation never joins the 3-cycles to the double
-        # 3-cycles: 40 of each, however many labels are spent
+        # 3-cycles: 40 of each.  Labels 1 and 21 merge nothing, and once
+        # each orbit holds a tried label the attempt stops, 6 labels into
+        # its 8
         g = group_graph("A6")
+        tried = []
+        monkeypatch.setattr(graph_module, "inverse",
+                            lambda x: tried.append(g.vertex_of(x)) or inverse(x))
         maps, orbits = _conjugation_orbits(g)
-        assert maps == [0, 2] and sum(map(len, orbits)) == 80
+        assert tried == [0, 1, 2, 8, 20, 21]
+        assert maps == [0, 2, 8, 20] and [len(o) for o in orbits] == [40, 40]
         for orbit in orbits:
             assert len({g.labels[v].cycles().count("(") for v in orbit}) == 1
 
-    @pytest.mark.parametrize("spec", ["SL3(2)", "SL3(3)", "A6"])
+    @pytest.mark.parametrize("spec", ["A4", "SL2(3)", "S5", "SL2(5)", "A6", "SL3(2)", "A4+e"])
+    def test_orbits_are_closed_under_every_label(self, spec):
+        # the attempt stops once every orbit holds a tried label: every
+        # other label's map must then keep each orbit onto itself
+        g = group_graph("A4", True) if spec == "A4+e" else group_graph(spec)
+        maps, orbits = _conjugation_orbits(g)
+        orbit_of = {v: i for i, orbit in enumerate(orbits) for v in orbit}
+        for x in g.labels:
+            x_inv = inverse(x)
+            assert all(orbit_of[g.vertex_of(compose(compose(x, y), x_inv))] == orbit_of[v]
+                       for v, y in enumerate(g.labels))
+
+    @pytest.mark.parametrize("spec", ["SL3(2)", "SL3(3)", "A6", "S5", "A4+e", "SL2(5)"])
     def test_conjugate_keys_are_the_group_conjugates(self, spec):
-        # SL3(p) labels conjugate in one numpy step, A6's by compose
-        g = group_graph(spec)
+        # SL3(p) and permutation labels conjugate in one numpy step,
+        # SL2(5)'s by compose
+        g = group_graph("A4", True) if spec == "A4+e" else group_graph(spec)
         keys, conjugates = graph_module._conjugate_keys(g.labels)
         index = dict(zip(keys(range(g.n)), range(g.n)))
         for i in (0, 1, 5, g.n - 1):
@@ -215,18 +234,28 @@ class TestOrbitSearch:
         assert g.loops == {0} and [0] in orbits
 
     def test_sl32(self):
+        # one orbit: the whole-graph search's first step, and its witness
         g = group_graph("SL3(2)")
-        assert clique_number(g) == CliqueResult(5, (0, 10, 14, 28, 37), True, 39)
+        assert clique_number(g) == CliqueResult(5, (0, 3, 8, 26, 42), True, 40)
 
     @pytest.mark.parametrize("budget, want", [
-        (5, CliqueResult(4, (0, 5, 6, 27), False, 5)),
-        (1_754, CliqueResult(6, (1, 18, 28, 34, 448, 625), False, 1_754)),
-        (None, CliqueResult(6, (1, 18, 28, 34, 448, 625), True, 1_754)),
+        (5, CliqueResult(4, (1, 17, 23, 27), False, 5)),
+        (1_267, CliqueResult(6, (1, 17, 29, 53, 391, 722), False, 1_267)),
+        (None, CliqueResult(6, (1, 17, 29, 53, 391, 722), True, 1_267)),
     ])
     def test_sl33(self, sl33, budget, want):
-        # 762 nodes pinned at vertex 0 (the 104-class) find omega >= 5, and
-        # 992 pinned at vertex 1 (the 624-class, without the 104) find 6
+        # the 624-class has the lower degree (118 against 136), so its
+        # vertex 1 goes first: 1,242 nodes find the whole-graph search's
+        # witness; vertex 0's 28 neighbors outside that class take 25 more
         assert clique_number(sl33, budget) == want
+
+    @pytest.mark.parametrize("spec", ["SL3(2)", "SL3(3)", "A6", "S5"])
+    def test_first_step_is_the_whole_graph_searchs(self, spec, sl33):
+        # the least vertex of least degree comes first in the degeneracy
+        # order too, with every neighbor after it, so both searches find
+        # the same first clique; on these graphs it is a maximum one
+        g = sl33 if spec == "SL3(3)" else group_graph(spec)
+        assert clique_number(g).witness == clique_number(toys.integer_labelled(g)).witness
 
 
 class TestPairBlocks:

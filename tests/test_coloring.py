@@ -174,14 +174,14 @@ class TestExact:
                                            res.coloring.colors) is None
 
     # the clique search, pinned in the one conjugation orbit, finds omega = 5
-    # in 39 nodes; cut before its first edge, it leaves the trivial lower
+    # in 40 nodes; cut before its first edge, it leaves the trivial lower
     # bound 2.  The pinned alpha search gets what the clique search leaves:
-    # it proves alpha = 7, so chi = 8, in 1,820 nodes, so 39 + 1,820 is one
+    # it proves alpha = 7, so chi = 8, in 1,820 nodes, so 40 + 1,820 is one
     # node short, and a cut one adds nothing
     @pytest.mark.parametrize("budget, bounds", [pytest.param(0, (2, 8, False), id="0"),
                                                 pytest.param(1, (2, 8, False), id="1"),
-                                                pytest.param(1859, (5, 8, False), id="1859"),
-                                                pytest.param(1860, (8, 8, True), id="1860"),
+                                                pytest.param(1860, (5, 8, False), id="1860"),
+                                                pytest.param(1861, (8, 8, True), id="1861"),
                                                 pytest.param(2000, (8, 8, True), id="2000"),
                                                 pytest.param(5000, (8, 8, True), id="5000")])
     def test_node_budget_is_a_hard_cap(self, budget, bounds, monkeypatch):
@@ -193,7 +193,7 @@ class TestExact:
 
     def test_node_budget_caps_the_clique_search(self, monkeypatch):
         # unbudgeted, SL3(3)'s orbit-pinned clique search proves omega = 6 in
-        # 1,754 nodes
+        # 1,267 nodes
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         clique_nodes = toys.spy_clique_nodes(monkeypatch)
         res = chromatic_number_exact(g, node_budget=5)
@@ -202,7 +202,7 @@ class TestExact:
         assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_time_budget_covers_the_clique_search(self):
-        # SL3(3)'s clique search (1,754 nodes, ~0.05 s) runs inside the budget
+        # SL3(3)'s clique search (1,267 nodes, ~0.01 s) runs inside the budget
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         start = time.monotonic()
         res = chromatic_number_exact(g, time_budget=1.0)
@@ -211,8 +211,9 @@ class TestExact:
         assert find_coloring_violation(g, res.coloring.colors) is None
 
     def test_search_entered_after_its_deadline_runs_no_node(self):
-        # the clique search (~0.3 s) uses up the time budget before the chi
-        # search starts, and the chi search reads the clock before its first node
+        # the orbits, the clique search and DSATUR (~0.02 s) use up the time
+        # budget before the chi search starts, and the chi search reads the
+        # clock before its first node
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
         res = chromatic_number_exact(g, time_budget=0.01)
         assert res.nodes == 0 and not res.exact
@@ -223,20 +224,15 @@ class TestExact:
         # the nodes and coloring of the search, from before its forward
         # checking moved to bitboards, and kept since by the loop that refuses
         # a dead color before moving a mask and stops at a vertex's last
-        # candidate: the search order must not change.  With the clique of
-        # the whole-graph search pinned, k = 29 is colored within the budget;
-        # with the orbit-pinned search's clique it is not, and passing the
-        # clique it would find itself changes nothing
+        # candidate: the search order must not change, and passing the clique
+        # it would find itself, or the whole-graph search's, changes nothing
         g = build_delta334(order3_vertices(parse_group_spec("SL3(3)")))
-        whole = cliques.clique_number(toys.integer_labelled(g), node_budget=50_000)
-        assert whole.witness == (1, 17, 29, 53, 391, 722)
-        for clique, upper, want in [(whole, 29, "5bca5e1c1511086c"),
-                                    (None, 30, "918cd3d5d2c883b0"),
-                                    (cliques.clique_number(g, node_budget=50_000), 30,
-                                     "918cd3d5d2c883b0")]:
+        for clique in (None, cliques.clique_number(g, node_budget=50_000),
+                       cliques.clique_number(toys.integer_labelled(g), node_budget=50_000)):
             res = chromatic_number_exact(g, node_budget=50_000, clique=clique)
-            assert (res.lower, res.upper, res.nodes, res.exact) == (6, upper, 50_000, False)
-            assert hashlib.sha256(bytes(res.coloring.colors)).hexdigest()[:16] == want
+            assert (res.lower, res.upper, res.nodes, res.exact) == (6, 29, 50_000, False)
+            digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
+            assert digest[:16] == "5bca5e1c1511086c"
 
     def test_components_share_the_node_budget(self, monkeypatch):
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the
@@ -423,7 +419,7 @@ class TestSplitSearch:
         # coloring it starts from as it is
         forked = allow_split(monkeypatch, coloring.SPLIT_AFTER_NODES)
         colors = list(chromatic_number_exact(SL32).coloring.colors)
-        clique = list(cliques.clique_number(toys.integer_labelled(SL32)).witness)
+        clique = list(cliques.clique_number(SL32).witness)
         result = _core_search(SL32, 7, list(range(SL32.n)), clique, colors, None,
                               coloring.DEFAULT_COLOR_NODE_BUDGET)
         assert result == ("unsat", 1_176_185)

@@ -17,20 +17,21 @@ from delta334.graph import TriangleGraph
 
 def spy_clique_nodes(monkeypatch) -> list[int]:
     """Record the nodes of every clique search the library runs: the spy
-    replaces clique_number wherever a delta334 module binds it."""
-    real = cliques.clique_number
+    replaces cliques._clique_search, behind clique_number, wherever a
+    delta334 module binds it."""
+    real = cliques._clique_search
     spent = []
 
-    def spy(graph, node_budget=None):
-        res = real(graph, node_budget)
+    def spy(graph, node_budget, found):
+        res = real(graph, node_budget, found)
         spent.append(res.nodes)
         return res
 
     modules = [delta334] + [importlib.import_module(f"delta334.{info.name}")
                             for info in pkgutil.iter_modules(delta334.__path__)]
     for module in modules:
-        if getattr(module, "clique_number", None) is real:
-            monkeypatch.setattr(module, "clique_number", spy)
+        if getattr(module, "_clique_search", None) is real:
+            monkeypatch.setattr(module, "_clique_search", spy)
     return spent
 
 
