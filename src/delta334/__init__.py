@@ -15,8 +15,8 @@ from .cycles import (CensusEntry, HamiltonResult, cycle_census,
                      hamiltonian_cycle, verify_cycle)
 from .elements import (DirectSumElement, IntMatrix3, ModMatrix, Permutation,
                        compose, element_key, element_label,
-                       has_order_dividing_3, identity_like, inverse,
-                       parametric_order3, serialize_element)
+                       has_order_dividing_3, inverse, parametric_order3,
+                       serialize_element)
 from .generation import (GenerationConfig, GenerationStats, PortionGraph,
                          build_portion_edges, generate_and_build,
                          generate_portion, load_seeds_file, mod_p_codomain,
@@ -26,10 +26,8 @@ from .graph import (GraphMorphism, MorphismReport, TriangleGraph,
                     build_delta334, graph_isomorphic, induced_morphism,
                     kronecker_matches_direct_sum, kronecker_product)
 from .graphio import (GraphFormatError, dumps_graph, graph_from_json_dict,
-                      graph_to_dot, graph_to_graphml, graph_to_json_dict,
-                      load_graph)
-from .groups import (ElementSet, GroupSpec, conjugacy_classes,
-                     enumerate_group, group_generators, order3_vertices,
+                      graph_to_dot, graph_to_graphml, load_graph)
+from .groups import (ElementSet, GroupSpec, enumerate_group, order3_vertices,
                      parse_group_spec)
 from .invariants import (BipartiteResult, InvariantReport, PlanarityEvidence,
                          components, full_report, girth, is_bipartite,

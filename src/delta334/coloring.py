@@ -23,17 +23,7 @@ meets the clique or, on a graph that conjugation by its labels makes
 vertex-transitive, n / alpha (alpha from a search pinned at one vertex;
 Godsil and Royle, Algebraic Graph Theory, 7.5), or when the
 (chi-1)-coloring search exhausts.
-A k-colorability search still running after SPLIT_AFTER_NODES nodes
-searches the rest of its tree as ordered pieces ("Embarrassingly Parallel
-Search", Regin, Rezgui and Malapert, CP 2013): each untried color of each
-vertex on its path is a piece, and the shallow ones split further.  In a
-process that may run on two CPUs and can fork, it and one forked worker
-take the pieces in the order the one loop would reach them; otherwise it
-searches them all itself.  Merged in that order, the results are the one
-loop's: the same status, nodes, coloring and certificate, so every output
-is the same with one CPU or two.  Under a time budget, `nodes` counts what
-both processes searched, at most the node budget.  `_Shared` hands out the
-pieces, and the SL3(Z) edge pass's blocks in `generation` too.
+Each k-colorability search is one loop in this process.
 DSATUR has its own pass: on a whole component the bitboards would need a
 mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
 memory at any size.
@@ -44,15 +34,11 @@ them.  Identity-free triangle graphs never carry loops.
 
 from __future__ import annotations
 
-import gc
-import os
 import random
-import signal
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +47,6 @@ from .graph import TriangleGraph, _conjugation_orbits, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
 ITERATED_GREEDY_SEED = 0x334  # recorded in every CLI manifest
-SPLIT_AFTER_NODES = 1 << 16  # a longer k-coloring search splits over two processes
-MIN_PIECES = 32  # into at least this many shallow pieces
 
 
 @dataclass(frozen=True)
@@ -497,9 +481,7 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
     vertices own the bits 1 << rank (highest degree, then lowest index,
     first), cand[c] masks those that may still take color c, free the
     uncolored ones, and level[a] those with a colors left.  `_descend` runs
-    the search.  A search still running after SPLIT_AFTER_NODES nodes
-    finishes in `_split_search`, which returns what the one loop would: the
-    same status, nodes and coloring.  `colors` is written only on 'sat'.
+    the search.  `colors` is written only on 'sat'.
     """
     by_rank = sorted(core, key=lambda u: (-graph.degree(u), u))
     rank = dict(zip(by_rank, range(len(core))))
@@ -527,25 +509,19 @@ def _core_search(graph: TriangleGraph, k: int, core: list[int], clique: list[int
         return ("unsat", 0)
     lim = min(len(clique) + 1, k)  # the next vertex's colors: the used ones and one new
     stack: list = []
-    status, nodes, free, lim = _descend(k, nbr, neighbor_mask, level, cand, free, lim,
-                                        stack, deadline, min(node_budget, SPLIT_AFTER_NODES))
-    path = [entry[:2] for entry in stack]
-    if status == "budget" and nodes == SPLIT_AFTER_NODES < node_budget:
-        pieces, tail = _subdivided(k, nbr, neighbor_mask,
-                                   _pieces(k, nbr, level, cand, free, lim, stack, []))
-        status, nodes, path = _split_search(k, nbr, neighbor_mask, pieces, tail,
-                                            deadline, node_budget, nodes)
+    status, nodes = _descend(k, nbr, neighbor_mask, level, cand, free, lim, stack, deadline,
+                             node_budget)
     if status == "sat":
         for c, v in enumerate(clique):
             colors[v] = c
-        for r, c in path:
+        for r, c, *_ in stack:
             colors[by_rank[r]] = c
     return (status, nodes)
 
 
 def _descend(k: int, nbr: list[int], neighbor_mask, level: list[int], cand: list[int],
              free: int, lim: int, stack: list, deadline: float | None, node_budget: int):
-    """The search from one state to its end: (status, nodes, free, lim).
+    """The search from one state to its end: (status, nodes).
 
     Coloring rank r with c takes d = nbr[r] & cand[c] & free.  It fails
     exactly when d meets level[1], some neighbor's last color, and then
@@ -555,13 +531,10 @@ def _descend(k: int, nbr: list[int], neighbor_mask, level: list[int], cand: list
     only for the vertices it reached.  The next vertex is the lowest bit of
     the lowest non-empty level a; its colors are tried in ascending order,
     below the cap `lim` (the colors in use and one new), and its loop ends
-    after its a-th candidate, as it has no other.  The colors set before
-    the search starts (the clique's, or a piece's path) are in the state
-    and not on `stack`, so it is 'unsat' once `stack` is empty and the
-    vertex picked has no color left.  On 'budget', `level`, `cand`, `stack`
-    and the returned free and lim are the state the next node would start
-    from, and the same call resumes it; on 'sat', `stack` holds the
-    coloring.
+    after its a-th candidate, as it has no other.  The clique's colors,
+    set before the search starts, are in the state and not on `stack`, so
+    it is 'unsat' once `stack` is empty and the vertex picked has no color
+    left.  On 'sat', `stack` holds the coloring.
     """
     # stack: (rank, color, undo mask, level taken from, one above the highest
     # level d left, candidates left untried, color cap) per colored vertex
@@ -576,7 +549,7 @@ def _descend(k: int, nbr: list[int], neighbor_mask, level: list[int], cand: list
             m = level[a]
         if nodes >= check_at:
             if nodes >= node_budget or deadline is not None and time.monotonic() > deadline:
-                return ("budget", nodes, free, lim)
+                return ("budget", nodes)
             check_at = min(node_budget, nodes + 4096)
         nodes += 1
         b = m & -m
@@ -593,7 +566,7 @@ def _descend(k: int, nbr: list[int], neighbor_mask, level: list[int], cand: list
                 level[a] |= 1 << r
                 free |= 1 << r
                 if not stack:
-                    return ("unsat", nodes, free, lim)
+                    return ("unsat", nodes)
                 r, c, d, a, top, left, lim = pop()
                 cand[c] |= d  # undo color c at r
                 while top > a:  # d back up one level, the lowest last
@@ -623,294 +596,7 @@ def _descend(k: int, nbr: list[int], neighbor_mask, level: list[int], cand: list
             if c + 1 == lim < k:  # c is a new color: the next vertex may open one more
                 lim += 1
             break
-    return ("sat", nodes, free, lim)
-
-
-def _second_cpu() -> bool:
-    """Whether this process may run on two CPUs and can fork a worker."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
-
-
-class _Piece(NamedTuple):
-    """One subtree of a split search: the state after `path` (ranks and
-    colors, below the clique) is colored, from which `_descend` searches
-    it; `pre` is the nodes the one loop counts after the previous piece and
-    before this one."""
-
-    pre: int
-    path: list
-    level: list
-    cand: list
-    free: int
-    lim: int
-
-
-def _pieces(k: int, nbr: list[int], level: list[int], cand: list[int], free: int, lim: int,
-            stack: list, path: list) -> list[_Piece]:
-    """The rest of a search that `_descend` stopped between nodes, below
-    the colors `path` set before it started, as pieces in the order the loop
-    reaches them: the subtree below the current stack, then each untried
-    color of each vertex on the stack, deepest first, but for those that
-    would take a neighbor's last color.  Consumes `level` and `cand`."""
-    path = path + [entry[:2] for entry in stack]
-    pieces = [_Piece(0, path, level[:], cand[:], free, lim)]
-    for i in range(len(stack) - 1, -1, -1):
-        r, c, d, a, top, left, lim_r = stack[i]
-        cand[c] |= d  # undo color c at r, as the loop's pop does
-        while top > a:
-            top -= 1
-            x = level[top - 1] & d
-            if x:
-                level[top - 1] ^= x
-                level[top] |= x
-        while left:  # r's untried colors, as the loop would try them
-            c += 1
-            while c < lim_r and not cand[c] >> r & 1:
-                c += 1
-            if c == lim_r:
-                break
-            left -= 1
-            d = nbr[r] & cand[c] & free
-            if d & level[1]:
-                continue
-            lv, cd = level[:], cand[:]
-            cd[c] ^= d
-            top = a
-            while d:
-                x = lv[top] & d
-                lv[top] ^= x
-                lv[top - 1] |= x
-                d ^= x
-                top += 1
-            pieces.append(_Piece(0, path[:len(path) - len(stack) + i] + [(r, c)], lv, cd, free,
-                                 lim_r + 1 if c + 1 == lim_r < k else lim_r))
-        level[a] |= 1 << r
-        free |= 1 << r
-    return pieces
-
-
-def _subdivided(k: int, nbr: list[int], neighbor_mask, pieces: list[_Piece]):
-    """(pieces, tail): the shallowest pieces replaced by their children,
-    one level at a time, until at least MIN_PIECES lie at or above the
-    depth reached, so that no piece holds more than a few per cent of the
-    work (on the SL3(2) k = 7 proof the largest of its 70 holds 3.9 %).
-    A piece's children are `_pieces` after one node of the loop, and that
-    node counts in the next piece's `pre`, or in `tail` after the last."""
-    tail = 0
-    depth = min(len(p.path) for p in pieces)
-    while (sum(len(p.path) <= depth for p in pieces) < MIN_PIECES
-           and any(p.free or len(p.path) > depth for p in pieces)):
-        depth += 1
-        out, carry = [], 0
-        for p in pieces:
-            if len(p.path) >= depth or not p.free:
-                out.append(p._replace(pre=p.pre + carry))
-                carry = 0
-                continue
-            level, cand, stack = p.level[:], p.cand[:], []
-            status, n, free, lim = _descend(k, nbr, neighbor_mask, level, cand, p.free, p.lim,
-                                            stack, None, 1)
-            carry += p.pre + n
-            if status != "unsat":
-                children = _pieces(k, nbr, level, cand, free, lim, stack, p.path)
-                out += [children[0]._replace(pre=carry), *children[1:]]
-                carry = 0
-        pieces = out
-        tail += carry
-    return pieces, tail
-
-
-def _split_search(k: int, nbr: list[int], neighbor_mask, pieces: list[_Piece], tail: int,
-                  deadline: float | None, node_budget: int, nodes: int):
-    """The pieces searched by this process and, with a second CPU to use,
-    one forked worker, merged into what the one loop would return after its
-    first `nodes`: (status, nodes, path).
-
-    The pieces are `_Shared` units, each capped at the most the loop could
-    still spend on it.  The worker reports (piece, status, nodes, path if
-    sat) and stops after a piece that is not 'unsat'.  Merged in piece order
-    with the nodes before each, the results give the loop's outcome:
-    'unsat' with its node total, 'sat' with the first piece that finds a
-    coloring, or ('budget', node_budget).  A piece the worker does not
-    report, because it died or stopped, is searched here, and so is every
-    piece when there is no worker.  On a deadline the nodes are all that
-    both processes searched, at most node_budget.  The worker is killed once
-    the outcome is known.
-    """
-    spent, caps = nodes, []
-    for p in pieces:
-        spent += p.pre
-        caps.append(max(node_budget - spent, 0))
-
-    def run(i: int):
-        p, stack = pieces[i], []
-        status, n, _, _ = _descend(k, nbr, neighbor_mask, p.level[:], p.cand[:], p.free, p.lim,
-                                   stack, deadline, caps[i])
-        return status, n, p.path + [(r, c) for r, c, *_ in stack] if status == "sat" else None
-
-    def work(taken, send):
-        for i in taken:
-            result = run(i)
-            send((i, *result))
-            if result[0] != "unsat":
-                break
-
-    def merged():
-        """The loop's (status, nodes, path), or the index of the first piece
-        it still needs; nodes None on a deadline."""
-        total = nodes
-        for i, p in enumerate(pieces):
-            total += p.pre
-            if total > node_budget:
-                return ("budget", node_budget, None)
-            if i not in results:
-                caps[i] = min(caps[i], node_budget - total)  # the loop's cap, now it is known
-                return i
-            status, n, path = results[i]
-            if status == "budget" and n < caps[i]:
-                return ("budget", None, None)
-            total += n
-            if status == "budget" or total > node_budget:
-                return ("budget", node_budget, None)
-            if status == "sat":
-                return ("sat", total, path)
-        total += tail
-        return ("budget", node_budget, None) if total > node_budget else ("unsat", total, None)
-
-    def needed():
-        out = merged()
-        return out if isinstance(out, int) else None
-
-    with _Shared(len(pieces), work) as shared:
-        results = shared.results
-        shared.run(run, needed, lambda: min((j for j, r in results.items() if r[0] != "unsat"),
-                                            default=len(pieces)))
-        out = merged()
-        if out[1] is None:  # the deadline: count what the worker searched too
-            while shared.worker:
-                shared.receive()
-            out = ("budget", min(nodes + sum(p.pre for p in pieces) + tail
-                                 + sum(r[1] for r in results.values()), node_budget), None)
-        return out
-
-
-class _Shared:
-    """Units 0, 1, ..., count - 1 of one job, run by this process and, when
-    `fork` holds and the process may run on two CPUs and can fork, by one
-    forked worker as well ("Embarrassingly Parallel Search", Regin, Rezgui
-    and Malapert, CP 2013).  Both processes take the units in order from a
-    token passed through a pipe.  The worker runs work(taken, send):
-    `taken` yields the units it takes until none is left, and `send`
-    reports (unit, *result) over a second pipe into this process's
-    `results`, {unit: result}.  Used as a context manager; on exit the
-    worker is killed, finished or not, and reaped."""
-
-    def __init__(self, count: int, work, fork: bool = True):
-        self.count, self.results = count, {}
-        self.pid = self.reports = None
-        self.first = 0  # no unit before it lacks a result
-        if not (fork and _second_cpu()):
-            return
-        # imported here: ~1 MiB of modules that a job which never splits does not need
-        from multiprocessing.connection import Pipe, wait
-        self._wait = wait
-        self.token_r, self.token_w = os.pipe()  # holds the next unit while no process takes it
-        os.set_blocking(self.token_r, False)
-        os.write(self.token_w, (0).to_bytes(4, "little"))
-        self.reports, report = Pipe(duplex=False)
-        try:
-            self.pid = os.fork()
-        except OSError:  # no worker: this process runs every unit
-            pass
-        if self.pid == 0:
-            code = 1
-            try:
-                gc.disable()  # a collection would touch, and so copy, the whole inherited heap
-                self.reports.close()
-                work(self._taken(), report.send)
-                code = 0
-            finally:
-                os._exit(code)
-        report.close()
-
-    @property
-    def worker(self) -> bool:
-        """Whether a worker may still report."""
-        return self.pid is not None and not self.reports.closed
-
-    def _taken(self):
-        """The units the worker takes, in order, until none is left."""
-        while True:
-            i = _take(self.token_r, self.token_w)
-            if i is None:
-                self._wait([self.token_r])
-            elif i < self.count:
-                yield i
-            else:
-                return
-
-    def receive(self):
-        """Store the worker's next report in `results`; once the worker is
-        gone, close its pipe instead, so that `worker` turns false."""
-        try:
-            i, *result = self.reports.recv()
-        except EOFError:
-            self.reports.close()
-            return
-        self.results[i] = tuple(result)
-
-    def missing(self) -> int | None:
-        """The first unit without a result, None when every one has one."""
-        while self.first < self.count and self.first in self.results:
-            self.first += 1
-        return self.first if self.first < self.count else None
-
-    def run(self, run, needed=None, limit=None):
-        """Compute results here, run(unit), until needed() (by default the
-        first unit without a result) is None.  With no worker left that is
-        the unit run next.  While there is one, this process takes units
-        from the token below limit() (by default, all of them) and stores
-        the worker's reports as they arrive."""
-        needed = needed or self.missing
-        taking = True
-        while (i := needed()) is not None:
-            if self.worker:
-                if self.reports in self._wait([self.reports, self.token_r] if taking
-                                              else [self.reports]):
-                    self.receive()
-                    continue
-                i = _take(self.token_r, self.token_w)
-                if i is None:
-                    continue
-                if i >= (limit() if limit else self.count):
-                    taking = False
-                    continue
-            self.results[i] = run(i)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        if self.reports is not None:
-            self.reports.close()
-            os.close(self.token_r)
-            os.close(self.token_w)
-
-
-def _take(token_r: int, token_w: int) -> int | None:
-    """The index in the token, putting back the next one, or None while the
-    other process holds the token."""
-    try:
-        token = os.read(token_r, 4)
-    except BlockingIOError:
-        return None
-    i = int.from_bytes(token, "little")
-    os.write(token_w, (i + 1).to_bytes(4, "little"))
-    return i
+    return ("sat", nodes)
 
 
 def heuristic_chromatic_upper(graph: TriangleGraph, rounds: int | None = None) -> Coloring:

@@ -435,18 +435,6 @@ def inverse(x: GroupElement) -> GroupElement:
     raise CarrierMismatchError(f"unsupported carrier {type(x).__name__}")
 
 
-def identity_like(x: GroupElement) -> GroupElement:
-    if isinstance(x, Permutation):
-        return Permutation.identity(x.n)
-    if isinstance(x, IntMatrix3):
-        return IntMatrix3.identity()
-    if isinstance(x, ModMatrix):
-        return ModMatrix.identity(x.p, x.dim)
-    if isinstance(x, DirectSumElement):
-        return DirectSumElement(identity_like(x.left), identity_like(x.right))
-    raise CarrierMismatchError(f"unsupported carrier {type(x).__name__}")
-
-
 def has_order_dividing_3(x: GroupElement) -> bool:
     if isinstance(x, IntMatrix3):
         # exact on raw tuples: x^2 may leave the stored-entry bound

@@ -35,10 +35,10 @@ issued as tiles of fewer than 2^19 multiply-adds, which OpenBLAS runs on
 the calling thread: two processes that each started BLAS threads would
 oversubscribe two cores, and with 9-term dot products threads gain nothing.
 A pass over at least SPLIT_PAIRS pairs shares its blocks, as units in
-order, with one forked worker when a second CPU is there to use (the
-`_Shared` of the exact chromatic search); the worker reports each block's
-edge keys and counters, and any block it does not report is run here, so
-the edges and counters are the same on one CPU or two.
+order, with one forked worker when a second CPU is there to use
+(`_Shared`); the worker reports each block's edge keys and counters, and
+any block it does not report is run here, so the edges and counters are
+the same on one CPU or two.
 
 The t block is reduced mod p only when it can wrap: |t| <= 9 M^2 for the
 largest entry M, so while 9 M^2 <= p // 2 (M <= 1365, every default
@@ -56,7 +56,10 @@ graph is proper, bounding the portion's chromatic number by eight.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import signal
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product, repeat
@@ -66,7 +69,7 @@ import numpy as np
 from .cliques import CliqueResult, clique_number
 from .coloring import (Coloring, ChromaticResult, chromatic_bounds,
                        chromatic_number_exact, heuristic_chromatic_upper,
-                       improve_coloring, lift_coloring, _Shared)
+                       improve_coloring, lift_coloring)
 from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
                        MAT3_IDENTITY, element_key, entry_array,
                        has_order_dividing_3, int_matrices, is_prime, key_order,
@@ -523,6 +526,128 @@ def _inverse_keys(entries: np.ndarray) -> np.ndarray:
     inv[fits[found]] = n - 1 - where[n:][found]
     first = np.arange(n)
     return (first * n + inv)[inv > first]
+
+
+def _second_cpu() -> bool:
+    """Whether this process may run on two CPUs and can fork a worker."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
+class _Shared:
+    """Units 0, 1, ..., count - 1 of one job, run by this process and, when
+    `fork` holds and the process may run on two CPUs and can fork, by one
+    forked worker as well ("Embarrassingly Parallel Search", Regin, Rezgui
+    and Malapert, CP 2013).  Both processes take the units in order from a
+    token passed through a pipe.  The worker runs work(taken, send):
+    `taken` yields the units it takes until none is left, and `send`
+    reports (unit, *result) over a second pipe into this process's
+    `results`, {unit: result}.  Used as a context manager; on exit the
+    worker is killed, finished or not, and reaped."""
+
+    def __init__(self, count: int, work, fork: bool = True):
+        self.count, self.results = count, {}
+        self.pid = self.reports = None
+        self.first = 0  # no unit before it lacks a result
+        if not (fork and _second_cpu()):
+            return
+        # imported here: ~1 MiB of modules that a pass which never splits does not need
+        from multiprocessing.connection import Pipe, wait
+        self._wait = wait
+        self.token_r, self.token_w = os.pipe()  # holds the next unit while no process takes it
+        os.set_blocking(self.token_r, False)
+        os.write(self.token_w, (0).to_bytes(4, "little"))
+        self.reports, report = Pipe(duplex=False)
+        try:
+            self.pid = os.fork()
+        except OSError:  # no worker: this process runs every unit
+            pass
+        if self.pid == 0:
+            code = 1
+            try:
+                gc.disable()  # a collection would touch, and so copy, the whole inherited heap
+                self.reports.close()
+                work(self._taken(), report.send)
+                code = 0
+            finally:
+                os._exit(code)
+        report.close()
+
+    @property
+    def worker(self) -> bool:
+        """Whether a worker may still report."""
+        return self.pid is not None and not self.reports.closed
+
+    def _taken(self):
+        """The units the worker takes, in order, until none is left."""
+        while True:
+            i = _take(self.token_r, self.token_w)
+            if i is None:
+                self._wait([self.token_r])
+            elif i < self.count:
+                yield i
+            else:
+                return
+
+    def receive(self):
+        """Store the worker's next report in `results`; once the worker is
+        gone, close its pipe instead, so that `worker` turns false."""
+        try:
+            i, *result = self.reports.recv()
+        except EOFError:
+            self.reports.close()
+            return
+        self.results[i] = tuple(result)
+
+    def missing(self) -> int | None:
+        """The first unit without a result, None when every one has one."""
+        while self.first < self.count and self.first in self.results:
+            self.first += 1
+        return self.first if self.first < self.count else None
+
+    def run(self, run):
+        """Compute results here, run(unit), until every unit has one.  With
+        no worker left, the unit run next is the first without a result.
+        While there is one, this process takes units from the token until
+        none is left and stores the worker's reports as they arrive."""
+        taking = True
+        while (i := self.missing()) is not None:
+            if self.worker:
+                if self.reports in self._wait([self.reports, self.token_r] if taking
+                                              else [self.reports]):
+                    self.receive()
+                    continue
+                i = _take(self.token_r, self.token_w)
+                if i is None:
+                    continue
+                if i >= self.count:
+                    taking = False
+                    continue
+            self.results[i] = run(i)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        if self.reports is not None:
+            self.reports.close()
+            os.close(self.token_r)
+            os.close(self.token_w)
+
+
+def _take(token_r: int, token_w: int) -> int | None:
+    """The index in the token, putting back the next one, or None while the
+    other process holds the token."""
+    try:
+        token = os.read(token_r, 4)
+    except BlockingIOError:
+        return None
+    i = int.from_bytes(token, "little")
+    os.write(token_w, (i + 1).to_bytes(4, "little"))
+    return i
 
 
 def generate_and_build(cfg: GenerationConfig) -> PortionGraph:

@@ -109,14 +109,6 @@ _WIRE_INTS = {Permutation: attrgetter("images"), IntMatrix3: attrgetter("entries
               ModMatrix: attrgetter("entries")}
 
 
-def graph_to_json_dict(graph: TriangleGraph) -> dict:
-    """The graph file's document, its edges a list of [i, j] lists."""
-    doc = _graph_document(graph)
-    doc["edges"] = doc["edges"].tolist()
-    doc["vertices"] = _vertex_dicts(graph.labels)
-    return doc
-
-
 def _vertex_dicts(labels) -> list[dict]:
     return [{"id": k, "label": label_to_wire(lab)} for k, lab in enumerate(labels)]
 
@@ -151,8 +143,8 @@ class _VertexRows:
 
 
 def _graph_document(graph: TriangleGraph) -> dict:
-    """graph_to_json_dict's document with the edges as one (m, 2) int64
-    array and, where the labels allow, the vertices as _VertexRows, which
+    """The graph file's document, with the edges as one (m, 2) int64 array
+    and, where the labels allow, the vertices as _VertexRows, which
     canonical_json writes with no Python object per edge or vertex."""
     meta = dict(graph.meta)
     generation = meta.pop("generation", None)

@@ -23,8 +23,6 @@ from .elements import (
     compose,
     element_key,
     has_order_dividing_3,
-    identity_like,
-    inverse,
 )
 
 MAX_GROUP_ORDER = 10 ** 6
@@ -245,81 +243,3 @@ def order3_vertices(spec: GroupSpec, include_identity: bool = False) -> ElementS
             elems.append(x)
     return ElementSet(elems)
 
-
-def group_generators(spec: GroupSpec) -> list[GroupElement]:
-    """A small generating set (used for conjugation orbits)."""
-    if spec.kind == "S":
-        n = spec.n
-        if n <= 1:
-            return [Permutation.identity(max(n, 1))]
-        gens = [Permutation((1, 0) + tuple(range(2, n)))]
-        if n >= 3:
-            gens.append(Permutation(tuple(range(1, n)) + (0,)))
-        return gens
-    if spec.kind == "A":
-        n = spec.n
-        if n <= 2:
-            return [Permutation.identity(max(n, 1))]
-        gens = []
-        for k in range(2, n):  # 3-cycles (0 1 k) generate A_n
-            images = list(range(n))
-            images[0], images[1], images[k] = images[1], images[k], images[0]
-            gens.append(Permutation(images))
-        return gens
-    if spec.kind == "SL3":
-        p = spec.n
-        gens = []
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                ent = list((1, 0, 0, 0, 1, 0, 0, 0, 1))
-                ent[3 * i + j] = 1
-                gens.append(ModMatrix(ent, p, 3))
-        return gens
-    if spec.kind == "SL2":
-        p = spec.n
-        return [ModMatrix((1, 1, 0, 1), p, 2), ModMatrix((1, 0, 1, 1), p, 2)]
-    if spec.kind == "Z":
-        m = spec.n
-        return [Permutation(tuple((i + 1) % m for i in range(m)))]
-    left_id = identity_like(group_generators(spec.left)[0])
-    right_id = identity_like(group_generators(spec.right)[0])
-    return (
-        [DirectSumElement(g, right_id) for g in group_generators(spec.left)]
-        + [DirectSumElement(left_id, h) for h in group_generators(spec.right)]
-    )
-
-
-def conjugacy_classes(spec: GroupSpec, subset: ElementSet) -> list[ElementSet]:
-    """Partition of ``subset`` under conjugation by the full group.
-
-    Orbits are computed under conjugation by a generating set, which yields
-    the same classes; parts are returned in order of their smallest key.
-    """
-    gens = group_generators(spec)
-    gens = gens + [inverse(g) for g in gens]
-    assigned: dict[bytes, int] = {}
-    parts: list[list[GroupElement]] = []
-    for x in subset:
-        kx = element_key(x)
-        if kx in assigned:
-            continue
-        orbit = {kx: x}
-        frontier = [x]
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                w = compose(compose(g, v), inverse(g))
-                kw = element_key(w)
-                if kw not in orbit:
-                    orbit[kw] = w
-                    frontier.append(w)
-        part = [e for k, e in orbit.items() if k in subset._index]
-        idx = len(parts)
-        parts.append(part)
-        for e in part:
-            assigned[element_key(e)] = idx
-    out = [ElementSet(part) for part in parts]
-    out.sort(key=lambda es: es.keys[0])
-    return out

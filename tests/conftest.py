@@ -6,7 +6,7 @@ import toys
 @pytest.fixture(autouse=True)
 def no_process_left_running():
     """Fail any test that leaves a child of the test process running or
-    unreaped, such as a split χ search's worker."""
+    unreaped, such as the edge pass's forked worker."""
     yield
     left = toys.live_children()
     assert not left, f"child processes left running: {left}"

@@ -17,9 +17,12 @@ import struct
 import time
 from itertools import combinations, permutations
 
-from delta334.elements import MAT3_IDENTITY, IntMatrix3, element_key, mat3_mul
+from delta334.elements import (MAT3_IDENTITY, DirectSumElement, IntMatrix3, ModMatrix,
+                               Permutation, compose, element_key, inverse, mat3_mul)
 from delta334.generation import GenerationStats
 from delta334.graph import TriangleGraph
+from delta334.graphio import label_descriptor, label_to_wire
+from delta334.groups import ElementSet
 
 
 def oracle_chromatic(graph):
@@ -210,6 +213,93 @@ def oracle_cycle_lengths(graph):
     return lengths
 
 
+def identity_like(x):
+    """The identity of x's group."""
+    if isinstance(x, Permutation):
+        return Permutation.identity(x.n)
+    if isinstance(x, IntMatrix3):
+        return IntMatrix3.identity()
+    if isinstance(x, ModMatrix):
+        return ModMatrix.identity(x.p, x.dim)
+    if isinstance(x, DirectSumElement):
+        return DirectSumElement(identity_like(x.left), identity_like(x.right))
+    raise TypeError(f"unsupported carrier {type(x).__name__}")
+
+
+def group_generators(spec):
+    """A small generating set of the group `spec` names."""
+    if spec.kind == "S":
+        n = spec.n
+        if n <= 1:
+            return [Permutation.identity(max(n, 1))]
+        gens = [Permutation((1, 0) + tuple(range(2, n)))]
+        if n >= 3:
+            gens.append(Permutation(tuple(range(1, n)) + (0,)))
+        return gens
+    if spec.kind == "A":
+        n = spec.n
+        if n <= 2:
+            return [Permutation.identity(max(n, 1))]
+        gens = []
+        for k in range(2, n):  # 3-cycles (0 1 k) generate A_n
+            images = list(range(n))
+            images[0], images[1], images[k] = images[1], images[k], images[0]
+            gens.append(Permutation(images))
+        return gens
+    if spec.kind == "SL3":
+        p = spec.n
+        gens = []
+        for i in range(3):
+            for j in range(3):
+                if i == j:
+                    continue
+                ent = list((1, 0, 0, 0, 1, 0, 0, 0, 1))
+                ent[3 * i + j] = 1
+                gens.append(ModMatrix(ent, p, 3))
+        return gens
+    if spec.kind == "SL2":
+        p = spec.n
+        return [ModMatrix((1, 1, 0, 1), p, 2), ModMatrix((1, 0, 1, 1), p, 2)]
+    if spec.kind == "Z":
+        m = spec.n
+        return [Permutation(tuple((i + 1) % m for i in range(m)))]
+    left_id = identity_like(group_generators(spec.left)[0])
+    right_id = identity_like(group_generators(spec.right)[0])
+    return ([DirectSumElement(g, right_id) for g in group_generators(spec.left)]
+            + [DirectSumElement(left_id, h) for h in group_generators(spec.right)])
+
+
+def oracle_conjugacy_classes(spec, subset):
+    """Partition of the ElementSet `subset` under conjugation by the full
+    group, as ElementSets in order of their smallest key.
+
+    Orbits are computed under conjugation by a generating set and its
+    inverses, which yields the same classes.
+    """
+    gens = group_generators(spec)
+    gens = gens + [inverse(g) for g in gens]
+    assigned = set()
+    parts = []
+    for x in subset:
+        if element_key(x) in assigned:
+            continue
+        orbit = {element_key(x): x}
+        frontier = [x]
+        while frontier:
+            v = frontier.pop()
+            for g in gens:
+                w = compose(compose(g, v), inverse(g))
+                kw = element_key(w)
+                if kw not in orbit:
+                    orbit[kw] = w
+                    frontier.append(w)
+        part = [e for e in orbit.values() if e in subset]
+        parts.append(ElementSet(part))
+        assigned.update(element_key(e) for e in part)
+    parts.sort(key=lambda es: es.keys[0])
+    return parts
+
+
 # Literal (xy)^4 = e adjacency on plain data.  Elements are converted to
 # tuples first so none of the package's arithmetic is involved.  The edge
 # relation itself is composition-convention independent: (yx)^4 is a
@@ -305,6 +395,22 @@ def oracle_prefilter_counts(entries):
         if t % p != 3 and (s - t) % p == 0 and t == s == -1:
             exact_checks += 1
     return evaluated, candidates, exact_checks
+
+
+def oracle_graph_json_dict(graph):
+    """The graph file's document built the plain way: one label at a time,
+    the edges as the list of graph.edges() pairs."""
+    meta = dict(graph.meta)
+    generation = meta.pop("generation", None)
+    if graph.n:
+        meta["labels"] = label_descriptor(graph.labels[0])
+    doc = {"meta": meta,
+           "vertices": [{"id": k, "label": label_to_wire(x)} for k, x in enumerate(graph.labels)],
+           "edges": [list(e) for e in graph.edges()],
+           "loops": sorted(graph.loops)}
+    if generation is not None:
+        doc["generation"] = generation
+    return doc
 
 
 def oracle_adjacency(n, edges):

@@ -1,7 +1,4 @@
 import hashlib
-import os
-import random
-import signal
 import time
 
 import pytest
@@ -15,6 +12,7 @@ from delta334.coloring import (
     _bitset_rounds,
     _core_search,
     _iterated_greedy,
+    _k_colorable,
     chromatic_number_exact,
     find_coloring_violation,
     heuristic_chromatic_upper,
@@ -334,6 +332,22 @@ class TestExact:
         for pin in (True, False):
             assert_core_search_matches(graph, k, *core_and_clique(graph, k, False, pin), 20_000)
 
+    def test_sl32_k7_exhaustion_is_pinned(self, monkeypatch):
+        # the k = 7 exhaustion that chromatic_number_exact ran before the
+        # symmetry bound made it unneeded: its node count stays pinned, a
+        # search of over a million nodes forks no worker even where two CPUs
+        # are there, and 'unsat' leaves the chi coloring it starts from as
+        # it is
+        forked = toys.run_as_on_cpus(monkeypatch, 2)
+        order, core = _core_order(SL32)
+        colors = list(chromatic_number_exact(SL32).coloring.colors)
+        clique = list(cliques.clique_number(SL32).witness)
+        result = _k_colorable(SL32, 7, order, clique, core, colors, None,
+                              coloring.DEFAULT_COLOR_NODE_BUDGET)
+        assert result == ("unsat", 1_176_185)
+        assert hashlib.sha256(bytes(colors)).hexdigest()[:16] == "89bbd549ce01c0f8"
+        assert forked == []
+
 
 class TestWholeGraphPasses:
     """chromatic_number_exact runs DSATUR and the core decomposition once on
@@ -351,179 +365,6 @@ class TestWholeGraphPasses:
         # the 5,476-vertex depth-2 portion: 521 components
         assert_whole_graph_passes_restrict(
             generate_and_build(GenerationConfig(conj_depth=2)).graph)
-
-
-def allow_split(mp, split_after, cpus=2):
-    """Let a k-coloring search split after `split_after` nodes, as on a
-    machine with `cpus` CPUs; the pids of the workers forked are returned."""
-    mp.setattr(coloring, "SPLIT_AFTER_NODES", split_after)
-    return toys.run_as_on_cpus(mp, cpus)
-
-
-def backtracking_sat_graph():
-    """27 vertices: the 7-coloring search backtracks for 303 nodes before
-    it finds a coloring."""
-    rng = random.Random(1248)
-    n, p = rng.randint(18, 30), rng.choice([0.3, 0.4, 0.5])
-    return TriangleGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)
-                                    if rng.random() < p])
-
-
-class TestSplitSearch:
-    """A search still running after SPLIT_AFTER_NODES nodes splits into
-    pieces that this process and one forked worker search; the merged result
-    must be the one loop's, node for node, and the worker must be gone
-    whatever ends the search."""
-
-    @given(random_graphs(), st.integers(2, 5), st.booleans(), st.booleans(),
-           st.integers(1, 2000), st.integers(0, 20))
-    @settings(max_examples=200, deadline=None)
-    def test_split_search_matches_reference_node_for_node(self, graph, k, peel, pin, budget,
-                                                          split_after):
-        # split after a few nodes: sat, unsat and budget cuts all go through
-        # the merge
-        with pytest.MonkeyPatch.context() as mp:
-            forked = allow_split(mp, split_after)
-            assert_core_search_matches(graph, k, *core_and_clique(graph, k, peel, pin), budget)
-        toys.assert_reaped(forked)
-
-    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-cpus", "one-cpu"])
-    @DEEP_TREES
-    def test_split_search_matches_reference_on_deep_trees(self, graph, k, cpus, monkeypatch):
-        # split after 50 nodes of the 663 and of the 20,000-node cut; on one
-        # CPU no worker is forked and this process searches every piece, each
-        # capped at what the loop has left, so that past the subdivision's
-        # one-node calls it searches no more nodes than the loop
-        forked = allow_split(monkeypatch, 50, cpus)
-        descend, searched = coloring._descend, []
-
-        def counted(*args):
-            out = descend(*args)
-            if args[-1] > 1:
-                searched.append(out[1])
-            return out
-
-        monkeypatch.setattr(coloring, "_descend", counted)
-        for pin in (True, False):
-            searched.clear()
-            _, nodes = assert_core_search_matches(graph, k,
-                                                  *core_and_clique(graph, k, False, pin), 20_000)
-            assert cpus == 2 or sum(searched) <= nodes
-        assert len(forked) == (2 if cpus == 2 else 0)
-        toys.assert_reaped(forked)
-
-    def test_sl32_proof_through_the_split(self, monkeypatch):
-        # the k = 7 exhaustion that chromatic_number_exact ran before the
-        # symmetry bound made it unneeded, at the default split point, on
-        # two CPUs whatever the machine has; 'unsat' leaves the chi
-        # coloring it starts from as it is
-        forked = allow_split(monkeypatch, coloring.SPLIT_AFTER_NODES)
-        colors = list(chromatic_number_exact(SL32).coloring.colors)
-        clique = list(cliques.clique_number(SL32).witness)
-        result = _core_search(SL32, 7, list(range(SL32.n)), clique, colors, None,
-                              coloring.DEFAULT_COLOR_NODE_BUDGET)
-        assert result == ("unsat", 1_176_185)
-        assert hashlib.sha256(bytes(colors)).hexdigest()[:16] == "89bbd549ce01c0f8"
-        assert len(forked) == 1
-        toys.assert_reaped(forked)
-
-    @pytest.mark.parametrize("graph, k, budget, result", [
-        (backtracking_sat_graph(), 7, 5000, ("sat", 303)),
-        (SL32, 7, 20_000, ("budget", 20_000)),
-    ], ids=["sat", "node-budget"])
-    def test_worker_killed_when_the_parent_settles_the_search(self, graph, k, budget, result,
-                                                              monkeypatch):
-        # a worker that never takes a piece: this process searches them all,
-        # then kills it rather than waiting for it
-        forked = allow_split(monkeypatch, 8)
-        parent, take = os.getpid(), coloring._take
-        monkeypatch.setattr(coloring, "_take", lambda *args:
-                            time.sleep(60) if os.getpid() != parent else take(*args))
-        start = time.monotonic()
-        assert assert_core_search_matches(graph, k, list(range(graph.n)), [], budget) == result
-        assert time.monotonic() - start < 10
-        assert len(forked) == 1
-        toys.assert_reaped(forked)
-
-    @DEEP_TREES
-    def test_worker_killed_mid_search_changes_nothing(self, graph, k, monkeypatch):
-        # the worker dies in its first piece; this process searches the
-        # pieces it did not report: the 663-node refutation, a 20,000-node cut
-        forked = allow_split(monkeypatch, 50)
-        parent, descend = os.getpid(), coloring._descend
-
-        def killed_in_worker(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return descend(*args)
-
-        monkeypatch.setattr(coloring, "_descend", killed_in_worker)
-        assert_core_search_matches(graph, k, list(range(graph.n)), [], 20_000)
-        assert len(forked) == 1
-        toys.assert_reaped(forked)
-
-    @DEEP_TREES
-    def test_failed_fork_searches_every_piece_here(self, graph, k, monkeypatch):
-        allow_split(monkeypatch, 50)
-
-        def fork():
-            raise OSError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert_core_search_matches(graph, k, list(range(graph.n)), [], 20_000)
-
-    def test_expired_time_budget_reaps_the_worker(self, monkeypatch):
-        forked = allow_split(monkeypatch, 1000)
-        colors = [-1] * SL32.n
-        start = time.monotonic()
-        status, nodes = _core_search(SL32, 7, list(range(SL32.n)), [], colors,
-                                     start + 0.3, 2_000_000)
-        assert time.monotonic() - start < 1.0
-        assert status == "budget" and 1000 < nodes < 1_176_185
-        assert colors == [-1] * SL32.n
-        assert len(forked) == 1
-        toys.assert_reaped(forked)
-
-    def test_time_cut_reports_at_most_the_node_budget(self, monkeypatch):
-        # this process takes one piece and starts it only after the deadline,
-        # while the worker searches every other piece of the 767-node
-        # refutation (each at most 55 nodes): 712 or more nodes are searched
-        # under a node budget of 600
-        graph = toys.mycielski(toys.mycielski(toys.mycielski(toys.complete_graph(2))))
-        forked = allow_split(monkeypatch, 50)
-        parent, take = os.getpid(), coloring._take
-        deadline = time.monotonic() + 0.5
-
-        def take_late(*args):
-            i = take(*args)
-            if os.getpid() == parent and i is not None:
-                time.sleep(max(deadline - time.monotonic(), 0) + 0.05)
-            return i
-
-        monkeypatch.setattr(coloring, "_take", take_late)
-        colors = [-1] * graph.n
-        assert _core_search(graph, 4, list(range(graph.n)), [], colors, deadline,
-                            600) == ("budget", 600)
-        assert colors == [-1] * graph.n
-        assert len(forked) == 1
-        toys.assert_reaped(forked)
-
-    def test_exception_mid_search_reaps_the_worker(self, monkeypatch):
-        forked = allow_split(monkeypatch, 1000)
-        parent, descend, calls = os.getpid(), coloring._descend, []
-
-        def fails_in_second_piece(*args):
-            if os.getpid() == parent and forked:
-                calls.append(args)
-                if len(calls) == 2:
-                    raise RuntimeError("mid-search")
-            return descend(*args)
-
-        monkeypatch.setattr(coloring, "_descend", fails_in_second_piece)
-        with pytest.raises(RuntimeError, match="mid-search"):
-            _core_search(SL32, 7, list(range(SL32.n)), [], [-1] * SL32.n, None, 2_000_000)
-        assert len(forked) == 1
-        toys.assert_reaped(forked)
 
 
 class TestHeuristics:

@@ -28,7 +28,7 @@ from delta334.generation import (
     verify_no_identity_reduction,
 )
 from delta334.graph import TriangleGraph, _core_order, _mod3_pairwise_edges
-from delta334.graphio import dumps_graph, graph_to_json_dict
+from delta334.graphio import dumps_graph
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
 from delta334.cliques import verify_clique
@@ -457,6 +457,43 @@ class TestSplitPass:
         assert len(forked) == 1
         toys.assert_reaped(forked)
 
+    @SPLIT_INPUTS
+    def test_worker_that_takes_no_unit_is_killed(self, name, split_inputs, monkeypatch):
+        # the worker sleeps instead of taking a unit: this process runs them
+        # all, then kills it rather than waiting for it
+        verts, counts, *want = split_inputs[name]
+        monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
+        forked = toys.run_as_on_cpus(monkeypatch)
+        parent, take = os.getpid(), generation._take
+        monkeypatch.setattr(generation, "_take", lambda *args:
+                            time.sleep(60) if os.getpid() != parent else take(*args))
+        start = time.monotonic()
+        got = _edge_pass(verts, monkeypatch)
+        assert time.monotonic() - start < 10
+        assert_same_pass(got, want, counts)
+        assert got[2] == want[2]
+        assert len(forked) == 1
+        toys.assert_reaped(forked)
+
+    def test_exception_mid_pass_reaps_the_worker(self, split_inputs, monkeypatch):
+        verts = split_inputs["small_portion"][0]
+        monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
+        forked = toys.run_as_on_cpus(monkeypatch)
+        parent, gram, calls = os.getpid(), generation._gram, []
+
+        def fails_in_second_unit(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) > 2:  # two Gram products per unit
+                    raise RuntimeError("mid-pass")
+            return gram(*args)
+
+        monkeypatch.setattr(generation, "_gram", fails_in_second_unit)
+        with pytest.raises(RuntimeError, match="mid-pass"):
+            build_portion_edges(verts)
+        assert len(forked) == 1
+        toys.assert_reaped(forked)
+
     @pytest.mark.parametrize("budget", [None, 7, 1 << 21])
     def test_every_gram_tile_runs_on_the_calling_thread(self, budget, small_portion,
                                                          monkeypatch):
@@ -488,8 +525,8 @@ class TestSplitPass:
 class TestPortionFile:
     def test_portion_file_matches_json_dumps(self, small_portion):
         # dumps_graph writes the edges from the arc arrays, with no Python
-        # object per edge; graph_to_json_dict gives them as [i, j] lists
-        doc = graph_to_json_dict(small_portion.graph)
+        # object per edge; the plain document gives them as [i, j] lists
+        doc = oracles.oracle_graph_json_dict(small_portion.graph)
         assert doc["edges"] == [list(e) for e in small_portion.graph.edges()]
         text = dumps_graph(small_portion.graph)
         assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"

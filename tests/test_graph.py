@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334.elements import (ModMatrix, Permutation, compose, identity_like,
-                               inverse, parametric_order3)
+from delta334.elements import ModMatrix, Permutation, compose, inverse, parametric_order3
 from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
@@ -190,7 +189,7 @@ class TestEdgePredicate:
 
     def test_identity_gets_a_loop(self):
         g = delta("Z3", include_identity=True)
-        e = identity_like(g.labels[0])
+        e = oracles.identity_like(g.labels[0])
         assert g.vertex_of(e) in g.loops
 
 
