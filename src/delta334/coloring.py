@@ -8,10 +8,12 @@ proper coloring is an independent set and its vertices' colors depend only
 on the classes recolored before it: on graphs of at most 256 vertices or
 of edge density at least 1/64 with int masks of vertices
 (`_bitset_rounds`), on the others with one numpy step per class
-(`_array_rounds`).  The exact
-solver tests k-colorability downward from the iterated-greedy bound to one
-clique of the whole graph, each k on a component's k-core, from one core
-decomposition of the graph (the rest first-fit in reverse degeneracy order);
+(`_array_rounds`).  The exact solver runs those rounds only on components
+that are small or dense by the same rule: on the sparse components of SL3(Z)
+portions they never gained a color over DSATUR.  It tests k-colorability
+downward from the colors so found to one clique of the whole graph, each k on a
+component's k-core, from one core decomposition of the graph (the rest
+first-fit in reverse degeneracy order);
 the core search adds that clique's pre-coloring for symmetry breaking,
 forward checking on bitboards (after San Segundo, Comput. Oper. Res. 2012:
 a mask per color of the vertices that may still take it, and a mask per
@@ -134,7 +136,8 @@ def chromatic_number_exact(graph: TriangleGraph,
     decomposition of the whole graph: restricted to a component, each is the
     component's own, as a pop in one component moves no degree or saturation
     in another.  node_budget None means DEFAULT_COLOR_NODE_BUDGET.  An alpha
-    search gets what that clique search left, the descent what remains."""
+    search gets what that clique search left, the descent what remains.
+    Iterated-greedy rounds refine only components that are `_small_or_dense`."""
     _reject_loops(graph)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     if node_budget is None:
@@ -163,7 +166,7 @@ def chromatic_number_exact(graph: TriangleGraph,
 
     for comp in components(graph):
         upper = max(colors[v] for v in comp) + 1
-        if upper > floor:
+        if upper > floor and _small_or_dense(len(comp), sum(map(graph.degree, comp))):
             greedy = _iterated_greedy(*_component_csr(graph, comp), [colors[v] for v in comp],
                                       stop_at=floor, deadline=deadline)
             for v, c in zip(comp, greedy):
@@ -286,9 +289,11 @@ def _iterated_greedy(indptr: np.ndarray, heads: np.ndarray, colors: list[int], s
                      deadline: float | None = None) -> list[int]:
     """Culberson iterated greedy (Culberson and Luo, DIMACS 1996): first-fit
     recoloring of whole color classes in varied orders (largest first,
-    reversed, shuffled).  Never increases the color count and often sharpens
-    DSATUR by a color or two, which saves the exact solver whole
-    k-colorability searches.  `rounds` defaults to 2000 on graphs of at most
+    reversed, shuffled).  Never increases the color count.  On group graphs
+    it sharpens DSATUR (SL3(2): 10 to 8), which saves the exact solver whole
+    k-colorability searches; on the sparse components of SL3(Z) portions 300
+    rounds never gained a color, so the solver runs it only on components
+    that are `_small_or_dense`.  `rounds` defaults to 2000 on graphs of at most
     200 vertices and 300 beyond; no round starts after `deadline` or once
     the best coloring has at most `stop_at` colors.  Returns the first
     coloring with the fewest colors.  Deterministic: fixed RNG seed.
@@ -312,9 +317,14 @@ def _iterated_greedy(indptr: np.ndarray, heads: np.ndarray, colors: list[int], s
     n = len(indptr) - 1
     if rounds is None:
         rounds = 2000 if n <= 200 else 300
-    dense = n <= 256 or 64 * len(heads) >= n * (n - 1)  # 128 m, as heads holds both arcs
-    return (_bitset_rounds if dense else _array_rounds)(indptr, heads, colors, stop_at, rounds,
-                                                        deadline)
+    kernel = _bitset_rounds if _small_or_dense(n, len(heads)) else _array_rounds
+    return kernel(indptr, heads, colors, stop_at, rounds, deadline)
+
+
+def _small_or_dense(n: int, arcs: int) -> bool:
+    """At most 256 vertices, or edge density m / (n (n - 1) / 2) >= 1/64
+    with 2 m arcs: the graphs that take `_bitset_rounds`."""
+    return n <= 256 or 64 * arcs >= n * (n - 1)
 
 
 def _class_order(it: int, sizes: list[int], rng: random.Random) -> list[int]:

@@ -74,12 +74,13 @@ def csr(graph):
 
 
 def spy_calls(monkeypatch, *names):
-    """Record the graph of every call to each named coloring function."""
+    """Record the first argument (the graph, or the indptr of the CSR pair)
+    of every call to each named coloring function."""
     calls = {name: [] for name in names}
     for name in names:
-        def spy(graph, *args, _real=getattr(coloring, name), _name=name):
+        def spy(graph, *args, _real=getattr(coloring, name), _name=name, **kwargs):
             calls[_name].append(graph)
-            return _real(graph, *args)
+            return _real(graph, *args, **kwargs)
 
         monkeypatch.setattr(coloring, name, spy)
     return calls
@@ -231,6 +232,18 @@ class TestExact:
             assert (res.lower, res.upper, res.nodes, res.exact) == (6, 29, 50_000, False)
             digest = hashlib.sha256(bytes(res.coloring.colors)).hexdigest()
             assert digest[:16] == "5bca5e1c1511086c"
+
+    def test_sparse_portion_search_is_pinned(self, monkeypatch):
+        # bounds, nodes and coloring from before sparse components lost their
+        # greedy rounds, which never changed DSATUR's coloring there: the
+        # 1,578-vertex component goes from DSATUR straight to the descent
+        g = generate_and_build(GenerationConfig(target_vertices=2000)).graph
+        calls = spy_calls(monkeypatch, "_iterated_greedy")
+        res = chromatic_number_exact(g, node_budget=20_000)
+        assert calls == {"_iterated_greedy": []}
+        assert (res.lower, res.upper, res.nodes, res.exact) == (3, 5, 20_000, False)
+        assert hashlib.sha256(bytes(res.coloring.colors)).hexdigest() == (
+            "9e5dc43a91e834ad278732b8174a339eb29622fd1b259f16524a42b504b3d665")
 
     def test_components_share_the_node_budget(self, monkeypatch):
         # the first copy's chi = 5 proof takes 663 nodes, which leaves the
@@ -552,12 +565,14 @@ class TestSymmetryBound:
         assert calls == {"_pinned_alpha": []}
 
     def test_sl32_chi_needs_no_descent(self, monkeypatch):
-        # the greedy coloring meets n / alpha, so no core decomposition and
-        # no k-colorability search run
-        calls = spy_calls(monkeypatch, "_core_order")
+        # SL3(2) is small, so its greedy rounds run, and their coloring meets
+        # n / alpha: no core decomposition and no k-colorability search run
+        calls = spy_calls(monkeypatch, "_core_order", "_iterated_greedy")
         res = chromatic_number_exact(SL32)
-        assert calls == {"_core_order": []}
+        assert calls["_core_order"] == [] and len(calls["_iterated_greedy"]) == 1
         assert res.exact and res.chi == 8 and res.nodes == 1820
+        assert len(res.certificate["independent_set"]) == 7
+        assert (res.certificate["infeasible_k"], res.certificate["nodes"]) == (7, 1820)
 
 
 class TestViolationDetection:
