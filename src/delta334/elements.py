@@ -16,6 +16,7 @@ composition): ``compose(x, y)`` maps ``i`` to ``x(y(i))``.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Iterable, Sequence, Union
@@ -45,6 +46,7 @@ class OverflowBoundError(OverflowError):
     """A stored matrix entry would reach ``DEFAULT_ENTRY_LIMIT``."""
 
 
+@lru_cache(maxsize=256)  # a modulus is checked once, not on every ModMatrix
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -99,7 +101,14 @@ def mat3_adjugate(m):
     )
 
 
+def mat2_mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
 MAT3_IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+MAT2_IDENTITY = (1, 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +292,10 @@ def entry_array(matrices: Sequence[IntMatrix3]) -> np.ndarray:
     return np.fromiter(flat, np.int64, 9 * n).reshape(n, 9)
 
 
+# a ModMatrix key: the tag, dim, p as 4 little-endian bytes, then each entry as 8
+_MOD_KEYS = {2: struct.Struct("<BBI4Q"), 3: struct.Struct("<BBI9Q")}
+
+
 class ModMatrix:
     """A dim x dim matrix over Z/pZ with determinant 1, dim in {2, 3}.
 
@@ -306,27 +319,23 @@ class ModMatrix:
             det = (entries[0] * entries[3] - entries[1] * entries[2]) % p
         if det != 1:
             raise ValueError(f"determinant must be 1 mod {p}, got {det}")
+        if p >= 1 << 32:
+            raise OverflowError(f"modulus {p} does not fit the 4-byte key field")
         self.entries = entries
         self.p = p
         self.dim = dim
-        self._key = (
-            bytes([_TAG_MOD_MATRIX, dim])
-            + p.to_bytes(4, "little")
-            + b"".join(e.to_bytes(8, "little") for e in entries)
-        )
+        self._key = _MOD_KEYS[dim].pack(_TAG_MOD_MATRIX, dim, p, *entries)
 
     @classmethod
     def identity(cls, p: int, dim: int = 3) -> "ModMatrix":
-        ent = MAT3_IDENTITY if dim == 3 else (1, 0, 0, 1)
-        return cls(ent, p, dim)
+        return cls(MAT3_IDENTITY if dim == 3 else MAT2_IDENTITY, p, dim)
 
     def rows(self):
         d = self.dim
         return tuple(self.entries[i * d:(i + 1) * d] for i in range(d))
 
     def is_identity(self) -> bool:
-        ident = MAT3_IDENTITY if self.dim == 3 else (1, 0, 0, 1)
-        return self.entries == ident
+        return self.entries == (MAT3_IDENTITY if self.dim == 3 else MAT2_IDENTITY)
 
     def __repr__(self) -> str:
         return f"ModMatrix{list(map(list, self.rows()))!r} mod {self.p}"
@@ -403,13 +412,8 @@ def compose(x: GroupElement, y: GroupElement) -> GroupElement:
             raise CarrierMismatchError(
                 f"mod-matrix shapes differ: dim {x.dim} mod {x.p} vs dim {y.dim} mod {y.p}")
         p = x.p
-        if x.dim == 3:
-            return ModMatrix(tuple(e % p for e in mat3_mul(x.entries, y.entries)), p, 3)
-        a0, a1, a2, a3 = x.entries
-        b0, b1, b2, b3 = y.entries
-        return ModMatrix(
-            ((a0 * b0 + a1 * b2) % p, (a0 * b1 + a1 * b3) % p,
-             (a2 * b0 + a3 * b2) % p, (a2 * b1 + a3 * b3) % p), p, 2)
+        mul = mat3_mul if x.dim == 3 else mat2_mul
+        return ModMatrix(tuple(e % p for e in mul(x.entries, y.entries)), p, x.dim)
     if isinstance(x, DirectSumElement):
         return DirectSumElement(compose(x.left, y.left), compose(x.right, y.right))
     raise CarrierMismatchError(f"unsupported carrier {type(x).__name__}")
@@ -440,6 +444,11 @@ def has_order_dividing_3(x: GroupElement) -> bool:
         # exact on raw tuples: x^2 may leave the stored-entry bound
         m = x.entries
         return mat3_mul(mat3_mul(m, m), m) == MAT3_IDENTITY
+    if isinstance(x, ModMatrix):
+        # on the entry tuples, reduced once: no ModMatrix for x^2 or x^3
+        m, p = x.entries, x.p
+        mul, ident = (mat3_mul, MAT3_IDENTITY) if x.dim == 3 else (mat2_mul, MAT2_IDENTITY)
+        return tuple(e % p for e in mul(mul(m, m), m)) == ident
     return compose(compose(x, x), x).is_identity()
 
 

@@ -75,7 +75,7 @@ from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
                        has_order_dividing_3, int_matrices, is_prime, key_order,
                        key_words, mat3_adjugate, parametric_order3, serialize_element)
 from .graph import (MorphismReport, TriangleGraph,
-                    _mod3_pairwise_edges, build_delta334, induced_morphism)
+                    _mod_p_edge_table, build_delta334, induced_morphism)
 from .groups import order3_vertices, parse_group_spec
 
 # Order-3 members of the generator pairs quoted in the source material's
@@ -427,7 +427,7 @@ def _edges_with_prefilter(entries: np.ndarray, maxabs: int):
     flat = entries if 54 * maxabs ** 4 < 2 ** 63 else entries.astype(object)
     codes, cls = np.unique((flat % 2).astype(np.int64) @ (1 << np.arange(9)),
                            return_inverse=True)
-    adjacent = _mod3_pairwise_edges((codes[:, None] >> np.arange(9)) & 1, 2)
+    adjacent = _mod_p_edge_table((codes[:, None] >> np.arange(9)) & 1, 2)
     assert not adjacent.diagonal().any(), "an order-3 vertex is adjacent to its class"
     # rows sorted by class; order maps a sorted position to its vertex
     order = np.argsort(cls, kind="stable")

@@ -32,6 +32,7 @@ from .elements import (
     has_order_dividing_3,
     inverse,
     is_prime,
+    mat3_adjugate,
     mat3_mul,
 )
 from .groups import ElementSet
@@ -329,8 +330,10 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
 
     Every element must have order dividing 3.  Loops are recorded where a
     vertex is adjacent to itself (only the identity ever is).  Dim-3 mod-p
-    labels, at any count, go through the vectorised mod-p kernel; every
-    other carrier is tested pair by pair.
+    labels of one prime, at any count, go through `_mod_p_edge_table`: each
+    pair is decided by tr(ab) and tr adj(ab) mod p, and only the pairs whose
+    characteristic polynomial has a repeated root are checked further.
+    Every other carrier is tested pair by pair.
     """
     verts = list(elements)
     for v in verts:
@@ -344,7 +347,7 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
         p = verts[0].p
         if any(v.p != p for v in verts):
             raise ValueError("mixed moduli in one vertex set")
-        table = _mod3_pairwise_edges(np.array([v.entries for v in verts]), p)
+        table = _mod_p_edge_table(np.array([v.entries for v in verts]), p)
         edges = np.argwhere(np.triu(table, 1))
         loops = np.flatnonzero(table.diagonal()).tolist()
     else:
@@ -359,22 +362,69 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
     return TriangleGraph(verts, edges, loops, meta)
 
 
-def _mod3_pairwise_edges(res: np.ndarray, p: int) -> np.ndarray:
+_TRANSPOSED = [0, 3, 6, 1, 4, 7, 2, 5, 8]  # row-major positions of the transpose's entries
+
+
+def _mod_p_edge_table(res: np.ndarray, p: int) -> np.ndarray:
     """The n x n boolean table of (AB)^4 = I (mod p), diagonal included,
-    over the rows of an (n, 9) array of row-major residues mod p.  A product
-    entry is a sum of three products of residues: int64 while that fits,
-    numpy arrays of Python ints beyond."""
+    over the rows of an (n, 9) array of row-major residues of matrices in
+    SL3(Z/pZ), for any prime p.  Arithmetic is int64 while a sum of nine
+    residue products, below 9 (p - 1)^2, fits, and numpy arrays of Python
+    ints beyond.
+
+    No pair's product is formed.  For every pair, t = tr(AB) and
+    s = tr adj(AB), the sum of AB's principal 2 x 2 minors, come from two
+    Gram products: the entries of each A against the transposed entries of
+    each B, and the same over the adjugates, which are the inverses
+    (det = 1), since adj(AB) = adj(B) adj(A).  As det(AB) = 1, the
+    characteristic polynomial of P = AB is f = x^3 - t x^2 + s x - 1, and
+    modulo f
+
+        x^4 = (t^2 - s) x^2 + (1 - ts) x + t,
+
+    so (t, s) = (1, 1) gives f | x^4 - 1: an edge outright, by Cayley-
+    Hamilton.  For p = 2, x^4 - 1 = (x - 1)^4, so every eigenvalue of an
+    edge's P is 1 and (t, s) = (3, 3) = (1, 1): these are all the edges.
+
+    For odd p, x^4 - 1 is squarefree, so an edge's P is diagonalisable over
+    the closure, its eigenvalues fourth roots of unity.  Three distinct ones
+    with product 1 can only be 1, i and -i, f = (x - 1)(x^2 + 1), the
+    (1, 1) class again.  Any other edge has a repeated eigenvalue lambda,
+    which lies in F_p (a conjugate would repeat too), and the third is
+    lambda^-2 = lambda^2, so (t, s) = (2 lambda + lambda^2,
+    lambda^2 + 2 lambda^3) with lambda = 1, -1, and +-i when p = 1 (mod 4).
+    A pair of such a class is an edge exactly when P is diagonalisable,
+    that is when P - lambda I = A (B - lambda A^-1) has rank 3 minus
+    lambda's multiplicity.  For lambda = 1 that is rank 0, B = A^-1: the
+    inverse pairs, the identity's loop among them.  Otherwise it is rank 1,
+    every 2 x 2 minor of B - lambda A^-1 zero; for lambda = -1 that is
+    P^2 = I, for +-i P^4 = I.  These checks run on each class's pairs only.
+    """
     n = len(res)
-    dtype = np.int64 if 3 * (p - 1) ** 2 < 2 ** 63 else object
-    arr = np.asarray(res).astype(dtype).reshape(n, 3, 3)
-    ident = np.eye(3, dtype=np.int64)
-    table = np.empty((n, n), dtype=bool)
-    block = max(1, 4_000_000 // (n * 9))
-    for start in range(0, n, block):
-        prod = np.matmul(arr[start:start + block, None, :, :], arr[None, :, :, :]) % p
-        prod = np.matmul(prod, prod) % p
-        prod = np.matmul(prod, prod) % p
-        table[start:start + block] = (prod == ident).all(axis=(2, 3))
+    dtype = np.int64 if 9 * (p - 1) ** 2 < 2 ** 63 else object
+    rows = np.asarray(res).astype(dtype).reshape(n, 9)
+    inv = np.stack(mat3_adjugate(rows.T), axis=1) % p
+    # (t, s) as t p + s; transposed right factors make numpy's integer
+    # matmul read along rows
+    ts = rows @ rows[:, _TRANSPOSED].T % p * p
+    ts += inv @ inv[:, _TRANSPOSED].T % p
+    table = ts == p + 1
+    roots = [] if p == 2 else [1, p - 1]
+    if p % 4 == 1:
+        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # a non-square
+        root = pow(c, (p - 1) // 4, p)  # a square root of -1
+        roots += [root, p - root]
+    cols = rows.T.copy()  # cols[k]: entry k of every matrix
+    for lam in roots:
+        t, s = (2 * lam + lam * lam) % p, (lam * lam + 2 * lam ** 3) % p
+        i, j = np.divmod(np.flatnonzero(ts == t * p + s), n)
+        # B - lambda A^-1 by entries, each in (-p, p): its minors are below 2 p^2
+        diff = np.take(cols, j, axis=1)
+        diff -= np.take(lam * inv.T % p, i, axis=1)
+        edge = np.ones(len(i), dtype=bool)
+        for z in diff if lam == 1 else mat3_adjugate(diff):
+            edge &= z % p == 0
+        table[i[edge], j[edge]] = True
     return table
 
 

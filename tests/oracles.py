@@ -9,13 +9,18 @@ oracle_core_search and oracle_clique_search, earlier, slower loops of the
 exact chi search and of the clique search: they pin the search tree, not
 just the answer, so they keep those loops' bitsets; and
 oracle_generate_portion, the conjugation BFS as a loop over one candidate
-at a time, which pins the vertices, their order and every counter.
+at a time, which pins the vertices, their order and every counter; and
+oracle_mod_p_edge_table, the earlier mod-p edge kernel, which forms every
+pair's product and its fourth power in batched numpy products, so that
+whole SL3(3) tables can be compared.
 """
 
 import random
 import struct
 import time
 from itertools import combinations, permutations
+
+import numpy as np
 
 from delta334.elements import (MAT3_IDENTITY, DirectSumElement, IntMatrix3, ModMatrix,
                                Permutation, compose, element_key, inverse, mat3_mul)
@@ -362,6 +367,27 @@ def _rep_order_divides_4(a, b):
     m = rep_mul(a, b)
     m2 = rep_mul(m, m)
     return rep_is_identity(rep_mul(m2, m2))
+
+
+def oracle_mod_p_edge_table(res, p):
+    """The n x n boolean table of (AB)^4 = I (mod p), diagonal included,
+    over the rows of an (n, 9) array of row-major residues mod p: AB, its
+    square and its fourth power for every ordered pair, as batched 3 x 3
+    products reduced mod p, in blocks of rows.  A product entry is a sum of
+    three products of residues: int64 while that fits, numpy arrays of
+    Python ints beyond."""
+    n = len(res)
+    dtype = np.int64 if 3 * (p - 1) ** 2 < 2 ** 63 else object
+    arr = np.asarray(res).astype(dtype).reshape(n, 3, 3)
+    ident = np.eye(3, dtype=np.int64)
+    table = np.empty((n, n), dtype=bool)
+    block = max(1, 4_000_000 // (n * 9))
+    for start in range(0, n, block):
+        prod = np.matmul(arr[start:start + block, None, :, :], arr[None, :, :, :]) % p
+        prod = np.matmul(prod, prod) % p
+        prod = np.matmul(prod, prod) % p
+        table[start:start + block] = (prod == ident).all(axis=(2, 3))
+    return table
 
 
 # The SL3(Z) edge pass's residue prime; its counters are defined mod p

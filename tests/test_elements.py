@@ -28,6 +28,7 @@ from delta334.elements import (
     parametric_order3,
     serialize_element,
 )
+from delta334.groups import enumerate_group, parse_group_spec
 
 import oracles
 
@@ -227,6 +228,27 @@ class TestModMatrix:
         b = ModMatrix((1, 1, 0, 0, 1, 0, 0, 0, 1), 3)
         with pytest.raises(CarrierMismatchError):
             compose(a, b)
+
+    @pytest.mark.parametrize("p", [2, 5, 4_294_967_291])
+    def test_key_is_tag_dim_modulus_then_entries(self, p):
+        for m in (ModMatrix((0, 0, 1, 1, 0, 0, 0, 1, p - 1), p), ModMatrix((0, 1, p - 1, 0), p, 2)):
+            assert element_key(m) == (bytes([0x03, m.dim]) + p.to_bytes(4, "little")
+                                      + b"".join(e.to_bytes(8, "little") for e in m.entries))
+
+    def test_modulus_checks_repeat(self):
+        # the primality verdict is kept per modulus; every call still raises
+        for _ in range(2):
+            with pytest.raises(ValueError, match="prime"):
+                ModMatrix(MAT3_IDENTITY, 2 ** 32)
+            with pytest.raises(OverflowError):
+                ModMatrix(MAT3_IDENTITY, 4_294_967_311)  # the least prime above 2^32
+
+    @pytest.mark.parametrize("text", ["SL3(2)", "SL2(3)", "SL2(5)"])
+    def test_order_dividing_3_matches_literal_cube(self, text):
+        for x in enumerate_group(parse_group_spec(text)):
+            r = oracles.to_rep(x)
+            cube = oracles.rep_mul(oracles.rep_mul(r, r), r)
+            assert has_order_dividing_3(x) == oracles.rep_is_identity(cube)
 
 
 int_mats = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)).map(

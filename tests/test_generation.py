@@ -27,7 +27,7 @@ from delta334.generation import (
     verify_edge_preservation,
     verify_no_identity_reduction,
 )
-from delta334.graph import TriangleGraph, _core_order, _mod3_pairwise_edges
+from delta334.graph import TriangleGraph, _core_order, _mod_p_edge_table
 from delta334.graphio import dumps_graph
 from delta334.coloring import (chromatic_number_exact, find_coloring_violation,
                                heuristic_chromatic_upper)
@@ -538,7 +538,7 @@ class TestMod2Classes:
         assert g.n == 56 and g.edge_count == 532
         # the edge pass's class table is the mod-p kernel on 0/1 images;
         # build_delta334 runs the same kernel, so the literal oracle decides
-        table = _mod3_pairwise_edges(np.array([v.entries for v in g.labels]), 2)
+        table = _mod_p_edge_table(np.array([v.entries for v in g.labels]), 2)
         assert not table.diagonal().any()
         for a, x in enumerate(g.labels):
             for b, y in enumerate(g.labels):

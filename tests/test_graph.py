@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta334.elements import ModMatrix, Permutation, compose, inverse, parametric_order3
+from delta334.elements import (ModMatrix, Permutation, compose, has_order_dividing_3, inverse,
+                               mat3_det, parametric_order3)
 from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
+    _mod_p_edge_table,
     build_delta334,
     graph_isomorphic,
     induced_morphism,
@@ -241,6 +243,106 @@ class TestBuild:
                  for v in list(order3_vertices(parse_group_spec(text)))[:k]]
         with pytest.raises(ValueError, match="mixed moduli"):
             build_delta334(ElementSet(mixed))
+
+
+def entry_rows(verts):
+    return np.array([v.entries for v in verts])
+
+
+ROT = (0, 1, 0, 0, 0, 1, 1, 0, 0)  # a permutation matrix of order 3
+
+
+def random_sl3(rng, p):
+    """A random element of SL3(Z/pZ): random rows, the first scaled by
+    the inverse of the determinant."""
+    while True:
+        m = [rng.randrange(p) for _ in range(9)]
+        det = mat3_det(m) % p
+        if det:
+            scale = pow(det, p - 2, p)
+            return ModMatrix([e * scale for e in m[:3]] + m[3:], p)
+
+
+def class_pair(p, diagonal, x):
+    """(ROT, ROT^-1 P), both of order 3, with P upper triangular: the given
+    diagonal (a, b, c), abc = 1, and (x, -x^2 / b, -x) above it.  Those
+    entries make tr(ROT^-1 P) and tr adj(ROT^-1 P) vanish.  With a = b, P is
+    diagonalisable exactly when x = 0."""
+    a, b, c = diagonal
+    P = (a, x, -x * x * pow(b, p - 2, p), 0, b, -x, 0, 0, c)
+    return ModMatrix(ROT, p), ModMatrix(P[6:] + P[:6], p)  # ROT^-1 P: rows 2, 0, 1
+
+
+class TestModPKernel:
+    @pytest.mark.parametrize("text, p", [("SL3(2)", 2), ("SL3(3)", 3)])
+    @pytest.mark.parametrize("include_identity", [False, True], ids=["no-identity", "with-identity"])
+    def test_table_matches_batched_products(self, text, p, include_identity):
+        res = entry_rows(order3_vertices(parse_group_spec(text), include_identity))
+        table = _mod_p_edge_table(res, p)
+        assert np.array_equal(table, oracles.oracle_mod_p_edge_table(res, p))
+        assert table.diagonal().sum() == include_identity  # the identity's loop
+
+    def test_relabelled_sl33_keeps_its_edges(self):
+        # conjugation by g, as perfbench's seeds relabel SL3(3), is an
+        # automorphism: vertex i keeps its neighbours
+        verts = list(order3_vertices(parse_group_spec("SL3(3)")))
+        rng = random.Random(17)
+        g = ModMatrix.identity(3)
+        for _ in range(8):
+            i, j = rng.sample(range(3), 2)
+            e = [int(r == c) for r in range(3) for c in range(3)]
+            e[3 * i + j] = rng.choice((1, 2))
+            g = compose(g, ModMatrix(e, 3))
+        g_inv = inverse(g)
+        moved = entry_rows([compose(compose(g, x), g_inv) for x in verts])
+        assert not np.array_equal(moved, entry_rows(verts))
+        table = _mod_p_edge_table(moved, 3)
+        assert np.array_equal(table, _mod_p_edge_table(entry_rows(verts), 3))
+        assert np.array_equal(table, oracles.oracle_mod_p_edge_table(moved, 3))
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 1_012_333_457, 4_294_967_197])
+    def test_every_class_matches_literal_fourth_power(self, p):
+        # (t, s) = (tr AB, tr adj AB) mod p: (1, 1) is an edge outright, and
+        # each fourth root of unity lambda has a checked class.  The last two
+        # moduli are = 1 (mod 4), so they have +-i, like 5 and 13:
+        # 1,012,333,457 is the largest such prime whose residue sums,
+        # below 9 (p - 1)^2, fit int64, and 4,294,967,197 takes Python ints
+        rng = random.Random(p)
+        roots = [1, p - 1]
+        if p % 4 == 1:
+            i = next(r for c in range(2, p) for r in [pow(c, (p - 1) // 4, p)]
+                     if r * r % p == p - 1)
+            roots += [i, p - i]
+        pairs = [class_pair(p, (lam, lam, lam * lam % p), x) for lam in roots for x in (0, 1)]
+        if p % 4 == 1:
+            pairs.append(class_pair(p, (1, i, p - i), 1))
+        verts = []
+        for a, b in pairs:
+            g = random_sl3(rng, p)
+            g_inv = inverse(g)
+            verts += [compose(compose(g, a), g_inv), compose(compose(g, b), g_inv)]
+        for _ in range(24):
+            g = random_sl3(rng, p)
+            x = compose(compose(g, ModMatrix(ROT, p)), inverse(g))
+            verts += [x, inverse(x)]
+        assert all(map(has_order_dividing_3, verts))
+        table = _mod_p_edge_table(entry_rows(verts), p)
+        classes = {(1, 1): "outright"}
+        classes.update({((2 * lam + lam * lam) % p, (lam * lam + 2 * lam ** 3) % p): lam
+                        for lam in roots})
+        seen = {}  # class -> the set of verdicts on its pairs
+        for a, x in enumerate(verts):
+            for b, y in enumerate(verts):
+                want = oracles.oracle_product_order_divides_4(x, y)
+                assert table[a, b] == want
+                P = oracles.rep_mul(oracles.to_rep(x), oracles.to_rep(y))[3]
+                t = (P[0] + P[4] + P[8]) % p
+                s = (P[4] * P[8] - P[5] * P[7] + P[0] * P[8] - P[2] * P[6]
+                     + P[0] * P[4] - P[1] * P[3]) % p
+                seen.setdefault(classes.get((t, s)), set()).add(want)
+        assert seen.pop("outright") == {True}
+        assert seen.pop(None) == {False}  # no edge outside the classes
+        assert seen == {lam: {False, True} for lam in roots}
 
 
 class TestKronecker:
