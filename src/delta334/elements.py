@@ -444,12 +444,22 @@ def has_order_dividing_3(x: GroupElement) -> bool:
         # exact on raw tuples: x^2 may leave the stored-entry bound
         m = x.entries
         return mat3_mul(mat3_mul(m, m), m) == MAT3_IDENTITY
-    if isinstance(x, ModMatrix):
-        # on the entry tuples, reduced once: no ModMatrix for x^2 or x^3
-        m, p = x.entries, x.p
-        mul, ident = (mat3_mul, MAT3_IDENTITY) if x.dim == 3 else (mat2_mul, MAT2_IDENTITY)
-        return tuple(e % p for e in mul(mul(m, m), m)) == ident
     return compose(compose(x, x), x).is_identity()
+
+
+def residue_dtype(p: int) -> np.dtype:
+    """The narrowest numpy integer dtype that holds -9 (p - 1)^2, and so
+    9 (p - 1)^2 (no power of 2 is a multiple of 9), the largest sum of nine
+    products of residues mod p; object (Python ints) beyond int64."""
+    return np.min_scalar_type(-9 * (p - 1) ** 2)
+
+
+def cubes_to_identity(rows: np.ndarray, p: int) -> np.ndarray:
+    """x^3 = I (mod p) for each row of an (n, 9) array of row-major residues
+    of matrices of determinant 1 mod p, tested as x^2 = adj(x) = x^-1."""
+    cols = np.asarray(rows).T.astype(residue_dtype(p))
+    return np.logical_and.reduce([(a - b) % p == 0 for a, b in
+                                  zip(mat3_mul(cols, cols), mat3_adjugate(cols))])
 
 
 def parametric_order3(a: int, b: int, c: int) -> IntMatrix3:

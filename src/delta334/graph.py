@@ -27,6 +27,7 @@ from .elements import (
     OverflowBoundError,
     Permutation,
     compose,
+    cubes_to_identity,
     element_key,
     entry_array,
     has_order_dividing_3,
@@ -34,6 +35,7 @@ from .elements import (
     is_prime,
     mat3_adjugate,
     mat3_mul,
+    residue_dtype,
 )
 from .groups import ElementSet
 
@@ -330,35 +332,33 @@ def build_delta334(elements: ElementSet, meta: dict | None = None) -> TriangleGr
 
     Every element must have order dividing 3.  Loops are recorded where a
     vertex is adjacent to itself (only the identity ever is).  Dim-3 mod-p
-    labels of one prime, at any count, go through `_mod_p_edge_table`: each
-    pair is decided by tr(ab) and tr adj(ab) mod p, and only the pairs whose
-    characteristic polynomial has a repeated root are checked further.
-    Every other carrier is tested pair by pair.
+    labels of one prime, at any count, become one (n, 9) residue array:
+    their cubes are checked on it, and `_mod_p_edge_table` decides each pair
+    by tr(ab) and tr adj(ab) mod p, finds the inverse pairs by lookup, and
+    checks further only the other pairs whose characteristic polynomial has
+    a repeated root.  Every other carrier is tested pair by pair.
     """
     verts = list(elements)
-    for v in verts:
-        if not has_order_dividing_3(v):
-            raise ValueError(f"vertex {v!r} does not satisfy v^3 = e")
     n = len(verts)
     meta = dict(meta or {})
     meta.setdefault("vertex_count", n)
-
-    if verts and all(isinstance(v, ModMatrix) and v.dim == 3 for v in verts):
+    mod_p = bool(verts) and all(isinstance(v, ModMatrix) and v.dim == 3 for v in verts)
+    if mod_p:
         p = verts[0].p
         if any(v.p != p for v in verts):
             raise ValueError("mixed moduli in one vertex set")
-        table = _mod_p_edge_table(np.array([v.entries for v in verts]), p)
+        res = np.array([v.entries for v in verts])
+    cubed = cubes_to_identity(res, p).tolist() if mod_p else list(map(has_order_dividing_3, verts))
+    if not all(cubed):
+        raise ValueError(f"vertex {verts[cubed.index(False)]!r} does not satisfy v^3 = e")
+    if mod_p:
+        table = _mod_p_edge_table(res, p)
         edges = np.argwhere(np.triu(table, 1))
         loops = np.flatnonzero(table.diagonal()).tolist()
     else:
-        edges = []
-        loops = []
-        for i in range(n):
-            if _product_order_divides_4(verts[i], verts[i]):
-                loops.append(i)
-            for j in range(i + 1, n):
-                if _product_order_divides_4(verts[i], verts[j]):
-                    edges.append((i, j))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if _product_order_divides_4(verts[i], verts[j])]
+        loops = [i for i in range(n) if _product_order_divides_4(verts[i], verts[i])]
     return TriangleGraph(verts, edges, loops, meta)
 
 
@@ -368,17 +368,17 @@ _TRANSPOSED = [0, 3, 6, 1, 4, 7, 2, 5, 8]  # row-major positions of the transpos
 def _mod_p_edge_table(res: np.ndarray, p: int) -> np.ndarray:
     """The n x n boolean table of (AB)^4 = I (mod p), diagonal included,
     over the rows of an (n, 9) array of row-major residues of matrices in
-    SL3(Z/pZ), for any prime p.  Arithmetic is int64 while a sum of nine
-    residue products, below 9 (p - 1)^2, fits, and numpy arrays of Python
-    ints beyond.
+    SL3(Z/pZ), for any prime p.  Arithmetic runs in the narrowest integer
+    dtype that holds a sum of nine residue products, below 9 (p - 1)^2
+    (int8 for p = 2 and 3), and on numpy arrays of Python ints beyond int64.
 
     No pair's product is formed.  For every pair, t = tr(AB) and
     s = tr adj(AB), the sum of AB's principal 2 x 2 minors, come from two
-    Gram products: the entries of each A against the transposed entries of
-    each B, and the same over the adjugates, which are the inverses
-    (det = 1), since adj(AB) = adj(B) adj(A).  As det(AB) = 1, the
-    characteristic polynomial of P = AB is f = x^3 - t x^2 + s x - 1, and
-    modulo f
+    Gram sums, each nine outer products: the entries of each A against the
+    transposed entries of each B, and the same over the adjugates, which
+    are the inverses (det = 1), since adj(AB) = adj(B) adj(A).  As
+    det(AB) = 1, the characteristic polynomial of P = AB is
+    f = x^3 - t x^2 + s x - 1, and modulo f
 
         x^4 = (t^2 - s) x^2 + (1 - ts) x + t,
 
@@ -396,34 +396,37 @@ def _mod_p_edge_table(res: np.ndarray, p: int) -> np.ndarray:
     A pair of such a class is an edge exactly when P is diagonalisable,
     that is when P - lambda I = A (B - lambda A^-1) has rank 3 minus
     lambda's multiplicity.  For lambda = 1 that is rank 0, B = A^-1: the
-    inverse pairs, the identity's loop among them.  Otherwise it is rank 1,
-    every 2 x 2 minor of B - lambda A^-1 zero; for lambda = -1 that is
-    P^2 = I, for +-i P^4 = I.  These checks run on each class's pairs only.
+    inverse pairs, found for every p by looking each inverse up among the
+    rows on all nine residues (a repeated row matches at each copy, and the
+    identity's loop is among them).  Otherwise it is rank 1, every 2 x 2
+    minor of B - lambda A^-1 zero; for lambda = -1 that is P^2 = I, for
+    +-i P^4 = I.  These checks run on each class's pairs only.
     """
     n = len(res)
-    dtype = np.int64 if 9 * (p - 1) ** 2 < 2 ** 63 else object
-    rows = np.asarray(res).astype(dtype).reshape(n, 9)
-    inv = np.stack(mat3_adjugate(rows.T), axis=1) % p
-    # (t, s) as t p + s; transposed right factors make numpy's integer
-    # matmul read along rows
-    ts = rows @ rows[:, _TRANSPOSED].T % p * p
-    ts += inv @ inv[:, _TRANSPOSED].T % p
+    cols = np.asarray(res).reshape(n, 9).T.astype(residue_dtype(p))  # entry k of every matrix
+    inv = np.stack(mat3_adjugate(cols)) % p
+    ts = 0  # (t, s) as t p + s, each a Gram sum of nine outer products
+    for a in (cols, inv):
+        ts = ts * p + sum(np.multiply.outer(a[k], a[kt]) for k, kt in enumerate(_TRANSPOSED)) % p
     table = ts == p + 1
-    roots = [] if p == 2 else [1, p - 1]
+    where = {}  # residue row -> the indices of its copies
+    for j, row in enumerate(zip(*cols.tolist())):
+        where.setdefault(row, []).append(j)
+    i, j = np.array([(i, j) for i, row in enumerate(zip(*inv.tolist()))
+                     for j in where.get(row, ())], np.int64).reshape(-1, 2).T
+    table[i, j] = True
+    roots = [] if p == 2 else [p - 1]
     if p % 4 == 1:
         c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # a non-square
         root = pow(c, (p - 1) // 4, p)  # a square root of -1
         roots += [root, p - root]
-    cols = rows.T.copy()  # cols[k]: entry k of every matrix
     for lam in roots:
         t, s = (2 * lam + lam * lam) % p, (lam * lam + 2 * lam ** 3) % p
         i, j = np.divmod(np.flatnonzero(ts == t * p + s), n)
         # B - lambda A^-1 by entries, each in (-p, p): its minors are below 2 p^2
         diff = np.take(cols, j, axis=1)
-        diff -= np.take(lam * inv.T % p, i, axis=1)
-        edge = np.ones(len(i), dtype=bool)
-        for z in diff if lam == 1 else mat3_adjugate(diff):
-            edge &= z % p == 0
+        diff -= np.take(lam * inv % p, i, axis=1)
+        edge = np.logical_and.reduce([z % p == 0 for z in mat3_adjugate(diff)])
         table[i[edge], j[edge]] = True
     return table
 

@@ -4,7 +4,9 @@ Supported specs: symmetric and alternating groups on up to 6 points,
 SL3(Z/pZ) and SL2(Z/pZ) for p in {2, 3, 5}, cyclic groups Z_m (m <= 12,
 carried as m-cycles on m points), and nested direct sums of these.
 
-Enumeration is deterministic: element sets are deduplicated and sorted by
+SL3(Z/pZ) is enumerated once, as an (|G|, 9) array of row-major residues:
+`enumerate_group` makes each row a ModMatrix, and `order3_vertices` only
+the rows with x^3 = e.  Element sets are deduplicated and sorted by
 canonical key, so two runs produce byte-identical results regardless of
 construction order.
 """
@@ -12,17 +14,21 @@ construction order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sized
+
+import numpy as np
 
 from .elements import (
     DirectSumElement,
     GroupElement,
     ModMatrix,
     Permutation,
-    compose,
+    cubes_to_identity,
     element_key,
     has_order_dividing_3,
+    residue_dtype,
 )
 
 MAX_GROUP_ORDER = 10 ** 6
@@ -60,9 +66,9 @@ class GroupSpec:
 
     def order(self) -> int:
         if self.kind == "S":
-            return _factorial(self.n)
+            return math.factorial(self.n)
         if self.kind == "A":
-            return max(1, _factorial(self.n) // 2)
+            return max(1, math.factorial(self.n) // 2)
         if self.kind == "SL3":
             p = self.n
             return p ** 3 * (p ** 3 - 1) * (p ** 2 - 1)
@@ -79,13 +85,6 @@ class GroupSpec:
         if self.kind in ("SL3", "SL2"):
             return f"{self.kind}({self.n})"
         return f"{self.kind}{self.n}"
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -167,11 +166,16 @@ class ElementSet:
 
 def enumerate_group(spec: GroupSpec) -> ElementSet:
     """All elements of the group, each exactly once, sorted by key."""
+    return _counted(spec, lambda: ElementSet(_enumerate(spec)))
+
+
+def _counted(spec: GroupSpec, enumerate_: Callable[[], Sized]) -> Sized:
+    """enumerate_() after the size guard, asserted to hold spec.order() elements."""
     expected = spec.order()
     if expected > MAX_GROUP_ORDER:
         raise GuardExceededError(
             f"{spec} has order {expected} > guard {MAX_GROUP_ORDER}")
-    out = ElementSet(_enumerate(spec))
+    out = enumerate_()
     if len(out) != expected:
         raise AssertionError(
             f"enumeration bug: {spec} produced {len(out)} elements, expected {expected}")
@@ -188,7 +192,8 @@ def _enumerate(spec: GroupSpec) -> Iterator[GroupElement]:
             if perm.parity() == 0:
                 yield perm
     elif spec.kind == "SL3":
-        yield from _enumerate_sl3(spec.n)
+        p = spec.n
+        yield from (ModMatrix(row, p) for row in _sl3_residues(p).tolist())
     elif spec.kind == "SL2":
         p = spec.n
         for entries in itertools.product(range(p), repeat=4):
@@ -196,50 +201,32 @@ def _enumerate(spec: GroupSpec) -> Iterator[GroupElement]:
                 yield ModMatrix(entries, p, 2)
     elif spec.kind == "Z":
         m = spec.n
-        shift = Permutation(tuple((i + 1) % m for i in range(m)))
-        acc = Permutation.identity(m)
-        for _ in range(m):
-            yield acc
-            acc = compose(acc, shift)
+        for k in range(m):  # the k-th power of the m-cycle i -> i + 1
+            yield Permutation((i + k) % m for i in range(m))
     else:
+        rights = list(_enumerate(spec.right))
         for le in _enumerate(spec.left):
-            for ri in _enumerate(spec.right):
+            for ri in rights:
                 yield DirectSumElement(le, ri)
 
 
-def _enumerate_sl3(p: int) -> Iterator[ModMatrix]:
-    # row by row: det([r1;r2;r3]) = r3 . (r1 x r2), so for each independent
-    # (r1, r2) the valid third rows form an affine plane.
-    vectors = list(itertools.product(range(p), repeat=3))
-    nonzero = [v for v in vectors if any(v)]
-    for r1 in nonzero:
-        for r2 in nonzero:
-            c = (
-                (r1[1] * r2[2] - r1[2] * r2[1]) % p,
-                (r1[2] * r2[0] - r1[0] * r2[2]) % p,
-                (r1[0] * r2[1] - r1[1] * r2[0]) % p,
-            )
-            if c == (0, 0, 0):
-                continue  # r2 parallel to r1
-            pivot = next(i for i in range(3) if c[i])
-            inv_piv = pow(c[pivot], p - 2, p)
-            free = [i for i in range(3) if i != pivot]
-            for a in range(p):
-                for b in range(p):
-                    r3 = [0, 0, 0]
-                    r3[free[0]] = a
-                    r3[free[1]] = b
-                    r3[pivot] = (1 - a * c[free[0]] - b * c[free[1]]) * inv_piv % p
-                    yield ModMatrix(r1 + r2 + tuple(r3), p, 3)
+def _sl3_residues(p: int) -> np.ndarray:
+    """SL3(Z/pZ) as an (|G|, 9) array of row-major residues, each element
+    once: rows r1 and r2 run over all vectors, r3 over the plane
+    r3 . (r1 x r2) = 1 (the determinant), empty unless r1, r2 are independent."""
+    vecs = np.array(list(itertools.product(range(p), repeat=3)), residue_dtype(p))
+    r1, r2 = np.repeat(vecs, len(vecs), axis=0), np.tile(vecs, (len(vecs), 1))
+    pair, r3 = np.nonzero(np.cross(r1, r2) % p @ vecs.T % p == 1)
+    return np.hstack((r1[pair], r2[pair], vecs[r3]))
 
 
 def order3_vertices(spec: GroupSpec, include_identity: bool = False) -> ElementSet:
-    """The elements with x^3 = e; the identity is dropped unless asked for."""
-    elems = []
-    for x in enumerate_group(spec):
-        if has_order_dividing_3(x):
-            if x.is_identity() and not include_identity:
-                continue
-            elems.append(x)
-    return ElementSet(elems)
-
+    """The elements with x^3 = e; the identity is dropped unless asked for.
+    SL3(p)'s are found on its residue array before any ModMatrix is built."""
+    if spec.kind == "SL3":
+        p = spec.n
+        res = _counted(spec, lambda: _sl3_residues(p))
+        elems = (ModMatrix(row, p) for row in res[cubes_to_identity(res, p)].tolist())
+    else:
+        elems = filter(has_order_dividing_3, enumerate_group(spec))
+    return ElementSet(x for x in elems if include_identity or not x.is_identity())

@@ -12,13 +12,15 @@ oracle_generate_portion, the conjugation BFS as a loop over one candidate
 at a time, which pins the vertices, their order and every counter; and
 oracle_mod_p_edge_table, the earlier mod-p edge kernel, which forms every
 pair's product and its fourth power in batched numpy products, so that
-whole SL3(3) tables can be compared.
+whole SL3(3) tables can be compared; and oracle_order3_vertices, which
+enumerates SL3(p) one element at a time, so that SL3(3) and its 5,616
+cubes can be compared.
 """
 
 import random
 import struct
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from delta334.elements import (MAT3_IDENTITY, DirectSumElement, IntMatrix3, ModM
 from delta334.generation import GenerationStats
 from delta334.graph import TriangleGraph
 from delta334.graphio import label_descriptor, label_to_wire
-from delta334.groups import ElementSet
+from delta334.groups import ElementSet, enumerate_group
 
 
 def oracle_chromatic(graph):
@@ -388,6 +390,49 @@ def oracle_mod_p_edge_table(res, p):
         prod = np.matmul(prod, prod) % p
         table[start:start + block] = (prod == ident).all(axis=(2, 3))
     return table
+
+
+def oracle_sl3_elements(p):
+    """SL3(Z/pZ) one element at a time, row by row: det([r1; r2; r3]) =
+    r3 . (r1 x r2), so for each independent (r1, r2) the valid third rows
+    form an affine plane, solved for its pivot coordinate."""
+    vectors = [v for v in product(range(p), repeat=3) if any(v)]
+    for r1 in vectors:
+        for r2 in vectors:
+            c = ((r1[1] * r2[2] - r1[2] * r2[1]) % p,
+                 (r1[2] * r2[0] - r1[0] * r2[2]) % p,
+                 (r1[0] * r2[1] - r1[1] * r2[0]) % p)
+            if c == (0, 0, 0):
+                continue  # r2 parallel to r1
+            pivot = next(i for i in range(3) if c[i])
+            inv_piv = pow(c[pivot], p - 2, p)
+            free = [i for i in range(3) if i != pivot]
+            for a in range(p):
+                for b in range(p):
+                    r3 = [0, 0, 0]
+                    r3[free[0]] = a
+                    r3[free[1]] = b
+                    r3[pivot] = (1 - a * c[free[0]] - b * c[free[1]]) * inv_piv % p
+                    yield ModMatrix(r1 + r2 + tuple(r3), p, 3)
+
+
+def oracle_order3_vertices(spec, include_identity=False):
+    """The ElementSet of the x in the group with x^3 = e by literal cubes,
+    the identity dropped unless asked for; SL3(p) from oracle_sl3_elements,
+    its count asserted to be the group order, and any other group from
+    enumerate_group."""
+    if spec.kind == "SL3":
+        elems = list(oracle_sl3_elements(spec.n))
+        assert len(elems) == spec.order()
+    else:
+        elems = enumerate_group(spec)
+    keep = []
+    for x in elems:
+        r = to_rep(x)
+        if rep_is_identity(rep_mul(rep_mul(r, r), r)) and (include_identity
+                                                           or not rep_is_identity(r)):
+            keep.append(x)
+    return ElementSet(keep)
 
 
 # The SL3(Z) edge pass's residue prime; its counters are defined mod p

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from delta334.elements import (
     OverflowBoundError,
     Permutation,
     compose,
+    cubes_to_identity,
     element_key,
     element_label,
     entry_array,
@@ -249,6 +251,24 @@ class TestModMatrix:
             r = oracles.to_rep(x)
             cube = oracles.rep_mul(oracles.rep_mul(r, r), r)
             assert has_order_dividing_3(x) == oracles.rep_is_identity(cube)
+
+    @pytest.mark.parametrize("p", [3, 5, 61, 1_012_333_499, 4_294_967_291])
+    def test_cubes_on_residue_rows_match_literal_cube(self, p):
+        # x^3 = I tested as x^2 = adj(x) in residue_dtype(p), up to the
+        # largest prime on int64 and on Python ints past it
+        rng = random.Random(p)
+        rot = ModMatrix((0, 1, 0, 0, 0, 1, 1, 0, 0), p)
+        xs = [ModMatrix.identity(p), ModMatrix((p - 1, 0, 0, 0, p - 1, 0, 0, 0, 1), p)]
+        for _ in range(12):
+            e = ModMatrix((1, rng.randrange(p), rng.randrange(p), 0, 1, rng.randrange(p),
+                           0, 0, 1), p)
+            xs += [compose(compose(e, rot), inverse(e)), compose(e, rot), e]
+        want = []
+        for x in xs:
+            r = oracles.to_rep(x)
+            want.append(oracles.rep_is_identity(oracles.rep_mul(oracles.rep_mul(r, r), r)))
+        assert cubes_to_identity(np.array([x.entries for x in xs]), p).tolist() == want
+        assert True in want and False in want
 
 
 int_mats = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)).map(

@@ -1,4 +1,5 @@
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta334.elements import (ModMatrix, Permutation, compose, has_order_dividing_3, inverse,
-                               mat3_det, parametric_order3)
+                               mat3_det, parametric_order3, residue_dtype)
 from delta334.generation import GenerationConfig, generate_and_build, mod_p_codomain
 from delta334.graph import (
     TriangleGraph,
@@ -205,6 +206,14 @@ class TestBuild:
         els = ElementSet([Permutation((1, 0, 2))])  # a transposition
         with pytest.raises(ValueError):
             build_delta334(els)
+        # dim-3 mod-p labels are checked on their residue array, which names
+        # the first vertex in the set's order that fails: here two of order 2
+        els = ElementSet([ModMatrix(ROT, 3), ModMatrix((2, 0, 0, 0, 2, 0, 0, 0, 1), 3),
+                          ModMatrix((1, 0, 0, 0, 2, 0, 0, 0, 2), 3)])
+        first = next(v for v in els if not has_order_dividing_3(v))
+        assert first.entries == (1, 0, 0, 0, 2, 0, 0, 0, 2)
+        with pytest.raises(ValueError, match=re.escape(f"vertex {first!r} does not satisfy")):
+            build_delta334(els)
 
     def test_mod3_fast_path_matches_generic(self):
         # SL3(3) is too large for an all-pairs oracle check; spot-check the
@@ -300,13 +309,13 @@ class TestModPKernel:
         assert np.array_equal(table, _mod_p_edge_table(entry_rows(verts), 3))
         assert np.array_equal(table, oracles.oracle_mod_p_edge_table(moved, 3))
 
-    @pytest.mark.parametrize("p", [5, 7, 11, 13, 1_012_333_457, 4_294_967_197])
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 61, 15_413, 1_012_333_457, 4_294_967_197])
     def test_every_class_matches_literal_fourth_power(self, p):
         # (t, s) = (tr AB, tr adj AB) mod p: (1, 1) is an edge outright, and
-        # each fourth root of unity lambda has a checked class.  The last two
-        # moduli are = 1 (mod 4), so they have +-i, like 5 and 13:
-        # 1,012,333,457 is the largest such prime whose residue sums,
-        # below 9 (p - 1)^2, fit int64, and 4,294,967,197 takes Python ints
+        # each fourth root of unity lambda has a checked class.  The moduli
+        # = 1 (mod 4) have +-i: 61, 15,413 and 1,012,333,457 are the largest
+        # such primes whose residue sums, below 9 (p - 1)^2, fit int16,
+        # int32 and int64, and 4,294,967,197 takes Python ints
         rng = random.Random(p)
         roots = [1, p - 1]
         if p % 4 == 1:
@@ -343,6 +352,34 @@ class TestModPKernel:
         assert seen.pop("outright") == {True}
         assert seen.pop(None) == {False}  # no edge outside the classes
         assert seen == {lam: {False, True} for lam in roots}
+
+    @pytest.mark.parametrize("p", [3, 5, 1_012_333_457])
+    def test_inverse_lookup_edge_cases(self, p):
+        # lambda = 1 is a lookup of each row's inverse among the rows: a
+        # repeated row matches at each copy, the identity is its own
+        # inverse, and a row whose inverse is absent matches none
+        rng = random.Random(p)
+        x, y = (compose(compose(g, ModMatrix(ROT, p)), inverse(g))
+                for g in (random_sl3(rng, p), random_sl3(rng, p)))
+        verts = [x, y, x, inverse(x), ModMatrix.identity(p), inverse(x)]
+        rows = entry_rows(verts)
+        table = _mod_p_edge_table(rows, p)
+        assert np.array_equal(table, oracles.oracle_mod_p_edge_table(rows, p))
+        inverse_pairs = {(a, b) for a, u in enumerate(verts) for b, w in enumerate(verts)
+                         if compose(u, w).is_identity()}
+        assert inverse_pairs == {(0, 3), (0, 5), (2, 3), (2, 5), (3, 0), (3, 2), (5, 0),
+                                 (5, 2), (4, 4)}
+        assert all(table[a, b] for a, b in inverse_pairs)
+        assert np.flatnonzero(table.diagonal()).tolist() == [4]
+
+    @pytest.mark.parametrize("p, dtype", [(2, np.int8), (3, np.int8), (5, np.int16),
+                                          (61, np.int16), (67, np.int32), (15_443, np.int32),
+                                          (15_451, np.int64), (1_012_333_499, np.int64),
+                                          (1_012_333_519, object)])
+    def test_dtype_is_the_narrowest_that_holds_nine_products(self, p, dtype):
+        assert residue_dtype(p) == dtype
+        if dtype is not object:
+            assert 9 * (p - 1) ** 2 <= np.iinfo(dtype).max
 
 
 class TestKronecker:

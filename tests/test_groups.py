@@ -1,5 +1,6 @@
 import pytest
 
+from delta334 import groups
 from delta334.elements import compose, element_key, has_order_dividing_3
 from delta334.groups import (
     ElementSet,
@@ -36,7 +37,7 @@ class TestParse:
 
 
 class TestEnumerate:
-    @pytest.mark.parametrize("text", ["S4", "A4", "SL2(3)", "Z9", "sum(Z3,Z3)"])
+    @pytest.mark.parametrize("text", ["S4", "A4", "SL2(3)", "Z9", "sum(Z3,Z3)", "sum(Z3,SL3(2))"])
     def test_full_group_size_and_closure(self, text):
         spec = parse_group_spec(text)
         els = enumerate_group(spec)
@@ -52,6 +53,12 @@ class TestEnumerate:
     def test_sl3_2_has_168_elements(self):
         assert len(enumerate_group(parse_group_spec("SL3(2)"))) == 168
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sl3_matches_per_element_oracle(self, p):
+        # the residue array holds the same elements as the row-by-row loop
+        got = enumerate_group(parse_group_spec(f"SL3({p})"))
+        assert got.keys == ElementSet(oracles.oracle_sl3_elements(p)).keys
+
     def test_deterministic_order(self):
         a = [element_key(x) for x in enumerate_group(parse_group_spec("S4"))]
         b = [element_key(x) for x in enumerate_group(parse_group_spec("S4"))]
@@ -61,14 +68,29 @@ class TestEnumerate:
 class TestOrder3Vertices:
     @pytest.mark.parametrize("text, count", [
         ("A4", 8), ("S4", 8), ("S5", 20), ("A5", 20),
-        ("SL3(2)", 56), ("SL2(3)", 8), ("Z3", 2), ("Z9", 2),
-        ("sum(Z3,Z3)", 8),
+        ("SL3(2)", 56), ("SL3(3)", 728), ("SL3(5)", 15_500), ("SL2(3)", 8),
+        ("Z3", 2), ("Z9", 2), ("sum(Z3,Z3)", 8),
     ])
     def test_counts(self, text, count):
         verts = order3_vertices(parse_group_spec(text))
         assert len(verts) == count
         for v in verts:
             assert has_order_dividing_3(v) and not v.is_identity()
+
+    @pytest.mark.parametrize("text", ["SL3(2)", "SL3(3)"])
+    @pytest.mark.parametrize("include_identity", [False, True], ids=["no-identity", "with-identity"])
+    def test_bulk_matches_per_element_oracle(self, text, include_identity):
+        spec = parse_group_spec(text)
+        got = order3_vertices(spec, include_identity)
+        assert got.keys == oracles.oracle_order3_vertices(spec, include_identity).keys
+
+    def test_short_residue_array_trips_the_order_assertion(self, monkeypatch):
+        full = groups._sl3_residues
+        monkeypatch.setattr(groups, "_sl3_residues", lambda p: full(p)[1:])
+        spec = parse_group_spec("SL3(2)")
+        for build in (order3_vertices, enumerate_group):
+            with pytest.raises(AssertionError, match="produced 167 elements, expected 168"):
+                build(spec)
 
     def test_include_identity_adds_one(self):
         spec = parse_group_spec("S4")
