@@ -34,11 +34,12 @@ elementwise passes run from a core's L2 cache.  Each block's products are
 issued as tiles of fewer than 2^19 multiply-adds, which OpenBLAS runs on
 the calling thread: two processes that each started BLAS threads would
 oversubscribe two cores, and with 9-term dot products threads gain nothing.
-A pass over at least SPLIT_PAIRS pairs shares its blocks, as units in
-order, with one forked worker when a second CPU is there to use
-(`_Shared`); the worker reports each block's edge keys and counters, and
-any block it does not report is run here, so the edges and counters are
-the same on one CPU or two.
+A pass over at least SPLIT_PAIRS pairs leaves its odd-numbered blocks to
+one forked worker when a second CPU is there to use (`_split_pass`).  The
+worker sends back their edge keys and counters in one report; while it
+runs, this process runs the even blocks and then the odd ones from the
+last, and uses the report only if it comes whole before those are done.
+The edges and counters are the same on one CPU or two.
 
 The t block is reduced mod p only when it can wrap: |t| <= 9 M^2 for the
 largest entry M, so while 9 M^2 <= p // 2 (M <= 1365, every default
@@ -59,6 +60,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import select
 import signal
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -342,8 +344,8 @@ def build_portion_edges(vertices, cfg: GenerationConfig | None = None,
 # 9 * (p/2)^2 < 2^53 and float64 Gram products are exact integers.
 _RESIDUE_PRIME = 33_554_393
 
-# Entries per block of the edge pass's Gram products, and so per unit of a
-# split pass: 1 << 18 float64 is 2 MiB, a core's L2 cache on the 2-core VM
+# Entries per block of the edge pass's Gram products, each block one unit
+# of the pass: 1 << 18 float64 is 2 MiB, a core's L2 cache on the 2-core VM
 # of BENCH_edge_pass.json, and each block's elementwise passes run from
 # there.  Smaller blocks cost more BLAS tiles and more units.  Warm 25k
 # passes on two processes, medians of seven, 1 << 16 / 17 / 18 / 19 / 21:
@@ -417,8 +419,8 @@ def _edges_with_prefilter(entries: np.ndarray, maxabs: int):
     table's diagonal is asserted empty.  On the evaluated pairs, residue
     Gram products mod p filter the traces and the survivors are decided
     exactly in integer arithmetic.  The units of work are the blocks of one
-    class's rows, run by `_Shared`: here only, or also by one forked worker
-    when the pass evaluates at least SPLIT_PAIRS pairs."""
+    class's rows, run by `_split_pass`: here only, or the odd ones also by
+    one forked worker when the pass evaluates at least SPLIT_PAIRS pairs."""
     n = len(entries)
     if n < 2:
         return 0, 0, 0, np.empty((0, 2), np.int64)
@@ -494,17 +496,10 @@ def _edges_with_prefilter(entries: np.ndarray, maxabs: int):
         vj = order[gj[edge]]
         return idx.size, minus.size, np.minimum(vi, vj) * n + np.maximum(vi, vj)
 
-    def work(taken, send):
-        for u in taken:
-            send((u, *run(u)))
-
     pairs = int(sum((hi - lo) * widths[a] for a, lo, hi in units))
-    with _Shared(len(units), work, fork=pairs >= SPLIT_PAIRS) as shared:
-        inverse_keys = _inverse_keys(entries)  # while the worker takes the first units
-        shared.run(run)
-    results = shared.results.values()
+    results = _split_pass(run, len(units), pairs >= SPLIT_PAIRS, entries)
     # edges as keys i n + j with i < j: the inverse pairs and each unit's
-    keys = np.concatenate([inverse_keys, *(r[2] for r in results)])
+    keys = np.concatenate([r[2] for r in results])
     edges = np.stack(np.divmod(np.sort(keys), n), axis=1)
     return (pairs, sum(int(r[0]) for r in results), sum(int(r[1]) for r in results), edges)
 
@@ -534,120 +529,62 @@ def _second_cpu() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
 
-class _Shared:
-    """Units 0, 1, ..., count - 1 of one job, run by this process and, when
-    `fork` holds and the process may run on two CPUs and can fork, by one
-    forked worker as well ("Embarrassingly Parallel Search", Regin, Rezgui
-    and Malapert, CP 2013).  Both processes take the units in order from a
-    token passed through a pipe.  The worker runs work(taken, send):
-    `taken` yields the units it takes until none is left, and `send`
-    reports (unit, *result) over a second pipe into this process's
-    `results`, {unit: result}.  Used as a context manager; on exit the
-    worker is killed, finished or not, and reaped."""
+def _split_pass(run, count: int, fork: bool, entries: np.ndarray) -> list:
+    """The edge pass's results, each (trace candidates, exact checks, edge
+    keys): the inverse pairs of `entries`, with no counters, and units 0,
+    ..., count - 1, run(u) giving unit u's.
 
-    def __init__(self, count: int, work, fork: bool = True):
-        self.count, self.results = count, {}
-        self.pid = self.reports = None
-        self.first = 0  # no unit before it lacks a result
-        if not (fork and _second_cpu()):
-            return
-        # imported here: ~1 MiB of modules that a pass which never splits does not need
-        from multiprocessing.connection import Pipe, wait
-        self._wait = wait
-        self.token_r, self.token_w = os.pipe()  # holds the next unit while no process takes it
-        os.set_blocking(self.token_r, False)
-        os.write(self.token_w, (0).to_bytes(4, "little"))
-        self.reports, report = Pipe(duplex=False)
+    When `fork` holds and _second_cpu(), one forked worker runs the odd
+    units and writes one report over a pipe, an int64 array: the byte
+    length of the rest, then the odd units' summed counters and their edge
+    keys, which stands for their results.  Meanwhile this process finds
+    the inverse pairs and runs the even units, then the odd units itself,
+    last first, until the report starts to arrive, and takes the report
+    only when it is complete.  The odd units of a worker that was never
+    forked, died, hangs or cut its report short are all run here, so the
+    results are the same on one CPU or two.  On the way out the worker is
+    killed, finished or not, and reaped."""
+    pid = pipe = None
+    if fork and _second_cpu():
+        r, w = os.pipe()
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:  # no worker: this process runs every unit
             pass
-        if self.pid == 0:
-            code = 1
+        if pid == 0:
             try:
                 gc.disable()  # a collection would touch, and so copy, the whole inherited heap
-                self.reports.close()
-                work(self._taken(), report.send)
-                code = 0
+                mine = [run(u) for u in range(1, count, 2)]
+                report = np.concatenate([np.zeros(3, np.int64), *(x[2] for x in mine)])
+                report[:3] = report.nbytes - 8, sum(x[0] for x in mine), sum(x[1] for x in mine)
+                report = memoryview(report).cast("B")
+                while report:
+                    report = report[os.write(w, report):]
             finally:
-                os._exit(code)
-        report.close()
-
-    @property
-    def worker(self) -> bool:
-        """Whether a worker may still report."""
-        return self.pid is not None and not self.reports.closed
-
-    def _taken(self):
-        """The units the worker takes, in order, until none is left."""
-        while True:
-            i = _take(self.token_r, self.token_w)
-            if i is None:
-                self._wait([self.token_r])
-            elif i < self.count:
-                yield i
-            else:
-                return
-
-    def receive(self):
-        """Store the worker's next report in `results`; once the worker is
-        gone, close its pipe instead, so that `worker` turns false."""
-        try:
-            i, *result = self.reports.recv()
-        except EOFError:
-            self.reports.close()
-            return
-        self.results[i] = tuple(result)
-
-    def missing(self) -> int | None:
-        """The first unit without a result, None when every one has one."""
-        while self.first < self.count and self.first in self.results:
-            self.first += 1
-        return self.first if self.first < self.count else None
-
-    def run(self, run):
-        """Compute results here, run(unit), until every unit has one.  With
-        no worker left, the unit run next is the first without a result.
-        While there is one, this process takes units from the token until
-        none is left and stores the worker's reports as they arrive."""
-        taking = True
-        while (i := self.missing()) is not None:
-            if self.worker:
-                if self.reports in self._wait([self.reports, self.token_r] if taking
-                                              else [self.reports]):
-                    self.receive()
-                    continue
-                i = _take(self.token_r, self.token_w)
-                if i is None:
-                    continue
-                if i >= self.count:
-                    taking = False
-                    continue
-            self.results[i] = run(i)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        if self.reports is not None:
-            self.reports.close()
-            os.close(self.token_r)
-            os.close(self.token_w)
-
-
-def _take(token_r: int, token_w: int) -> int | None:
-    """The index in the token, putting back the next one, or None while the
-    other process holds the token."""
+                os._exit(0)
+        os.close(w)
+        pipe = os.fdopen(r, "rb")
+        arrived = select.poll()
+        arrived.register(r, select.POLLIN)  # a closed pipe shows as POLLHUP
     try:
-        token = os.read(token_r, 4)
-    except BlockingIOError:
-        return None
-    i = int.from_bytes(token, "little")
-    os.write(token_w, (i + 1).to_bytes(4, "little"))
-    return i
+        results = [(0, 0, _inverse_keys(entries)), *map(run, range(0, count, 2))]
+        odd = []
+        for u in reversed(range(1, count, 2)):
+            if pid and arrived.poll(0):
+                arrived.unregister(r)  # one read: the report, part of it or none
+                size = int.from_bytes(head := pipe.read(8), "little")
+                if len(head) == 8 and len(body := pipe.read(size)) == size:
+                    report = np.frombuffer(body, np.int64)
+                    odd = [(report[0], report[1], report[2:])]
+                    break
+            odd.append(run(u))
+        return results + odd
+    finally:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pipe is not None:
+            pipe.close()
 
 
 def generate_and_build(cfg: GenerationConfig) -> PortionGraph:

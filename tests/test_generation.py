@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import select
 import signal
 import time
 from dataclasses import asdict, replace
@@ -435,9 +436,8 @@ class TestSplitPass:
     @SPLIT_INPUTS
     def test_worker_killed_after_its_first_unit_changes_nothing(self, name, split_inputs,
                                                                  monkeypatch):
-        # the worker dies in the first Gram product of its second unit; this
-        # process runs every unit the worker did not report: all but the
-        # first, or all of them if the worker took none
+        # the worker dies in the first Gram product of its second unit, so
+        # it reports nothing and this process runs every unit
         verts, counts, *want = split_inputs[name]
         monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
         forked = toys.run_as_on_cpus(monkeypatch)
@@ -453,23 +453,65 @@ class TestSplitPass:
         monkeypatch.setattr(generation, "_gram", dies_in_second_unit)
         got = _edge_pass(verts, monkeypatch)
         assert_same_pass(got, want, counts)
-        assert got[2] in (want[2] - 2, want[2])
+        assert got[2] == want[2]
         assert len(forked) == 1
         toys.assert_reaped(forked)
 
     @SPLIT_INPUTS
     def test_worker_that_takes_no_unit_is_killed(self, name, split_inputs, monkeypatch):
-        # the worker sleeps instead of taking a unit: this process runs them
-        # all, then kills it rather than waiting for it
+        # the worker hangs in its first Gram product and finishes no unit:
+        # this process runs them all, then kills it rather than waiting for it
         verts, counts, *want = split_inputs[name]
         monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
         forked = toys.run_as_on_cpus(monkeypatch)
-        parent, take = os.getpid(), generation._take
-        monkeypatch.setattr(generation, "_take", lambda *args:
-                            time.sleep(60) if os.getpid() != parent else take(*args))
+        parent, gram = os.getpid(), generation._gram
+
+        def hangs(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return gram(*args)
+
+        monkeypatch.setattr(generation, "_gram", hangs)
         start = time.monotonic()
         got = _edge_pass(verts, monkeypatch)
         assert time.monotonic() - start < 10
+        assert_same_pass(got, want, counts)
+        assert got[2] == want[2]
+        assert len(forked) == 1
+        toys.assert_reaped(forked)
+
+    @SPLIT_INPUTS
+    def test_report_cut_short_changes_nothing(self, name, split_inputs, monkeypatch):
+        # the worker writes half its report and dies.  This process holds
+        # its first Gram product until the writing starts, so the report is
+        # there when it looks; it finds the report short and runs every unit
+        verts, counts, *want = split_inputs[name]
+        monkeypatch.setattr(generation, "SPLIT_PAIRS", 0)
+        forked = toys.run_as_on_cpus(monkeypatch)
+        parent, gram, write = os.getpid(), generation._gram, os.write
+        began_r, began_w = os.pipe()
+        started = []
+
+        def writes_half(fd, data):
+            if os.getpid() == parent:
+                return write(fd, data)
+            write(began_w, b"!")
+            write(fd, data[:len(data) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def waits_for_the_writing(*args):
+            if os.getpid() == parent and not started:
+                started.append(select.select([began_r], [], [], 30)[0])
+            return gram(*args)
+
+        monkeypatch.setattr(os, "write", writes_half)
+        monkeypatch.setattr(generation, "_gram", waits_for_the_writing)
+        try:
+            got = _edge_pass(verts, monkeypatch)
+        finally:
+            os.close(began_r)
+            os.close(began_w)
+        assert started == [[began_r]]
         assert_same_pass(got, want, counts)
         assert got[2] == want[2]
         assert len(forked) == 1
