@@ -1,32 +1,14 @@
-"""Maximum clique: a degeneracy order, then one bitmask branch and bound in
-each vertex's later neighborhood.
+"""Maximum clique: one bitmask branch and bound per root vertex, over the
+root's forward neighbors under a rank of the vertices.
 
 Following Eppstein, Löffler and Strash ("Listing all maximal cliques in
 sparse graphs in near-optimal time", ISAAC 2010), every clique is found
 under its earliest vertex v in a degeneracy order, among v's later
 neighbors P.  The order is graph._core_order's, the core decomposition that
-also gives the chi search its k-cores.  P is re-indexed as local bits in
-vertex-id order, so the search runs on |P|-bit masks whatever the size of
-the graph, and |P| is at most the degeneracy.
-
-The local rows come from the graph's sorted arcs in one numpy pass, which
-lists the triangles along the order (Chiba and Nishizeki, "Arboricity and
-subgraph listing algorithms", SIAM J. Comput. 1985).  The forward arcs, those
-to a later vertex, are sorted by tail and then head, so P is a slice of them
-and a vertex's local bit is its offset in that slice.  Every pair of forward
-arcs (v, w), (v, x) with w < x is looked up among the edges; an edge w x
-sets bit loc(x) in the row of (v, w) and bit loc(w) in the row of (v, x).
-The pairs go in blocks of _PAIR_BLOCK, so the pass's transient arrays stay
-small, and the rows are uint64 words turned into one Python int each.
-
-Branching is Bron-Kerbosch with a pivot of most neighbors in P (the lowest
-bit on ties, and the scan stops at a vertex adjacent to all the others); a
-maximum clique needs no maximality test, so there is no excluded set.  A
-parent counts each child's node, checks the budget and applies the child's
-two cuts (an empty P records a clique; a clique that cannot outgrow the
-best one is cut) before it recurses, so a leaf costs no call.  The search
-is exact unless the node budget runs out, in which case the best clique
-found so far is returned flagged as a lower bound only.
+also gives the chi search its k-cores: every vertex is a root, and its rank
+is its position in the order.  P is re-indexed as local bits in vertex-id
+order, so the search runs on |P|-bit masks whatever the size of the graph,
+and |P| is at most the degeneracy.
 
 A graph whose labels are group elements that conjugation maps onto one
 another is searched one vertex orbit at a time (graph._conjugation_orbits:
@@ -39,14 +21,35 @@ largest of 1 + omega(G[N(r_i) - O_1 - ... - O_(i-1)]).  It is sound under
 any set of verified automorphisms: take a maximum clique and the earliest
 orbit O_i that it meets, at u; a product of the maps takes u to r_i and
 keeps every orbit onto itself, so the image is a maximum clique through
-r_i that misses O_1, ..., O_(i-1).  Each r_i is one outer step of the
-search above, with that neighborhood as P, and the best clique so far
-bounds every step; the result is exact only if every step ran to its end,
-and its witness is re-checked on the graph.  The first step is the whole
-search's first too, as its vertex, the least of least degree, has every
-neighbor after it in the degeneracy order, so both find the same first
-clique.  On SL3(3) (orbits of 104 and 624 vertices) that is 1,267 nodes
-against 228,076 for the whole graph, and the same witness.
+r_i that misses O_1, ..., O_(i-1).  So the roots are the r_i and a
+vertex's rank is its orbit's index i: P is again the root's neighbors of
+rank at least its own.  The first root is the whole search's first too, as
+the least vertex of least degree has every neighbor after it in the
+degeneracy order, so both find the same first clique.  On SL3(3) (orbits
+of 104 and 624 vertices) that is 1,267 nodes against 228,076 for the whole
+graph, and the same witness.
+
+The local rows come from the graph's sorted arcs in one numpy pass, which
+lists the triangles along the rank (Chiba and Nishizeki, "Arboricity and
+subgraph listing algorithms", SIAM J. Comput. 1985).  The forward arcs,
+those from a root to a neighbor of no lower rank, are sorted by tail and
+then head, so P is a slice of them and a vertex's local bit is its offset
+in that slice.  Every pair of forward arcs (v, w), (v, x) with w < x is
+looked up among the edges; an edge w x sets bit loc(x) in the row of
+(v, w) and bit loc(w) in the row of (v, x).  The pairs go in blocks of
+_PAIR_BLOCK, so the pass's transient arrays stay small, and the rows are
+uint64 words turned into one Python int each.
+
+Branching is Bron-Kerbosch with a pivot of most neighbors in P (the lowest
+bit on ties, and the scan stops at a vertex adjacent to all the others); a
+maximum clique needs no maximality test, so there is no excluded set.  A
+parent counts each child's node, checks the budget and applies the child's
+two cuts (an empty P records a clique; a clique that cannot outgrow the
+best one is cut) before it recurses, so a leaf costs no call.  The roots
+share the best clique, which bounds every step, and the node budget.  The
+search is exact unless the node budget runs out, in which case the best
+clique found so far is returned flagged as a lower bound only; either way
+its witness is re-checked on the graph.
 """
 
 from __future__ import annotations
@@ -86,49 +89,28 @@ def _clique_search(graph: TriangleGraph, node_budget: int | None,
         node_budget = DEFAULT_CLIQUE_BUDGET
     if graph.n == 0:
         return CliqueResult(0, (), True, 0)
+    rank = np.empty(graph.n, np.int64)
     if found is None:
-        order, _ = _core_order(graph)
-        start, heads, rows = _later_rows(graph, order)
-        return _branch_and_bound(((v, heads, rows, start[v], start[v + 1]) for v in order),
-                                 node_budget)
-    res = _branch_and_bound(_orbit_steps(graph, found[1]), node_budget)
+        roots, _ = _core_order(graph)
+        rank[roots] = np.arange(graph.n)
+    else:
+        deg = np.diff(graph._indptr)
+        orbits = sorted(found[1], key=lambda o: (deg[o[0]], o[0]))
+        roots = [orbit[0] for orbit in orbits]
+        for i, orbit in enumerate(orbits):
+            rank[orbit] = i
+    res = _branch_and_bound(roots, *_later_rows(graph, rank, roots), node_budget)
     if not verify_clique(graph, res.witness):
-        raise AssertionError(f"orbit-pinned clique {res.witness} is not a clique")
+        raise AssertionError(f"clique search witness {res.witness} is not a clique")
     return res
 
 
-def _orbit_steps(graph: TriangleGraph, orbits: list[list[int]]):
-    """One step of _branch_and_bound per orbit, in order of degree and
-    then of least vertex: the orbit's least vertex r, the list P of the
-    neighbors of r in no earlier orbit and their rows, sliced whole.  The
-    first step is the plain search's first, whose vertex has every
-    neighbor after it."""
-    n, indptr, heads = graph.n, graph._indptr, graph._heads
-    deg = np.diff(indptr)
-    tail = np.repeat(np.arange(n), deg)
-    fresh = np.ones(n, bool)  # in no earlier orbit
-    for orbit in sorted(orbits, key=lambda o: (deg[o[0]], o[0])):
-        r = orbit[0]
-        near = np.zeros(n, bool)
-        near[heads[indptr[r]:indptr[r + 1]]] = True
-        near &= fresh
-        fresh[orbit] = False
-        local = np.cumsum(near) - 1
-        arc = near[tail] & near[heads]
-        width = int(local[-1]) + 1
-        words = (width + 63) >> 6
-        row_words = np.zeros(width * words, np.uint64)
-        bit = local[heads[arc]]
-        np.bitwise_or.at(row_words, local[tail[arc]] * words + (bit >> 6),
-                         np.uint64(1) << (bit & 63).astype(np.uint64))
-        yield r, np.flatnonzero(near).tolist(), _row_ints(row_words, words), 0, width
-
-
-def _branch_and_bound(steps, node_budget: int) -> CliqueResult:
-    """The branch and bound of the module docstring over `steps`, each a
-    vertex v, lists of vertices and of rows, and the slice [a, z) of both
-    that holds the vertices P that v's cliques may add and their rows:
-    mask j of row i is set when P[i] and P[j] are adjacent."""
+def _branch_and_bound(roots: list[int], start: list[int], heads: list[int],
+                      arc_rows: list[int], node_budget: int) -> CliqueResult:
+    """The branch and bound of the module docstring, one outer step per
+    root v in turn: the vertices P that v's cliques may add are
+    heads[start[v]:start[v + 1]] and their rows the same slice of
+    arc_rows, mask j of row i set when P[i] and P[j] are adjacent."""
     best: list[int] = []
     nodes = 0
     later: list[int] = []   # local bit -> vertex, for the current outer vertex
@@ -167,7 +149,8 @@ def _branch_and_bound(steps, node_budget: int) -> CliqueResult:
                 r.pop()  # a spent budget returns at the next count
             p ^= b
 
-    for v, heads, arc_rows, a, z in steps:
+    for v in roots:
+        a, z = start[v], start[v + 1]
         if z - a + 1 <= len(best):
             continue
         nodes += 1
@@ -184,19 +167,20 @@ def _branch_and_bound(steps, node_budget: int) -> CliqueResult:
                         min(nodes, node_budget))
 
 
-def _later_rows(graph: TriangleGraph, order: list[int]
+def _later_rows(graph: TriangleGraph, rank: np.ndarray, roots: list[int]
                 ) -> tuple[list[int], list[int], list[int]]:
-    """The forward arcs along `order` and their local rows: v's later
-    neighbors are heads[start[v]:start[v + 1]], ascending, and the arc to
-    the i-th of them has rows[start[v] + i], the mask of the later neighbors
-    of v adjacent to it, bit j standing for the j-th."""
+    """The forward arcs (v, w) of the roots v, those with rank[w] >=
+    rank[v], and their local rows: a root v's forward heads are
+    heads[start[v]:start[v + 1]], ascending (an empty slice for any other
+    vertex), and the arc to the i-th of them has rows[start[v] + i], the
+    mask of v's forward heads adjacent to it, bit j standing for the j-th."""
     n = graph.n
     heads = graph._heads
     tail = np.repeat(np.arange(n), np.diff(graph._indptr))
     keys = (tail * n + heads)[tail < heads]  # the edges i < j, sorted
-    pos = np.empty(n, np.int64)
-    pos[order] = np.arange(n)
-    fwd = pos[heads] > pos[tail]
+    is_root = np.zeros(n, bool)
+    is_root[roots] = True
+    fwd = is_root[tail] & (rank[heads] >= rank[tail])
     ftail, fhead = tail[fwd], heads[fwd]
     del tail, fwd  # the widest arrays: those below have one entry per forward arc
     start = np.searchsorted(ftail, np.arange(n + 1))

@@ -44,7 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cliques import CliqueResult, _clique_search, clique_number, verify_clique
+from .cliques import CliqueResult, _clique_search, _row_ints, clique_number, verify_clique
 from .graph import TriangleGraph, _conjugation_orbits, _core_order
 
 DEFAULT_COLOR_NODE_BUDGET = 50_000_000
@@ -389,8 +389,7 @@ def _bit_rows(indptr: np.ndarray, heads: np.ndarray) -> list[int]:
     row_words = np.zeros(n * words, np.uint64)
     np.bitwise_or.at(row_words, tail * words + (heads >> 6),
                      np.uint64(1) << (heads & 63).astype(np.uint64))
-    raw, size = row_words.astype("<u8").tobytes(), 8 * words
-    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, len(raw), size)]
+    return _row_ints(row_words, words)
 
 
 def _union(rows: list[int], mask: int) -> int:

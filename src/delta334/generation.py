@@ -70,8 +70,7 @@ import numpy as np
 
 from .cliques import CliqueResult, clique_number
 from .coloring import (Coloring, ChromaticResult, chromatic_bounds,
-                       chromatic_number_exact, heuristic_chromatic_upper,
-                       improve_coloring, lift_coloring)
+                       chromatic_number_exact, heuristic_chromatic_upper, lift_coloring)
 from .elements import (DEFAULT_ENTRY_LIMIT, CarrierMismatchError, IntMatrix3,
                        MAT3_IDENTITY, element_key, entry_array,
                        has_order_dividing_3, int_matrices, is_prime, key_order,
@@ -636,8 +635,8 @@ def mod_p_codomain(p: int) -> TriangleGraph:
 @dataclass(kw_only=True)
 class PortionChromaticBounds(ChromaticResult):
     """`chromatic_bounds` of a portion's clique, its own search, and the
-    lifted mod-2 coloring and its refinement, with the clique, the lift
-    (None when reduction mod 2 is not a morphism) and the search attached.
+    lifted mod-2 coloring, with the clique, the lift (None when reduction
+    mod 2 is not a morphism) and the search attached.
     A clique of size four would contradict the source material's
     conjecture: it is flagged as a discovery, not an error.
     """
@@ -673,11 +672,11 @@ def portion_chromatic_bounds(portion, *,
     """Certified chromatic bounds for a portion graph.
 
     Lower bound: the clique found, budget cut or not, and whatever the
-    bounded exact search proves.  Upper bound: best of the exact search's
-    coloring, the mod-2 lifted coloring, and an iterated-greedy refinement of
-    the lift.  The lift pulls back codomain_coloring, by default the
-    codomain's heuristic coloring (eight colors on SL3(2), the optimum; no
-    chi proof is run).  The exact search is time-boxed
+    bounded exact search proves.  Upper bound: the better of the exact
+    search's coloring and the mod-2 lifted coloring, the search's on ties.
+    The lift pulls back codomain_coloring, by default the codomain's
+    heuristic coloring (eight colors on SL3(2), the optimum; no chi proof
+    is run).  The exact search is time-boxed
     (DEFAULT_COLOR_TIME_BUDGET; pass None to lift the cap) because portion
     cores routinely exceed what branch-and-bound can exhaust.
     color_node_budget caps the one clique search, whose clique the exact
@@ -690,7 +689,7 @@ def portion_chromatic_bounds(portion, *,
     """
     graph = portion.graph if isinstance(portion, PortionGraph) else portion
 
-    lifted = refined = None
+    lifted = None
     if codomain is None:
         codomain = mod_p_codomain(2)
     if reduction is None:
@@ -706,7 +705,5 @@ def portion_chromatic_bounds(portion, *,
     clique = clique_number(graph, node_budget=color_node_budget)
     own = chromatic_number_exact(graph, time_budget=color_time_budget,
                                  node_budget=color_node_budget, clique=clique)
-    if lifted is not None:
-        refined = improve_coloring(graph, lifted, rounds=60)
-    res = chromatic_bounds(graph, clique, own, (lifted, refined))
+    res = chromatic_bounds(graph, clique, own, (lifted,))
     return PortionChromaticBounds(**vars(res), clique=clique, lifted=lifted, own=own)

@@ -631,11 +631,16 @@ def oracle_core_search(graph, k, core, clique, colors, deadline, node_budget):
     return (status, nodes)
 
 
-def oracle_clique_search(graph, node_budget=None):
+def oracle_clique_search(graph, node_budget=None, orbits=None):
     """The clique search as the library first ran it, kept as the reference
     its faster loop must match node for node: the same CliqueResult under
     every budget.  Its local rows are built per outer vertex from frozenset
-    neighborhoods, and every node, leaves included, is one call."""
+    neighborhoods, and every node, leaves included, is one call.  The outer
+    vertices and their ranks are the degeneracy order and the positions in
+    it, or, given the vertex orbits of graph._conjugation_orbits, the
+    orbits' least vertices and the orbits' indices, the orbits sorted by
+    degree and then least vertex; an outer vertex's P is its neighbors of
+    rank at least its own."""
     from delta334.cliques import DEFAULT_CLIQUE_BUDGET, CliqueResult
     from delta334.cycles import _bits, _mask
     from delta334.graph import _core_order
@@ -646,10 +651,16 @@ def oracle_clique_search(graph, node_budget=None):
     if n == 0:
         return CliqueResult(0, (), True, 0)
     nbrs = [frozenset(graph.neighbors(v)) for v in range(n)]
-    order, _ = _core_order(graph)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    if orbits is None:
+        order, _ = _core_order(graph)
+        parts = [[v] for v in order]
+    else:
+        parts = sorted(orbits, key=lambda o: (graph.degree(min(o)), min(o)))
+        order = [min(o) for o in parts]
+    rank = [0] * n
+    for i, part in enumerate(parts):
+        for v in part:
+            rank[v] = i
     best: list[int] = []
     nodes = 0
     later: list[int] = []   # local bit -> vertex, for the current outer vertex
@@ -680,7 +691,7 @@ def oracle_clique_search(graph, node_budget=None):
                 return
 
     for v in order:
-        later = sorted(w for w in nbrs[v] if pos[w] > pos[v])
+        later = sorted(w for w in nbrs[v] if rank[w] >= rank[v])
         if len(later) + 1 <= len(best):
             continue
         local = {w: i for i, w in enumerate(later)}

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from delta334 import cliques
 from delta334 import graph as graph_module
 from delta334.cliques import CliqueResult, clique_number, verify_clique
+from delta334.coloring import chromatic_number_exact
 from delta334.elements import compose, inverse
 from delta334.generation import GenerationConfig, generate_and_build
 from delta334.graph import TriangleGraph, _conjugation_orbits, _core_order, build_delta334
@@ -117,6 +119,14 @@ class TestSameTreeAsTheOracle:
         res = clique_number(portion_5k)
         assert res == oracles.oracle_clique_search(portion_5k)
         assert (res.size, res.exact, res.nodes) == (3, True, 17_019)
+
+    @pytest.mark.parametrize("spec", ["SL3(2)", "SL3(3)", "A6", "S5", "sum(SL3(2),Z3)"])
+    def test_orbit_path(self, spec, sl33):
+        # as labelled: the oracle takes the same orbits, roots and ranks
+        g = sl33 if spec == "SL3(3)" else group_graph(spec)
+        orbits = _conjugation_orbits(g)[1]
+        for budget in (1, 5, 100, 1_267, None):
+            assert clique_number(g, budget) == oracles.oracle_clique_search(g, budget, orbits)
 
     def test_k70(self):
         # later sets of up to 69 vertices: rows of two words
@@ -265,10 +275,12 @@ class TestPairBlocks:
     def test_small_blocks_change_no_row(self, graph, block, request, monkeypatch):
         g = request.getfixturevalue(graph)
         order, _ = _core_order(g)
-        rows = cliques._later_rows(g, order)
+        rank = np.empty(g.n, np.int64)
+        rank[order] = np.arange(g.n)
+        rows = cliques._later_rows(g, rank, order)
         want = [clique_number(g, budget) for budget in (5, 50_000, None)]
         monkeypatch.setattr(cliques, "_PAIR_BLOCK", block)
-        assert cliques._later_rows(g, order) == rows
+        assert cliques._later_rows(g, rank, order) == rows
         assert [clique_number(g, budget) for budget in (5, 50_000, None)] == want
 
 
@@ -314,6 +326,16 @@ class TestVerifyClique:
         g = build_delta334(order3_vertices(parse_group_spec("Z3"), include_identity=True))
         assert g.loops == {0}
         assert not verify_clique(g, (0, 0)) and not verify_clique(g, (0, 0, 0))
+
+    def test_every_search_result_is_rechecked(self, monkeypatch):
+        # integer labels: the plain search, not the orbit-pinned one
+        g = toys.cycle_graph(5)
+        monkeypatch.setattr(cliques, "_branch_and_bound",
+                            lambda *args: CliqueResult(3, (0, 1, 2), True, 1))
+        with pytest.raises(AssertionError, match="not a clique"):
+            clique_number(g)
+        with pytest.raises(AssertionError, match="not a clique"):
+            chromatic_number_exact(g)
 
     def test_accepts_real_clique(self):
         g = toys.complete_graph(4)
