@@ -21,10 +21,11 @@ count of colors left as the vertex queue), and an ascending-color symmetry
 cap (a vertex may only open one new color).  A color that would take a
 neighbor's last color is refused before any mask moves, and a vertex's
 color loop ends at its last candidate.  Chi is certified when a coloring
-meets the clique or, on a graph that conjugation by its labels makes
-vertex-transitive, n / alpha (alpha from a search pinned at one vertex;
+meets the clique or n / alpha (each color class is an independent set;
 Godsil and Royle, Algebraic Graph Theory, 7.5), or when the
-(chi-1)-coloring search exhausts.
+(chi-1)-coloring search exhausts.  Alpha is clique_number of the
+complement, which keeps the labels and so their conjugation orbits; it is
+tried on a graph with one orbit, where that search has one root.
 Each k-colorability search is one loop in this process.
 DSATUR has its own pass: on a whole component the bitboards would need a
 mask of n bits per vertex, where the heap needs O(m log n) time and O(n)
@@ -40,7 +41,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations
 
 import numpy as np
 
@@ -82,7 +82,8 @@ def find_coloring_violation(graph: TriangleGraph, colors) -> tuple[int, int] | N
 @dataclass
 class ChromaticResult:
     """Exact chi when lower == upper, with an exhaustion or independence certificate
-    (infeasible_k, exhausted, nodes; independent_set, automorphisms: label ids)."""
+    (infeasible_k, exhausted, nodes; independent_set: a maximum clique of the
+    complement, automorphisms: the label ids whose conjugation maps pinned it)."""
 
     lower: int
     upper: int
@@ -109,7 +110,7 @@ def chromatic_bounds(graph: TriangleGraph, clique: CliqueResult,
     and 1 on a nonempty graph; upper: the proper coloring with the fewest
     colors among the search's and `colorings`, the first on ties.  The
     certificate is the search's plus lower_bound_clique; nodes are the
-    clique's plus the search's."""
+    search's own, 0 with no search (the clique's stay in `clique`)."""
     found = [c for c in (search.coloring if search else None, *colorings)
              if c is not None and c.proper]
     best = min(found, key=lambda c: c.num_colors)
@@ -118,7 +119,7 @@ def chromatic_bounds(graph: TriangleGraph, clique: CliqueResult,
     certificate = {**(search.certificate if search else {}),
                    "lower_bound_clique": clique.witness}
     return ChromaticResult(lower, best.num_colors, best, lower == best.num_colors,
-                           certificate, clique.nodes + (search.nodes if search else 0))
+                           certificate, search.nodes if search else 0)
 
 
 def chromatic_number_exact(graph: TriangleGraph,
@@ -135,15 +136,16 @@ def chromatic_number_exact(graph: TriangleGraph,
     Components share the node budget, one DSATUR and at most one core
     decomposition of the whole graph: restricted to a component, each is the
     component's own, as a pop in one component moves no degree or saturation
-    in another.  node_budget None means DEFAULT_COLOR_NODE_BUDGET.  An alpha
-    search gets what that clique search left, the descent what remains.
+    in another.  node_budget None means DEFAULT_COLOR_NODE_BUDGET.  On one
+    orbit, alpha's search gets what that clique search left, the descent
+    what remains; a cut alpha bounds nothing.
     Iterated-greedy rounds refine only components that are `_small_or_dense`."""
     _reject_loops(graph)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     if node_budget is None:
         node_budget = DEFAULT_COLOR_NODE_BUDGET
     own_clique = clique is None  # its nodes are not the alpha search's to spend
-    found = _conjugation_orbits(graph)  # for the clique search and the alpha bound
+    found = _conjugation_orbits(graph)  # for the clique search and the one-orbit rule
     if own_clique:
         clique = _clique_search(graph, node_budget, found)
     elif not verify_clique(graph, clique.witness):
@@ -156,10 +158,10 @@ def chromatic_number_exact(graph: TriangleGraph,
     certificate: dict = {}
     position = core = None
     if (max(colors, default=0) + 1 > floor and (deadline is None or time.monotonic() < deadline)
-            and found is not None and len(found[1]) == 1):  # one orbit: vertex-transitive
-        alpha = _pinned_alpha(graph, 0, max(node_budget - clique.nodes * own_clique, 0))
-        nodes, bound = alpha.nodes, -(-graph.n // alpha.size)  # chi >= n / alpha, as transitive
-        if alpha.exact and bound > floor:
+            and found is not None and len(found[1]) == 1):  # one orbit: one pinned root
+        alpha = clique_number(_complement(graph), max(node_budget - clique.nodes * own_clique, 0))
+        nodes, bound = alpha.nodes, -(-graph.n // alpha.size) if alpha.exact else 0
+        if bound > floor:
             floor = bound
             certificate = {"infeasible_k": bound - 1, "nodes": nodes, "exhausted": True,
                            "independent_set": alpha.witness, "automorphisms": found[0]}
@@ -203,18 +205,13 @@ def chromatic_number_exact(graph: TriangleGraph,
                            nodes)
 
 
-def _pinned_alpha(graph: TriangleGraph, v: int, node_budget: int | None = None) -> CliqueResult:
-    """v and a maximum clique of the complement of G - N[v] by clique_number
-    under node_budget (exact False when cut): the largest independent set
-    through v, as a CliqueResult whose witness is re-checked."""
-    far = [w for w in range(graph.n) if w != v and not graph.has_edge(v, w)]
-    pairs = [(a, b) for a, b in combinations(range(len(far)), 2)
-             if not graph.has_edge(far[a], far[b])]
-    omega = clique_number(TriangleGraph(range(len(far)), pairs), node_budget)
-    witness = tuple(sorted([v, *(far[a] for a in omega.witness)]))
-    if v not in witness or any(graph.has_edge(a, b) for a, b in combinations(witness, 2)):
-        raise AssertionError("pinned independent set has an edge")
-    return CliqueResult(len(witness), witness, omega.exact, omega.nodes)
+def _complement(graph: TriangleGraph) -> TriangleGraph:
+    """The graph on the same labels whose edges are the non-edges of
+    `graph`, from one boolean table of its arcs (loops left out)."""
+    n = graph.n
+    table = np.eye(n, dtype=bool)
+    table[np.repeat(np.arange(n), np.diff(graph._indptr)), graph._heads] = True
+    return TriangleGraph(graph.labels, np.argwhere(~table))
 
 
 def _reject_loops(graph: TriangleGraph):

@@ -357,11 +357,11 @@ def _derive_subcycles(adj: list[int], cycle: list[int], witnesses: dict[int, lis
 def _find_cycle_of_length(adj: list[int], n: int, length: int, node_budget: int):
     """Search for one simple cycle of exactly the given length.
 
-    Exhaustive over cycles grouped by their minimum vertex, with a
-    shortest-distance-to-root prune.  Returns (status, cycle | None, nodes).
+    Exhaustive over cycles grouped by their minimum vertex s <= n - length,
+    with a shortest-distance-to-root prune.  Returns (status, cycle | None, nodes).
     """
     nodes = 0
-    for s in range(n):
+    for s in range(n - length + 1):
         allowed = _mask(range(s, n))
         if (adj[s] & allowed).bit_count() < 2:
             continue

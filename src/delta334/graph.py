@@ -438,24 +438,17 @@ def kronecker_product(g1: TriangleGraph, g2: TriangleGraph) -> TriangleGraph:
     single looped vertex is a copy of G.  Vertex (i, j) gets index i * n2 + j
     and label (label1[i], label2[j]).
     """
-    n1, n2 = g1.n, g2.n
-    adj1 = [set(g1.neighbors(i)) | ({i} if i in g1.loops else set()) for i in range(n1)]
-    adj2 = [set(g2.neighbors(j)) | ({j} if j in g2.loops else set()) for j in range(n2)]
-    labels = [(g1.labels[i], g2.labels[j]) for i in range(n1) for j in range(n2)]
-    edges = []
-    loops = []
-    for i in range(n1):
-        for j in range(n2):
-            u = i * n2 + j
-            for i2 in adj1[i]:
-                for j2 in adj2[j]:
-                    v = i2 * n2 + j2
-                    if v > u:
-                        edges.append((u, v))
-                    elif v == u:
-                        loops.append(u)
+    labels = [(a, b) for a in g1.labels for b in g2.labels]
+    ends = []  # each factor's arc tails and heads, a loop v as the arc (v, v)
+    for g in (g1, g2):
+        loops = np.array(sorted(g.loops), np.int64)
+        ends += [np.concatenate((np.repeat(np.arange(g.n), np.diff(g._indptr)), loops)),
+                 np.concatenate((g._heads, loops))]
+    t1, h1, t2, h2 = ends
+    u = (t1[:, None] * g2.n + t2).ravel()  # every pair of a g1 arc and a g2 arc
+    v = (h1[:, None] * g2.n + h2).ravel()
     meta = {"product_of": [g1.meta.get("source"), g2.meta.get("source")]}
-    return TriangleGraph(labels, edges, loops, meta)
+    return TriangleGraph(labels, np.stack((u, v), 1)[u < v], u[u == v].tolist(), meta)
 
 
 def kronecker_matches_direct_sum(product: TriangleGraph,

@@ -208,13 +208,15 @@ def test_sl32_chi_8_from_independence_number(sl32_graph, sl32_chi):
     """The independence certificate of chi(SL3(2)) = 8 without the
     symmetry that pins its search: alpha = 7 from a clique search on the
     whole complement, so chi >= ceil(56 / 7) = 8, and the eight classes of
-    any 8-coloring are 7-sets."""
+    any 8-coloring are 7-sets.  Its integer labels give no conjugation
+    orbits, so it checks the pinned search's certificate independently."""
     g = sl32_graph
     complement = TriangleGraph(range(g.n), [(i, j) for i, j in
                                             itertools.combinations(range(g.n), 2)
                                             if not g.has_edge(i, j)])
     alpha = clique_number(complement)
     assert alpha.exact and alpha.size == 7 and alpha.nodes == 17_829
+    assert alpha.size == len(sl32_chi.certificate["independent_set"])
     assert all(not g.has_edge(i, j)
                for i, j in itertools.combinations(alpha.witness, 2))
     assert -(-g.n // alpha.size) == 8 == sl32_chi.chi
@@ -229,14 +231,14 @@ SL32_CHI_COLORS = (3, 1, 6, 0, 6, 1, 3, 5, 5, 4, 2, 2, 7, 5, 0, 6, 3, 2, 6, 1, 6
 
 def test_sl32_chi_search_is_pinned(sl32_chi):
     """chi = 8 from the symmetry bound: conjugation by labels 0, 1 and 2
-    leaves one vertex orbit, and the independent-set search pinned at
-    vertex 0 proves alpha = 7 in 1,820 nodes, so chi >= ceil(56 / 7).  The
-    chi coloring is the iterated greedy's, the same as when a 1,176,185-node
-    k = 7 exhaustion proved the bound."""
+    leaves one vertex orbit, and the complement's clique search, pinned at
+    vertex 0 by the same maps, proves alpha = 7 in 1,886 nodes, so
+    chi >= ceil(56 / 7).  The chi coloring is the iterated greedy's, the
+    same as when a 1,176,185-node k = 7 exhaustion proved the bound."""
     cert = sl32_chi.certificate
-    assert sl32_chi.nodes == cert["nodes"] == 1_820
+    assert sl32_chi.nodes == cert["nodes"] == 1_886
     assert (cert["infeasible_k"], cert["exhausted"]) == (7, True)
-    assert cert["independent_set"] == (0, 5, 9, 11, 22, 25, 48)
+    assert cert["independent_set"] == (0, 2, 4, 9, 18, 52, 54)
     assert cert["automorphisms"] == [0, 1, 2]
     assert sl32_chi.coloring.colors == SL32_CHI_COLORS
 

@@ -135,6 +135,17 @@ class TestReports:
         bounds = doc["report"]["chromatic"] if argv == ("stats",) else doc
         assert (bounds["lower"], bounds["upper"]) == (2, 8)
 
+    def test_chi_nodes_are_the_chi_search_nodes(self, tmp_path, capsys):
+        # bounds mode runs no chi search, so its nodes are 0; the clique
+        # search's 40 stay in the clique's own result
+        path = str(tmp_path / "sl32.json")
+        assert main(["graph", "--group", "SL3(2)", "--out", path]) == 0
+        capsys.readouterr()
+        color = json.loads(run(capsys, "color", "--in", path)[1])
+        report = json.loads(run(capsys, "stats", "--in", path)[1])["report"]
+        assert color["nodes"] == report["chromatic"]["nodes"] == 0
+        assert report["clique"]["nodes"] == 40
+
     def test_clique(self, a4_graph, capsys):
         code, out, _ = run(capsys, "clique", "--in", a4_graph)
         assert code == 0

@@ -174,13 +174,15 @@ class TestExact:
 
     # the clique search, pinned in the one conjugation orbit, finds omega = 5
     # in 40 nodes; cut before its first edge, it leaves the trivial lower
-    # bound 2.  The pinned alpha search gets what the clique search leaves:
-    # it proves alpha = 7, so chi = 8, in 1,820 nodes, so 40 + 1,820 is one
-    # node short, and a cut one adds nothing
+    # bound 2.  The complement's clique search, pinned in the same orbit,
+    # gets what the clique search leaves: it proves alpha = 7, so chi = 8,
+    # in 1,886 nodes, so 40 + 1,886 is one node short, and a cut one adds
+    # nothing.  The spy sees both searches
     @pytest.mark.parametrize("budget, bounds", [pytest.param(0, (2, 8, False), id="0"),
                                                 pytest.param(1, (2, 8, False), id="1"),
                                                 pytest.param(1860, (5, 8, False), id="1860"),
-                                                pytest.param(1861, (8, 8, True), id="1861"),
+                                                pytest.param(1926, (5, 8, False), id="1926"),
+                                                pytest.param(1927, (8, 8, True), id="1927"),
                                                 pytest.param(2000, (8, 8, True), id="2000"),
                                                 pytest.param(5000, (8, 8, True), id="5000")])
     def test_node_budget_is_a_hard_cap(self, budget, bounds, monkeypatch):
@@ -506,8 +508,9 @@ class TestHeuristics:
 
 
 class TestSymmetryBound:
-    """On a vertex-transitive graph chi >= n / alpha, and alpha is the
-    largest independent set through any one vertex."""
+    """chi >= n / alpha, alpha being the clique number of the complement,
+    which keeps the labels: on a group graph with one conjugation orbit its
+    search is pinned at one vertex."""
 
     @pytest.mark.parametrize("graph", [*(toys.cycle_graph(n) for n in range(5, 10)),
                                        toys.petersen_graph(), toys.complete_bipartite(3, 3),
@@ -515,10 +518,21 @@ class TestSymmetryBound:
                              ids=[*(f"C{n}" for n in range(5, 10)), "petersen", "K3,3",
                                   "octahedron", "K5"])
     def test_pinned_alpha_matches_brute_force(self, graph):
-        res = coloring._pinned_alpha(graph, 0)
+        res = cliques.clique_number(coloring._complement(graph))
         assert res.exact and res.size == oracles.oracle_independence_number(graph)
-        assert 0 in res.witness and len(res.witness) == res.size
+        assert len(res.witness) == res.size
         assert not any(graph.has_edge(a, b) for a in res.witness for b in res.witness)
+
+    @pytest.mark.parametrize("name", ["S5", "A5", "SL2(5)"])
+    def test_pinned_alpha_certificate_matches_brute_force(self, name):
+        # one conjugation orbit: the complement's search is pinned at vertex 0
+        g = build_delta334(order3_vertices(parse_group_spec(name)))
+        assert len(_conjugation_orbits(g)[1]) == 1
+        cert = chromatic_number_exact(g).certificate
+        assert len(cert["independent_set"]) == oracles.oracle_independence_number(g) == 6
+        assert 0 in cert["independent_set"]
+        assert not any(g.has_edge(a, b) for a in cert["independent_set"]
+                       for b in cert["independent_set"])
 
     def test_sl32_maps_are_verified_automorphisms(self):
         maps, orbits = _conjugation_orbits(SL32)
@@ -554,15 +568,15 @@ class TestSymmetryBound:
 
     def test_a6_is_not_certified_by_independence(self, monkeypatch):
         # A6 is 28-regular, but conjugation keeps the 40 3-cycles apart from
-        # the 40 double 3-cycles, so alpha through one vertex bounds nothing:
-        # no alpha search runs, and chi = 9 is never reported from one
+        # the 40 double 3-cycles: with two orbits no alpha search runs (the
+        # one-orbit rule is a cost rule), and chi = 9 is never reported
         g = build_delta334(order3_vertices(parse_group_spec("A6")))
-        calls = spy_calls(monkeypatch, "_pinned_alpha")
+        calls = spy_calls(monkeypatch, "_complement")
         for budget in (0, 1_000, 20_000):
             res = chromatic_number_exact(g, node_budget=budget)
             assert "independent_set" not in res.certificate
             assert not (res.exact and res.chi == 9)
-        assert calls == {"_pinned_alpha": []}
+        assert calls == {"_complement": []}
 
     def test_sl32_chi_needs_no_descent(self, monkeypatch):
         # SL3(2) is small, so its greedy rounds run, and their coloring meets
@@ -570,9 +584,9 @@ class TestSymmetryBound:
         calls = spy_calls(monkeypatch, "_core_order", "_iterated_greedy")
         res = chromatic_number_exact(SL32)
         assert calls["_core_order"] == [] and len(calls["_iterated_greedy"]) == 1
-        assert res.exact and res.chi == 8 and res.nodes == 1820
+        assert res.exact and res.chi == 8 and res.nodes == 1886
         assert len(res.certificate["independent_set"]) == 7
-        assert (res.certificate["infeasible_k"], res.certificate["nodes"]) == (7, 1820)
+        assert (res.certificate["infeasible_k"], res.certificate["nodes"]) == (7, 1886)
 
 
 class TestViolationDetection:

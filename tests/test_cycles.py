@@ -99,6 +99,12 @@ class TestCensus:
         assert got == want
         assert absent == set(range(3, 11)) - want
 
+    def test_roots_stop_where_no_cycle_fits(self):
+        # a 10-cycle of Petersen has every vertex, so only root 0 is searched:
+        # its absence takes 250 nodes, where trying every root took 421
+        entry = cycle_census(toys.petersen_graph(), 10, 10, node_budget=300)[10]
+        assert (entry.status, entry.reason) == (ABSENT, "exhausted")
+
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
     def test_census_matches_oracle(self, graph):
